@@ -67,15 +67,19 @@ EXIT_ERROR = 1
 EXIT_REFUTED = 2
 
 
+def _lines(text: str):
+    """(line number, tokens) of each line with tokens left before its `#` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
+
+
 def parse_digraph(text: str) -> Digraph:
     """Parse the edge-list format; vertices appear in first-use order."""
     edges = []
     isolated = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _lines(text):
         if tokens[0].startswith("%"):
             if tokens[0] != "%vertex":
                 raise ParseError(lineno, f"unknown directive {tokens[0]!r}")
@@ -119,20 +123,33 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _edge_label(digraph: Digraph, e: int) -> str:
-    t, h = digraph.tail(e), digraph.head(e)
-    twins = [k for k in digraph.edge_ids() if digraph.tail(k) == t and digraph.head(k) == h]
-    if len(twins) == 1:
-        return f"{t}->{h}"
-    return f"{t}->{h}#{twins.index(e)}"
+def _parallel_ids(digraph: Digraph) -> dict:
+    """(tail, head) -> ascending ids of the edges with those ends."""
+    table: dict = {}
+    for e, ends in enumerate(digraph.edges):
+        table.setdefault(ends, []).append(e)
+    return table
 
 
-def _edge_set_label(digraph: Digraph, edge_set) -> str:
-    return "{" + ", ".join(_edge_label(digraph, e) for e in sorted(edge_set)) + "}"
+def _edge_labels(digraph: Digraph) -> list:
+    """Label of each edge id: `t->h`, or `t->h#k` for the k-th of parallel edges."""
+    labels = [""] * digraph.m
+    for (t, h), ids in _parallel_ids(digraph).items():
+        for k, e in enumerate(ids):
+            labels[e] = f"{t}->{h}" if len(ids) == 1 else f"{t}->{h}#{k}"
+    return labels
+
+
+def _edge_set_label(labels: list, edge_set) -> str:
+    return "{" + ", ".join(labels[e] for e in sorted(edge_set)) + "}"
 
 
 def _shore_label(shore) -> str:
     return "{" + ", ".join(str(v) for v in sorted(shore)) + "}"
+
+
+def _cut_label(labels: list, cut: Dicut) -> str:
+    return f"in_shore={_shore_label(cut.in_shore)} edges={_edge_set_label(labels, cut.edge_set)}"
 
 
 def _read_text(path: str) -> str:
@@ -149,36 +166,22 @@ def _load_digraph(args) -> tuple:
 
 def _resolve_edge_lines(digraph: Digraph, text: str) -> frozenset:
     """Edge per line as TAIL HEAD; repeats consume parallel ids in order."""
-    used: set = set()
+    unused = _parallel_ids(digraph)
     ids = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _lines(text):
         if len(tokens) != 2:
             raise ParseError(lineno, "expected TAIL HEAD")
         t, h = tokens
-        match = None
-        for e in digraph.edge_ids():
-            if e not in used and digraph.tail(e) == t and digraph.head(e) == h:
-                match = e
-                break
-        if match is None:
+        if not unused.get((t, h)):
             raise ParseError(lineno, f"no unused edge {t}->{h} in the digraph")
-        used.add(match)
-        ids.append(match)
+        ids.append(unused[(t, h)].pop(0))
     return frozenset(ids)
 
 
 def _resolve_shore_lines(digraph: Digraph, text: str) -> list:
     """One in-shore per line as space-separated vertex names."""
     shores = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        names = line.split()
+    for lineno, names in _lines(text):
         unknown = [v for v in names if v not in digraph.vertices]
         if unknown:
             raise ParseError(lineno, f"unknown vertices {unknown}")
@@ -194,19 +197,13 @@ def _class_from_args(digraph: Digraph, args) -> DibondClass:
     return DibondClass.full(digraph, args.cap)
 
 
-def _pair_lines(digraph: Digraph, pair: OptimalPair) -> list:
-    lines = [
+def _pair_lines(labels: list, pair: OptimalPair) -> list:
+    return [
         ("min_dijoin_size", str(len(pair.dijoin))),
         ("max_packing_size", str(len(pair.family))),
         ("nested", "true" if pair.nested else "false"),
-        ("dijoin", _edge_set_label(digraph, pair.dijoin)),
-    ]
-    for member in pair.family:
-        lines.append(
-            ("family_member", f"in_shore={_shore_label(member.in_shore)} "
-                              f"edges={_edge_set_label(digraph, member.edge_set)}")
-        )
-    return lines
+        ("dijoin", _edge_set_label(labels, pair.dijoin)),
+    ] + [("family_member", _cut_label(labels, member)) for member in pair.family]
 
 
 def _cmd_enumerate(args) -> RunReport:
@@ -223,11 +220,8 @@ def _cmd_enumerate(args) -> RunReport:
     else:
         members = enumerate_dibonds(digraph, args.cap)
     lines.append(("count", str(len(members))))
-    for d in members:
-        lines.append(
-            ("member", f"in_shore={_shore_label(d.in_shore)} "
-                       f"edges={_edge_set_label(digraph, d.edge_set)}")
-        )
+    labels = _edge_labels(digraph)
+    lines.extend(("member", _cut_label(labels, d)) for d in members)
     return RunReport("enumerate", tuple(lines), EXIT_OK)
 
 
@@ -249,7 +243,7 @@ def _cmd_solve(args) -> RunReport:
         lines.append(("reason", "no pair attains equality for this class"))
         return RunReport("solve", tuple(lines), EXIT_OK)
     verify_optimal_pair(digraph, klass, pair)
-    lines.extend(_pair_lines(digraph, pair))
+    lines.extend(_pair_lines(_edge_labels(digraph), pair))
     lines.append(("verified", "true"))
     return RunReport("solve", tuple(lines), EXIT_OK)
 
@@ -280,12 +274,9 @@ def _cmd_uncross(args) -> RunReport:
     lines.append(("nested_before", "true" if before else "false"))
     result = uncross(digraph, dijoin, family, klass=klass)
     lines.append(("nested_after", "true"))
-    lines.append(("dijoin", _edge_set_label(digraph, dijoin)))
-    for member in result:
-        lines.append(
-            ("family_member", f"in_shore={_shore_label(member.in_shore)} "
-                              f"edges={_edge_set_label(digraph, member.edge_set)}")
-        )
+    labels = _edge_labels(digraph)
+    lines.append(("dijoin", _edge_set_label(labels, dijoin)))
+    lines.extend(("family_member", _cut_label(labels, member)) for member in result)
     return RunReport("uncross", tuple(lines), EXIT_OK)
 
 
@@ -322,8 +313,9 @@ def _cmd_blocks(args) -> RunReport:
         ("blocks", str(len(tree.blocks))),
         ("cutvertices", _shore_label(tree.cutvertices)),
     ]
+    labels = _edge_labels(digraph)
     for i, block in enumerate(tree.blocks):
-        lines.append(("block", f"{i} edges={_edge_set_label(digraph, block)}"))
+        lines.append(("block", f"{i} edges={_edge_set_label(labels, block)}"))
     for v, b in tree.tree_edges:
         lines.append(("tree_edge", f"{v} - block {b}"))
     klass = DibondClass.full(digraph, args.cap)
@@ -331,7 +323,7 @@ def _cmd_blocks(args) -> RunReport:
     if pair is None:
         lines.append(("optimal_pair", "absent"))
     else:
-        lines.extend(_pair_lines(digraph, pair))
+        lines.extend(_pair_lines(labels, pair))
     return RunReport("blocks", tuple(lines), EXIT_OK)
 
 
@@ -406,7 +398,7 @@ def _cmd_family(args) -> RunReport:
             ok, miss = check_finitary_dijoin(w, set_name, args.cap)
             detail = f"n={n} hits_all={'true' if ok else 'false'}"
             if miss is not None:
-                detail += f" missed={_edge_set_label(w.digraph, miss.edge_set)}"
+                detail += f" missed={_edge_set_label(_edge_labels(w.digraph), miss.edge_set)}"
             lines.append(("window", detail))
             if not ok and refuted_at is None:
                 refuted_at = n
@@ -476,16 +468,6 @@ def _cmd_family(args) -> RunReport:
     return RunReport("family", tuple(lines), EXIT_OK)
 
 
-def _parse_hypergraph(text: str) -> Hypergraph:
-    hyperedges = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        hyperedges.append(frozenset(line.split()))
-    return Hypergraph.from_edges(hyperedges)
-
-
 def _cmd_hypergraph(args) -> RunReport:
     text = _read_text(args.input)
     lines = [("command", "hypergraph"), ("input_sha256", _digest(text))]
@@ -495,11 +477,7 @@ def _cmd_hypergraph(args) -> RunReport:
         except ValueError:
             raise ValueError("--menger expects 'a,b;c,d'") from None
         digraph_like = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
+        for lineno, tokens in _lines(text):
             if len(tokens) != 2:
                 raise ParseError(lineno, "expected two endpoint tokens")
             digraph_like.append((tokens[0], tokens[1]))
@@ -510,7 +488,7 @@ def _cmd_hypergraph(args) -> RunReport:
         hyper = menger_hypergraph(graph, a_set, b_set, args.cap)
         lines.append(("mode", "menger"))
     else:
-        hyper = _parse_hypergraph(text)
+        hyper = Hypergraph.from_edges(frozenset(tokens) for _lineno, tokens in _lines(text))
         lines.append(("mode", "hyperedges"))
     lines.append(("vertices", str(len(hyper.vertices))))
     lines.append(("hyperedges", str(len(hyper.hyperedges))))
@@ -677,10 +655,12 @@ def run(command: str, flags: Optional[dict] = None) -> RunReport:
             argv.append(flag)
         elif value is not None:
             argv.extend([flag, str(value)])
-    args = _build_parser().parse_args(argv)
-    handler = _HANDLERS[args.command]
-    report = handler(args)
-    if getattr(args, "export", None) and args.command == "family":
+    return _dispatch(_build_parser().parse_args(argv))
+
+
+def _dispatch(args) -> RunReport:
+    report = _HANDLERS[args.command](args)
+    if args.command == "family" and args.export:
         _export_family(args)
     return report
 
@@ -708,18 +688,8 @@ def main(argv: Optional[list] = None) -> int:
         # the refuted-claim exit code; fold those into the error code.
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
-        report = _HANDLERS[args.command](args)
-        if getattr(args, "export", None) and args.command == "family":
-            _export_family(args)
-    except ParseError as exc:
-        sys.stdout.write(f"command: {args.command}\nerror: ParseError: {exc}\n")
-        return EXIT_ERROR
-    except DicutsError as exc:
-        sys.stdout.write(
-            f"command: {args.command}\nerror: {type(exc).__name__}: {exc}\n"
-        )
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
+        report = _dispatch(args)
+    except (DicutsError, ValueError, OSError) as exc:
         sys.stdout.write(f"command: {args.command}\nerror: {type(exc).__name__}: {exc}\n")
         return EXIT_ERROR
     sys.stdout.write(report.render())

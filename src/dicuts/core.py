@@ -101,10 +101,6 @@ class Digraph:
             return NotImplemented
         return self.vertices == other.vertices and self.edges == other.edges
 
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = hash((self.vertices, self.edges))
@@ -141,6 +137,23 @@ def weak_components_within(digraph: Digraph, subset: frozenset) -> list:
             comps.append(comp)
             remaining -= comp
     return comps
+
+
+def _component_labels(digraph: Digraph, removed: frozenset) -> dict:
+    """Vertex -> least vertex of its weak component in the digraph minus `removed` edges."""
+    label: dict = {}
+    for v in sorted(digraph.vertices):
+        if v in label:
+            continue
+        label[v] = v
+        queue = deque([v])
+        while queue:
+            u = queue.popleft()
+            for w, e in digraph.und_neighbors(u):
+                if e not in removed and w not in label:
+                    label[w] = v
+                    queue.append(w)
+    return label
 
 
 def is_weakly_connected(digraph: Digraph) -> bool:
@@ -269,10 +282,6 @@ class Dicut:
             return NotImplemented
         return self.in_shore == other.in_shore and self.digraph == other.digraph
 
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self) -> int:
         return hash(self.in_shore)
 
@@ -319,20 +328,7 @@ def dicut_from_edge_set(digraph: Digraph, edge_set: Iterable[EdgeId]) -> Optiona
         return None
     if not all(0 <= e < digraph.m for e in b):
         raise ValueError("edge set contains unknown edge ids")
-    comp_of: dict = {}
-    for v in sorted(digraph.vertices):
-        if v in comp_of:
-            continue
-        seen = {v}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w, e in digraph.und_neighbors(u):
-                if e not in b and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        for w in seen:
-            comp_of[w] = v
+    comp_of = _component_labels(digraph, b)
     label: dict = {}
     for e in b:
         t_comp = comp_of[digraph.tail(e)]

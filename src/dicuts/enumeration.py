@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Digraph, Dicut, EdgeId
-from .errors import CapExceeded
+from .core import Digraph, Dicut, EdgeId, is_weakly_connected
+from .errors import CapExceeded, PreconditionViolated
 
 DEFAULT_CAP = 1_000_000
 
@@ -214,8 +214,11 @@ def enumerate_dibonds(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     closure, a branch per candidate, so every connected predecessor-closed
     set is visited exactly once. The complement connectivity check then
     selects the dibonds. Raises CapExceeded when the dibond count would pass
-    the cap.
+    the cap, and PreconditionViolated when the digraph is not weakly
+    connected, where no nonempty dicut has two weakly connected shores.
     """
+    if not is_weakly_connected(digraph):
+        raise PreconditionViolated("dibonds need a weakly connected digraph")
     cond = condensation(digraph)
     comps, succ, pred, und = _dag_maps(cond)
     k = len(comps)

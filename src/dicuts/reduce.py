@@ -11,13 +11,13 @@ per block, and merge pipeline whose result is re-verified independently.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import (
     Digraph,
     Dicut,
+    _component_labels,
     dicut_from_edge_set,
     is_weakly_connected,
 )
@@ -110,22 +110,7 @@ def contract_to(digraph: Digraph, edge_ids: Iterable[int]) -> QuotientMap:
     kept = frozenset(edge_ids)
     if not all(0 <= e < digraph.m for e in kept):
         raise ValueError("edge set contains unknown edge ids")
-    class_of: dict = {}
-    for v in sorted(digraph.vertices):
-        if v in class_of:
-            continue
-        seen = {v}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w, e in digraph.und_neighbors(u):
-                if e not in kept and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        cid = min(seen)
-        for w in seen:
-            class_of[w] = cid
-    qm = _quotient_from_classes(digraph, class_of, generators=())
+    qm = _quotient_from_classes(digraph, _component_labels(digraph, kept), generators=())
     if set(qm.edge_provenance.values()) - kept:
         raise RuntimeError("internal error: contraction kept an edge outside the target set")
     return qm

@@ -8,11 +8,24 @@ pair can always be uncrossed into a nested one. Both solvers here are exact
 branch and bound searches intended for desk-scale instances, and every
 produced pair is re-checked by an independent verifier rather than trusted
 by construction.
+
+Every largest disjoint family (set packings, dicut packings, nested
+families) comes from one search. Each level picks the next member from a
+candidate list in ascending index order, and the level below keeps only
+the later candidates compatible with it, so the recursion is as deep as
+the family. A level is pruned when the family so far plus a greedy cover
+of its candidates cannot beat the incumbent: each member of a disjoint
+family contains a different cover element. The search also stops once the
+family reaches a given size. The dicut family searches pass the minimum
+dijoin size, which weak duality makes an upper bound: a dijoin meets each
+member of a disjoint family in a different edge. exact_max_set_packing
+passes none, so that hypergraph checks can compare it with the hitting set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional
 
 from .core import (
@@ -105,18 +118,20 @@ class OptimalPair:
     class_tag: str
 
 
+def _corner_parts(a: Dicut, b: Dicut):
+    """The dibonds of the nonempty meet and join of two dibonds, meet first."""
+    for corner in (meet(a, b), join(a, b)):
+        if not corner.is_empty:
+            yield from decompose_dicut(corner)
+
+
 def _is_corner_closed(klass: DibondClass) -> bool:
     member_shores = {m.in_shore for m in klass.members}
-    members = klass.members
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            for corner in (meet(members[i], members[j]), join(members[i], members[j])):
-                if corner.is_empty:
-                    continue
-                for part in decompose_dicut(corner):
-                    if part.in_shore not in member_shores:
-                        return False
-    return True
+    return all(
+        part.in_shore in member_shores
+        for a, b in combinations(klass.members, 2)
+        for part in _corner_parts(a, b)
+    )
 
 
 def is_dijoin(digraph: Digraph, edge_set: Iterable[int], klass: DibondClass) -> tuple:
@@ -186,41 +201,48 @@ def exact_min_hitting_set(sets: Iterable[frozenset]) -> frozenset:
     return best
 
 
+def _largest_disjoint(sets: list, stop: Optional[int] = None, also=None) -> list:
+    """Indices of the lexicographically first largest pairwise-disjoint subfamily.
+
+    Pairs of indices must also pass also(i, j), when given. The search ends
+    early once the family reaches `stop` members; see the module docstring.
+    """
+    best: list = []
+    chosen: list = []
+
+    def search(cands: list) -> bool:
+        nonlocal best
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if len(best) == stop:
+            return True
+        rest = [sets[i] for i in cands]
+        cover = _greedy_cover([s for s in rest if s])
+        if len(chosen) + len(cover) + sum(not s for s in rest) <= len(best):
+            return False
+        for pos, i in enumerate(cands):
+            chosen.append(i)
+            done = search([
+                j for j in cands[pos + 1:]
+                if not (sets[i] & sets[j]) and (also is None or also(i, j))
+            ])
+            chosen.pop()
+            if done:
+                return True
+        return False
+
+    search(list(range(len(sets))))
+    return best
+
+
 def exact_max_set_packing(sets: list) -> list:
     """Indices of a maximum pairwise-disjoint subfamily, by exact branch and bound.
 
-    The input order is respected: the search considers indices ascending
-    with the include branch first, and the incumbent only improves
-    strictly, so the result is deterministic for a fixed input order.
+    The input order is respected: the result is the lexicographically first
+    maximum subfamily as an ascending index list, so it is deterministic for
+    a fixed input order. The search is exhaustive, with no size to stop at.
     """
-    k = len(sets)
-    best: list = []
-
-    def greedy_bound(i: int, used: frozenset) -> int:
-        count = 0
-        acc = used
-        for j in range(i, k):
-            if not (sets[j] & acc):
-                acc = acc | sets[j]
-                count += 1
-        return count
-
-    def search(i: int, used: frozenset, chosen: list) -> None:
-        nonlocal best
-        if len(chosen) + greedy_bound(i, used) <= len(best):
-            return
-        if i == k:
-            if len(chosen) > len(best):
-                best = list(chosen)
-            return
-        if not (sets[i] & used):
-            chosen.append(i)
-            search(i + 1, used | sets[i], chosen)
-            chosen.pop()
-        search(i + 1, used, chosen)
-
-    search(0, frozenset(), [])
-    return best
+    return _largest_disjoint(sets)
 
 
 def min_dijoin(digraph: Digraph, klass: DibondClass) -> frozenset:
@@ -232,14 +254,22 @@ def min_dijoin(digraph: Digraph, klass: DibondClass) -> frozenset:
     return exact_min_hitting_set([m.edge_set for m in klass.members])
 
 
+def _disjoint_members(klass: DibondClass, stop: Optional[int] = None, also=None) -> list:
+    """The class members _largest_disjoint picks; `also` tests two members."""
+    members = klass.members
+    test = None if also is None else (lambda i, j: also(members[i], members[j]))
+    picked = _largest_disjoint([m.edge_set for m in members], stop, test)
+    return sorted((members[i] for i in picked), key=_member_key)
+
+
 def max_disjoint_dicuts(digraph: Digraph, klass: DibondClass) -> list:
     """A maximum family of pairwise edge-disjoint class members.
 
     Exact set packing over the members in canonical order; deterministic.
+    The search stops at the minimum dijoin size, which no disjoint family
+    can exceed.
     """
-    members = list(klass.members)
-    picked = exact_max_set_packing([m.edge_set for m in members])
-    return sorted((members[i] for i in picked), key=_member_key)
+    return _disjoint_members(klass, len(min_dijoin(digraph, klass)))
 
 
 def _pairwise_disjoint(family: Iterable[Dicut]) -> bool:
@@ -301,7 +331,7 @@ def optimal_pair(digraph: Digraph, klass: DibondClass) -> Optional[OptimalPair]:
     by counting, but the verifier still checks them explicitly.
     """
     dijoin = min_dijoin(digraph, klass)
-    family = max_disjoint_dicuts(digraph, klass)
+    family = _disjoint_members(klass, len(dijoin))
     if len(dijoin) != len(family):
         if klass.tag == FULL_CLASS_TAG:
             raise DualityGapDetected(len(dijoin), len(family))
@@ -440,21 +470,16 @@ def corner_closure(
 
     for member in sorted(seed_members, key=_member_key):
         add(member)
-    pair_queue = [(i, j) for i in range(len(members)) for j in range(i + 1, len(members))]
+    pair_queue = list(combinations(range(len(members)), 2))
     head = 0
     while head < len(pair_queue):
         i, j = pair_queue[head]
         head += 1
-        for corner in (meet(members[i], members[j]), join(members[i], members[j])):
-            if corner.is_empty:
-                continue
-            for part in decompose_dicut(corner):
-                if part.in_shore not in shores:
-                    before = len(members)
-                    add(part)
-                    new_idx = before
-                    for idx in range(new_idx):
-                        pair_queue.append((idx, new_idx))
+        for part in _corner_parts(members[i], members[j]):
+            if part.in_shore not in shores:
+                add(part)
+                new_idx = len(members) - 1
+                pair_queue.extend((idx, new_idx) for idx in range(new_idx))
     final = sorted(members, key=_member_key)
     return DibondClass(
         digraph=digraph, members=tuple(final), corner_closed=True, tag=tag
@@ -467,38 +492,12 @@ def maximal_nested_disjoint_family(digraph: Digraph, klass: DibondClass) -> list
     Requires a corner-closed class (NotCornerClosed otherwise); on such a
     class the maximum matches the unrestricted disjoint packing number and
     the union of the returned family is itself a dijoin for the class,
-    which is verified before returning.
+    which is verified before returning. Like max_disjoint_dicuts, the
+    search stops at the minimum dijoin size.
     """
     if not klass.corner_closed:
         raise NotCornerClosed()
-    members = list(klass.members)
-    k = len(members)
-    compat = [[False] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            ok = not (members[i].edge_set & members[j].edge_set) and nested(
-                members[i], members[j]
-            )
-            compat[i][j] = compat[j][i] = ok
-    best: list = []
-
-    def search(cands: list, chosen: list) -> None:
-        nonlocal best
-        if len(chosen) + len(cands) <= len(best):
-            return
-        if not cands:
-            if len(chosen) > len(best):
-                best = list(chosen)
-            return
-        c = cands[0]
-        rest = cands[1:]
-        chosen.append(c)
-        search([d for d in rest if compat[c][d]], chosen)
-        chosen.pop()
-        search(rest, chosen)
-
-    search(list(range(k)), [])
-    family = sorted((members[i] for i in best), key=_member_key)
+    family = _disjoint_members(klass, len(min_dijoin(digraph, klass)), nested)
     if family:
         union = frozenset(e for member in family for e in member.edge_set)
         ok, _missed = is_dijoin(digraph, union, klass)

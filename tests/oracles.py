@@ -107,6 +107,17 @@ def kosaraju_scc(digraph):
     return frozenset(comps)
 
 
+def meets_every_dicut(digraph, edge_ids):
+    """Dijoin test on a weakly connected digraph, without enumerating dicuts.
+
+    The edges meet every dicut iff contracting them leaves a strongly
+    connected digraph, that is iff adding their reversals makes the
+    digraph strongly connected.
+    """
+    back = [(digraph.head(e), digraph.tail(e)) for e in edge_ids]
+    return len(kosaraju_scc(Digraph(digraph.vertices, digraph.edges + tuple(back)))) == 1
+
+
 # ---------------------------------------------------------------------------
 # brute cut enumeration
 
@@ -291,6 +302,15 @@ def random_weak_digraph(rng, max_n=7, max_extra=7, parallels=True):
         t, h = rng.sample(vertices, 2)
         if not parallels and (t, h) in edges:
             continue
+        edges.append((t, h))
+    return Digraph.from_edges(edges)
+
+
+def random_dag(rng, n, extra):
+    """Random spanning tree on 0..n-1 plus `extra` edges, every edge low to high."""
+    edges = [(rng.randrange(i), i) for i in range(1, n)]
+    for _ in range(extra):
+        t, h = sorted(rng.sample(range(n), 2))
         edges.append((t, h))
     return Digraph.from_edges(edges)
 

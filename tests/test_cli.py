@@ -259,6 +259,12 @@ class TestMainEntry:
         assert main(["family", "--name", "nope", "--check", "compactness"]) == EXIT_ERROR
         assert "error: ValueError" in capsys.readouterr().out
 
+    def test_disconnected_input_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "isolated.txt"
+        path.write_text("a b\n%vertex c\n", encoding="utf-8")
+        assert main(["solve", "--input", str(path)]) == EXIT_ERROR
+        assert "error: PreconditionViolated: " in capsys.readouterr().out
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["solve", "--input", "/nonexistent/file.txt"]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +19,7 @@ from dicuts import (
     corner_closure,
     exact_max_set_packing,
     exact_min_hitting_set,
+    get_family,
     is_dijoin,
     max_disjoint_dicuts,
     maximal_nested_disjoint_family,
@@ -27,12 +29,15 @@ from dicuts import (
     optimal_pair,
     uncross,
     verify_optimal_pair,
+    window,
 )
 
 from .oracles import (
     brute_dicuts,
     brute_max_packing,
     brute_min_dijoin,
+    meets_every_dicut,
+    random_dag,
     random_weak_digraph,
 )
 
@@ -73,6 +78,19 @@ class TestExactSetSolvers:
         sets = [frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4})]
         packed = exact_max_set_packing(sets)
         assert len(packed) == 2
+
+    @pytest.mark.parametrize(
+        "sets, size",
+        [
+            # A greedy packing once pruned the optimum here as an upper bound.
+            ([{0, 1}, {0, 1}, {0}, {1}], 2),
+            ([set(), {0}, {0}, set()], 3),
+        ],
+    )
+    def test_packing_size(self, sets, size):
+        packed = exact_max_set_packing(sets)
+        assert len(packed) == size
+        assert all(not (sets[i] & sets[j]) for i, j in combinations(packed, 2))
 
     def test_solvers_agree_with_subset_sweeps(self):
         rng = random.Random(17)
@@ -202,6 +220,33 @@ class TestOptimalPairs:
                 for i in range(len(fam))
                 for j in range(i + 1, len(fam))
             )
+
+    def test_nested_pair_on_a_six_vertex_dag(self):
+        # Once a DualityGapDetected: the packing search pruned the optimum.
+        edges = "0 1, 0 4, 0 5, 1 2, 2 3, 2 4, 2 5, 3 4, 3 5"
+        d = Digraph.from_edges(tuple(e.split()) for e in edges.split(", "))
+        klass = DibondClass.full(d)
+        pair = nested_optimal_pair(d, klass)
+        assert pair is not None and len(pair.dijoin) == len(pair.family) == 2
+        verify_optimal_pair(d, klass, pair)
+
+    def test_zigzag_window_50_stays_within_the_recursion_limit(self):
+        # 1,325 dibonds; the packing search once recursed once per member.
+        d = window(get_family("zigzag_d1"), 50).digraph
+        pair = nested_optimal_pair(d, DibondClass.full(d))
+        assert pair is not None and len(pair.family) == 50
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_full_class_equality_on_30_vertex_dags(self, seed):
+        # Lucchesi-Younger makes min = max an oracle past brute-force sizes;
+        # the dijoin is checked by contraction, without the dibond class.
+        d = random_dag(random.Random(seed), 30, 30)
+        klass = DibondClass.full(d)
+        pair = nested_optimal_pair(d, klass)
+        assert pair is not None and len(pair.dijoin) == len(pair.family)
+        verify_optimal_pair(d, klass, pair)
+        assert meets_every_dicut(d, pair.dijoin)
+        assert not any(meets_every_dicut(d, pair.dijoin - {e}) for e in pair.dijoin)
 
     def test_verifier_rejects_corrupted_pairs(self):
         d = diamond()
