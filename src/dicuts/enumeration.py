@@ -6,10 +6,14 @@ dicuts whose two shores both induce weakly connected subdigraphs; they are
 enumerated by a dedicated walk over connected predecessor-closed component
 sets rather than by filtering all dicuts, because on the window digraphs of
 interest the dicut count grows exponentially while the dibond count stays
-polynomial.
+polynomial. The walk drops every branch that can no longer reach a
+dibond, so on the family windows it visits a few sets per dibond emitted
+instead of every connected predecessor-closed set.
 
-Every enumeration takes a cap and raises CapExceeded as soon as the result
-count would pass it; a capped call never returns a truncated list.
+Every walk uses an explicit stack, so recursion depth never grows with the
+number of strong components. Every enumeration takes a cap and raises
+CapExceeded as soon as the result count would pass it; a capped call never
+returns a truncated list.
 """
 
 from __future__ import annotations
@@ -122,19 +126,22 @@ def _dag_maps(cond: Condensation) -> tuple:
 def _transitive_closure(comps: list, step: dict) -> dict:
     """closure[c] = all components reachable from c via `step`, including c."""
     closure: dict = {}
-
-    def visit(c) -> frozenset:
-        if c in closure:
-            return closure[c]
-        closure[c] = frozenset({c})  # placeholder guards against DAG re-entry
-        acc = {c}
-        for d in sorted(step[c]):
-            acc |= visit(d)
-        closure[c] = frozenset(acc)
-        return closure[c]
-
-    for c in comps:
-        visit(c)
+    for root in comps:
+        stack = [root]
+        while stack:
+            c = stack[-1]
+            if c in closure:
+                stack.pop()
+                continue
+            pending = [d for d in step[c] if d not in closure]
+            if pending:
+                stack.extend(pending)
+                continue
+            acc = {c}
+            for d in step[c]:
+                acc |= closure[d]
+            closure[c] = frozenset(acc)
+            stack.pop()
     return closure
 
 
@@ -152,8 +159,11 @@ def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     desc = _transitive_closure(comps, succ)
     anc = _transitive_closure(comps, pred)
     shores: list = []
-
-    def assign(i: int, status: dict) -> None:
+    # Each entry is (next component index, status); status maps a decided
+    # component to True (in the in shore) or False (in the out shore).
+    stack: list = [(0, {})]
+    while stack:
+        i, status = stack.pop()
         while i < k and comps[i] in status:
             i += 1
         if i == k:
@@ -162,22 +172,21 @@ def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
                 if len(shores) >= cap:
                     raise CapExceeded(cap, "enumerating dicuts")
                 shores.append(included)
-            return
+            continue
         c = comps[i]
         closure = desc[c]
         if all(status.get(d, True) for d in closure):
             trial = dict(status)
             for d in closure:
                 trial[d] = True
-            assign(i + 1, trial)
+            stack.append((i + 1, trial))
         closure = anc[c]
         if all(not status.get(d, False) for d in closure):
             trial = dict(status)
             for d in closure:
                 trial[d] = False
-            assign(i + 1, trial)
+            stack.append((i + 1, trial))
 
-    assign(0, {})
     dicuts = []
     for comp_set in shores:
         in_shore = frozenset(
@@ -188,10 +197,8 @@ def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     return dicuts
 
 
-def _connected_in(und: dict, subset: frozenset) -> bool:
-    if len(subset) <= 1:
-        return True
-    start = min(subset)
+def _reach_within(und: dict, subset: frozenset, start) -> set:
+    """The components of `subset` joined to `start` by an undirected path inside it."""
     seen = {start}
     frontier = [start]
     while frontier:
@@ -200,7 +207,7 @@ def _connected_in(und: dict, subset: frozenset) -> bool:
             if d in subset and d not in seen:
                 seen.add(d)
                 frontier.append(d)
-    return len(seen) == len(subset)
+    return seen
 
 
 def enumerate_dibonds(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
@@ -211,11 +218,20 @@ def enumerate_dibonds(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     anchored connected growth: for each anchor component (the minimum id of
     the grown set) the walk starts from the anchor's ancestor closure and
     adds one undirected neighbor at a time together with its ancestor
-    closure, a branch per candidate, so every connected predecessor-closed
-    set is visited exactly once. The complement connectivity check then
-    selects the dibonds. Raises CapExceeded when the dibond count would pass
-    the cap, and PreconditionViolated when the digraph is not weakly
-    connected, where no nonempty dicut has two weakly connected shores.
+    closure, a branch per candidate. Candidates passed over by earlier
+    branches are forbidden in later ones, so no set is reached twice.
+
+    Forbidden components can never join the out shore, so they all end up
+    in the in shore, which must be a connected subset of the current
+    complement. Growing the set only removes components from the
+    complement, so once the forbidden components lie in two different weak
+    components of the complement, no set grown from here is a dibond and
+    the branch is dropped. One search from the least forbidden component
+    (or the least complement component when nothing is forbidden) decides
+    both that prune and whether the complement is connected, which selects
+    the dibonds. Raises CapExceeded when the dibond count would pass the
+    cap, and PreconditionViolated when the digraph is not weakly connected,
+    where no nonempty dicut has two weakly connected shores.
     """
     if not is_weakly_connected(digraph):
         raise PreconditionViolated("dibonds need a weakly connected digraph")
@@ -228,35 +244,34 @@ def enumerate_dibonds(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     all_comps = frozenset(comps)
     out_shores: list = []
 
-    def emit(s: frozenset) -> None:
-        if len(s) == k:
-            return
-        complement = all_comps - s
-        if _connected_in(und, complement):
-            if len(out_shores) >= cap:
-                raise CapExceeded(cap, "enumerating dibonds")
-            out_shores.append(s)
-
-    def grow(s: frozenset, forbidden: frozenset) -> None:
-        emit(s)
-        candidates = sorted(
-            {d for c in s for d in und[c]} - s - forbidden
-        )
-        blocked = set(forbidden)
-        for u in candidates:
-            need = anc[u]
-            if need & blocked:
-                blocked.add(u)
-                continue
-            grow(s | need, frozenset(blocked))
-            blocked.add(u)
-
     for idx, anchor in enumerate(comps):
         base = anc[anchor]
         below = frozenset(comps[:idx])
         if base & below:
             continue
-        grow(base, below)
+        # Each entry is (grown set, forbidden components).
+        stack: list = [(base, below)]
+        while stack:
+            s, forbidden = stack.pop()
+            complement = all_comps - s
+            if not complement:
+                continue
+            reach = _reach_within(
+                und, complement, min(forbidden) if forbidden else min(complement)
+            )
+            if not forbidden <= reach:
+                continue
+            if len(reach) == len(complement):
+                if len(out_shores) >= cap:
+                    raise CapExceeded(cap, "enumerating dibonds")
+                out_shores.append(s)
+            candidates = sorted({d for c in s for d in und[c]} - s - forbidden)
+            blocked = set(forbidden)
+            for u in candidates:
+                need = anc[u]
+                if not need & blocked:
+                    stack.append((s | need, frozenset(blocked)))
+                blocked.add(u)
 
     dibonds = []
     for s in out_shores:

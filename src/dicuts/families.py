@@ -36,7 +36,12 @@ from itertools import product
 from typing import Callable, Iterable, Optional
 
 from .core import Dicut, Digraph, dicut_from_edge_set, is_weakly_connected, nested
-from .enumeration import DEFAULT_CAP, dibonds_containing_edge, enumerate_dibonds
+from .enumeration import (
+    DEFAULT_CAP,
+    condensation,
+    dibonds_containing_edge,
+    enumerate_dibonds,
+)
 from .errors import CapExceeded
 from .reduce import contract_to
 from .solver import DibondClass, _member_key, maximal_nested_disjoint_family
@@ -343,8 +348,20 @@ def _named_ids(w: FamilyWindow, set_name: str) -> frozenset:
 def check_finitary_dijoin(
     w: FamilyWindow, set_name: str, cap: int = DEFAULT_CAP
 ) -> tuple:
-    """Whether the named set hits every window dibond; on failure, the first miss."""
+    """Whether the named set hits every window dibond; on failure, the first miss.
+
+    Every dicut is a disjoint union of dibonds, and a set F meets every
+    dicut of the weakly connected window D exactly when D/F, the window
+    with F contracted, is strongly connected (Schrijver, Combinatorial
+    Optimization, ch. 55). That test decides a set that hits every dibond
+    without enumerating.
+    Only a refuted set enumerates the window dibonds, to return the first
+    miss in canonical order, so only that path can raise CapExceeded.
+    """
     edge_set = _named_ids(w, set_name)
+    contracted = contract_to(w.digraph, frozenset(range(w.digraph.m)) - edge_set)
+    if len(condensation(contracted.quotient).components) == 1:
+        return True, None
     for b in finite_dibonds_in_window(w, cap):
         if not (b.edge_set & edge_set):
             return False, b

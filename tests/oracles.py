@@ -5,7 +5,9 @@ own algorithms: shores are enumerated as raw subsets, connectivity is
 plain BFS, minima are found by exhausting subsets in size order, and
 flows use integral augmenting paths.  A disagreement between an oracle
 and the package therefore always indicts the fast path, never a shared
-helper.
+helper.  The one exception is `finitary_by_scan`, which scans the
+package's own window dibonds (checked against `brute_dibonds` in the
+enumeration tests) because brute force cannot reach family windows.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import itertools
 import random
 from collections import deque
 
-from dicuts import Dicut, Digraph
+from dicuts import Dicut, Digraph, finite_dibonds_in_window
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +118,20 @@ def meets_every_dicut(digraph, edge_ids):
     """
     back = [(digraph.head(e), digraph.tail(e)) for e in edge_ids]
     return len(kosaraju_scc(Digraph(digraph.vertices, digraph.edges + tuple(back)))) == 1
+
+
+def finitary_by_scan(w, set_name):
+    """(verdict, first miss) of a named window set, by scanning every window dibond.
+
+    The enumeration scan that decides `check_finitary_dijoin` by
+    definition: the first dibond in canonical order that the set misses,
+    or (True, None) when it meets them all.
+    """
+    edge_set = w.named_edge_sets[set_name]
+    for b in finite_dibonds_in_window(w):
+        if not (b.edge_set & edge_set):
+            return False, b
+    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from dicuts import (
     dibonds_containing_edge,
     enumerate_dibonds,
     enumerate_dicuts,
+    get_family,
+    window,
 )
 
 from .oracles import brute_dibonds, brute_dicuts, kosaraju_scc, random_weak_digraph
@@ -84,6 +86,11 @@ class TestEnumerateDicuts:
             enumerate_dicuts(star, cap=10)
         assert info.value.cap == 10
 
+    def test_long_path_stays_within_the_recursion_limit(self):
+        path = Digraph.from_edges([(i, i + 1) for i in range(1200)])
+        assert len(enumerate_dicuts(path)) == 1200
+        assert len(enumerate_dibonds(path)) == 1200
+
 
 class TestEnumerateDibonds:
     def test_matches_brute_force_on_random_digraphs(self):
@@ -109,3 +116,27 @@ class TestEnumerateDibonds:
             frozenset({0, 3}),
             frozenset({0, 1}),
         ]
+
+    def test_matches_the_dicut_filter_on_digraphs_with_strong_components(self):
+        rng = random.Random(8)
+        checked = 0
+        while checked < 150:
+            d = random_weak_digraph(rng, max_n=9, max_extra=10)
+            comps = condensation(d).component_members.values()
+            if len(comps) == 1 or all(len(ms) == 1 for ms in comps):
+                continue
+            checked += 1
+            want = {c.in_shore for c in enumerate_dicuts(d) if c.is_dibond}
+            assert {c.in_shore for c in enumerate_dibonds(d)} == want
+
+    @pytest.mark.parametrize(
+        "family,n",
+        [("grid_d2", n) for n in range(1, 7)] + [("zigzag_d1", n) for n in range(1, 11)],
+    )
+    def test_matches_the_dicut_filter_on_family_windows(self, family, n):
+        d = window(get_family(family), n).digraph
+        want = [c.in_shore for c in enumerate_dicuts(d) if c.is_dibond]
+        assert [c.in_shore for c in enumerate_dibonds(d)] == want
+
+    def test_grid_window_10_dibond_count(self):
+        assert len(enumerate_dibonds(window(get_family("grid_d2"), 10).digraph)) == 3059

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from dicuts import (
@@ -21,6 +24,8 @@ from dicuts import (
     window,
     window_coherent,
 )
+
+from .oracles import finitary_by_scan
 
 
 class TestRegistry:
@@ -154,6 +159,39 @@ class TestZigzagChecks:
             assert nested_extension_search(
                 window(spec, n), "verticals_and_first_spoke"
             ) is None
+
+
+class TestFinitaryByStrongConnectivity:
+    WINDOWS = [("zigzag_d1", n) for n in range(1, 13)] + [
+        ("grid_d2", n) for n in range(1, 7)
+    ]
+
+    def test_named_sets_agree_with_the_dibond_scan(self):
+        for family, n in self.WINDOWS:
+            w = window(get_family(family), n)
+            for set_name in sorted(w.named_edge_sets):
+                assert check_finitary_dijoin(w, set_name) == finitary_by_scan(w, set_name)
+
+    def test_random_edge_sets_agree_with_the_dibond_scan(self):
+        rng = random.Random(17)
+        windows = [window(get_family(family), n) for family, n in self.WINDOWS]
+        verdicts = set()
+        for _ in range(200):
+            w = rng.choice(windows)
+            p = rng.random()
+            sample = frozenset(e for e in range(w.digraph.m) if rng.random() < p)
+            w = replace(w, named_edge_sets={"sample": sample})
+            got = check_finitary_dijoin(w, "sample")
+            assert got == finitary_by_scan(w, "sample")
+            verdicts.add(got[0])
+        assert verdicts == {True, False}
+
+    def test_only_a_refutation_enumerates_and_so_meets_the_cap(self):
+        w = window(get_family("zigzag_d1"), 3)
+        assert len(finite_dibonds_in_window(w)) > 1
+        assert check_finitary_dijoin(w, "diagonals", cap=1) == (True, None)
+        with pytest.raises(CapExceeded):
+            check_finitary_dijoin(w, "spokes_without_first", cap=1)
 
 
 class TestGridWindows:
