@@ -110,6 +110,16 @@ class Digraph:
         return f"Digraph(n={self.n}, m={self.m})"
 
 
+def bit_positions(mask: int) -> list:
+    """The positions of the set bits of a nonnegative int, ascending."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
+
+
 def _component_containing(digraph: Digraph, start: Vertex, allowed: frozenset) -> frozenset:
     """Weak component of `start` inside the induced subdigraph on `allowed`."""
     seen = {start}
@@ -354,6 +364,10 @@ def dicut_from_edge_set(digraph: Digraph, edge_set: Iterable[EdgeId]) -> Optiona
     return cut
 
 
+def _in_side(cut) -> frozenset:
+    return cut.in_shore if isinstance(cut, Dicut) else cut.in_side
+
+
 def nested(c1, c2) -> bool:
     """True iff some side of one cut is contained in some side of the other.
 
@@ -363,7 +377,7 @@ def nested(c1, c2) -> bool:
     """
     if c1.digraph != c2.digraph:
         raise ValueError("cuts are over different digraphs")
-    y1, y2 = c1.sides[0], c2.sides[0]
+    y1, y2 = _in_side(c1), _in_side(c2)
     if y1 <= y2 or y2 <= y1:
         return True
     inter = len(y1 & y2)

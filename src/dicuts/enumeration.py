@@ -10,6 +10,11 @@ polynomial. The walk drops every branch that can no longer reach a
 dibond, so on the family windows it visits a few sets per dibond emitted
 instead of every connected predecessor-closed set.
 
+The walks index the strong components in ascending id order and hold
+every set of components as an int mask, bit i standing for the i-th
+component: ancestor and descendant closures, undirected neighbours, the
+sets grown and forbidden, their complements and the reach searches. Bit
+order is id order, so every branch order is that of the component ids.
 Every walk uses an explicit stack, so recursion depth never grows with the
 number of strong components. Every enumeration takes a cap and raises
 CapExceeded as soon as the result count would pass it; a capped call never
@@ -21,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Digraph, Dicut, EdgeId, is_weakly_connected
+from .core import Digraph, Dicut, EdgeId, bit_positions, is_weakly_connected
 from .errors import CapExceeded, PreconditionViolated
 
 DEFAULT_CAP = 1_000_000
@@ -110,39 +115,51 @@ def condensation(digraph: Digraph) -> Condensation:
     )
 
 
-def _dag_maps(cond: Condensation) -> tuple:
+def _dag_masks(cond: Condensation) -> tuple:
+    """The components, and per component index the masks of its DAG
+    successors, predecessors and undirected neighbours; bit i is comps[i]."""
     comps = cond.components
-    succ: dict = {c: set() for c in comps}
-    pred: dict = {c: set() for c in comps}
-    und: dict = {c: set() for c in comps}
+    index = {c: i for i, c in enumerate(comps)}
+    succ = [0] * len(comps)
+    pred = [0] * len(comps)
     for a, b in cond.dag_edges:
-        succ[a].add(b)
-        pred[b].add(a)
-        und[a].add(b)
-        und[b].add(a)
+        succ[index[a]] |= 1 << index[b]
+        pred[index[b]] |= 1 << index[a]
+    und = [s | p for s, p in zip(succ, pred)]
     return comps, succ, pred, und
 
 
-def _transitive_closure(comps: list, step: dict) -> dict:
-    """closure[c] = all components reachable from c via `step`, including c."""
-    closure: dict = {}
-    for root in comps:
+def _transitive_closure(step: list) -> list:
+    """closure[i] = mask of the components reachable from i via `step`, including i."""
+    closure = [0] * len(step)
+    for root in range(len(step)):
         stack = [root]
         while stack:
-            c = stack[-1]
-            if c in closure:
+            i = stack[-1]
+            if closure[i]:
                 stack.pop()
                 continue
-            pending = [d for d in step[c] if d not in closure]
+            nexts = bit_positions(step[i])
+            pending = [j for j in nexts if not closure[j]]
             if pending:
                 stack.extend(pending)
                 continue
-            acc = {c}
-            for d in step[c]:
-                acc |= closure[d]
-            closure[c] = frozenset(acc)
+            acc = 1 << i
+            for j in nexts:
+                acc |= closure[j]
+            closure[i] = acc
             stack.pop()
     return closure
+
+
+def _shores(cond: Condensation, comps: list, masks: list) -> list:
+    """The in shores with the given component masks, sorted by size, then vertices."""
+    members = [cond.component_members[c] for c in comps]
+    shores = [
+        frozenset(v for p in bit_positions(m) for v in members[p]) for m in masks
+    ]
+    shores.sort(key=lambda y: (len(y), tuple(sorted(y))))
+    return shores
 
 
 def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
@@ -152,61 +169,46 @@ def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     strong components. Raises CapExceeded when the count would pass the cap.
     """
     cond = condensation(digraph)
-    comps, succ, pred, und = _dag_maps(cond)
+    comps, succ, pred, _und = _dag_masks(cond)
     k = len(comps)
     if k <= 1:
         return []
-    desc = _transitive_closure(comps, succ)
-    anc = _transitive_closure(comps, pred)
-    shores: list = []
-    # Each entry is (next component index, status); status maps a decided
-    # component to True (in the in shore) or False (in the out shore).
-    stack: list = [(0, {})]
+    desc = _transitive_closure(succ)
+    anc = _transitive_closure(pred)
+    full = (1 << k) - 1
+    found: list = []
+    # Each entry is (next component index, in shore mask, out shore mask)
+    # over the components decided so far.
+    stack: list = [(0, 0, 0)]
     while stack:
-        i, status = stack.pop()
-        while i < k and comps[i] in status:
+        i, ins, outs = stack.pop()
+        decided = ins | outs
+        while i < k and decided >> i & 1:
             i += 1
         if i == k:
-            included = frozenset(c for c, s in status.items() if s)
-            if included and len(included) < k:
-                if len(shores) >= cap:
+            if ins and ins != full:
+                if len(found) >= cap:
                     raise CapExceeded(cap, "enumerating dicuts")
-                shores.append(included)
+                found.append(ins)
             continue
-        c = comps[i]
-        closure = desc[c]
-        if all(status.get(d, True) for d in closure):
-            trial = dict(status)
-            for d in closure:
-                trial[d] = True
-            stack.append((i + 1, trial))
-        closure = anc[c]
-        if all(not status.get(d, False) for d in closure):
-            trial = dict(status)
-            for d in closure:
-                trial[d] = False
-            stack.append((i + 1, trial))
-
-    dicuts = []
-    for comp_set in shores:
-        in_shore = frozenset(
-            v for c in comp_set for v in cond.component_members[c]
-        )
-        dicuts.append(Dicut(digraph, in_shore))
-    dicuts.sort(key=lambda d: (len(d.in_shore), tuple(sorted(d.in_shore))))
-    return dicuts
+        if not desc[i] & outs:
+            stack.append((i + 1, ins | desc[i], outs))
+        if not anc[i] & ins:
+            stack.append((i + 1, ins, outs | anc[i]))
+    return [Dicut(digraph, y) for y in _shores(cond, comps, found)]
 
 
-def _reach_within(und: dict, subset: frozenset, start) -> set:
-    """The components of `subset` joined to `start` by an undirected path inside it."""
-    seen = {start}
-    frontier = [start]
+def _reach_within(und: list, subset: int, start: int) -> int:
+    """The components of `subset` joined to the `start` bit by an undirected path inside it."""
+    seen = frontier = start
     while frontier:
-        c = frontier.pop()
-        for d in und[c]:
-            if d in subset and d not in seen:
-                seen.add(d)
-                frontier.append(d)
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= und[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & subset & ~seen
+        seen |= frontier
     return seen
 
 
@@ -236,54 +238,50 @@ def enumerate_dibonds(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     if not is_weakly_connected(digraph):
         raise PreconditionViolated("dibonds need a weakly connected digraph")
     cond = condensation(digraph)
-    comps, succ, pred, und = _dag_maps(cond)
+    comps, _succ, pred, und = _dag_masks(cond)
     k = len(comps)
     if k <= 1:
         return []
-    anc = _transitive_closure(comps, pred)
-    all_comps = frozenset(comps)
-    out_shores: list = []
+    anc = _transitive_closure(pred)
+    # The undirected neighbours of each ancestor closure.
+    anc_und = []
+    for closure in anc:
+        nbrs = 0
+        for p in bit_positions(closure):
+            nbrs |= und[p]
+        anc_und.append(nbrs)
+    full = (1 << k) - 1
+    in_shores: list = []
 
-    for idx, anchor in enumerate(comps):
-        base = anc[anchor]
-        below = frozenset(comps[:idx])
+    for idx in range(k):
+        base = anc[idx]
+        below = (1 << idx) - 1
         if base & below:
             continue
-        # Each entry is (grown set, forbidden components).
-        stack: list = [(base, below)]
+        # Each entry is (grown set, forbidden components, undirected
+        # neighbours of the grown set).
+        stack: list = [(base, below, anc_und[idx])]
         while stack:
-            s, forbidden = stack.pop()
-            complement = all_comps - s
+            s, forbidden, nbrs = stack.pop()
+            complement = full ^ s
             if not complement:
                 continue
-            reach = _reach_within(
-                und, complement, min(forbidden) if forbidden else min(complement)
-            )
-            if not forbidden <= reach:
+            start = forbidden or complement
+            reach = _reach_within(und, complement, start & -start)
+            if forbidden & ~reach:
                 continue
-            if len(reach) == len(complement):
-                if len(out_shores) >= cap:
+            if reach == complement:
+                if len(in_shores) >= cap:
                     raise CapExceeded(cap, "enumerating dibonds")
-                out_shores.append(s)
-            candidates = sorted({d for c in s for d in und[c]} - s - forbidden)
-            blocked = set(forbidden)
-            for u in candidates:
+                in_shores.append(complement)
+            blocked = forbidden
+            for u in bit_positions(nbrs & complement & ~forbidden):
                 need = anc[u]
                 if not need & blocked:
-                    stack.append((s | need, frozenset(blocked)))
-                blocked.add(u)
+                    stack.append((s | need, blocked, nbrs | anc_und[u]))
+                blocked |= 1 << u
 
-    dibonds = []
-    for s in out_shores:
-        in_shore = frozenset(
-            v
-            for c in all_comps - s
-            for v in cond.component_members[c]
-        )
-        cut = Dicut(digraph, in_shore)
-        dibonds.append(cut)
-    dibonds.sort(key=lambda d: (len(d.in_shore), tuple(sorted(d.in_shore))))
-    return dibonds
+    return [Dicut(digraph, y) for y in _shores(cond, comps, in_shores)]
 
 
 def dibonds_containing_edge(digraph: Digraph, e: EdgeId, cap: int = DEFAULT_CAP) -> list:

@@ -9,17 +9,32 @@ branch and bound searches intended for desk-scale instances, and every
 produced pair is re-checked by an independent verifier rather than trusted
 by construction.
 
+Both searches map their elements once to bit positions, in ascending
+sorted order, and work on int masks, so every tie-break and branch order
+is that of the sorted elements. Both keep their path on an explicit
+stack, so no input size reaches the recursion limit.
+
+The hitting set search branches over the elements of the first unhit set:
+the sets are sorted by size, then elements, and stay in that order as
+they are filtered, so that set is a smallest one.
+
 Every largest disjoint family (set packings, dicut packings, nested
 families) comes from one search. Each level picks the next member from a
 candidate list in ascending index order, and the level below keeps only
-the later candidates compatible with it, so the recursion is as deep as
-the family. A level is pruned when the family so far plus a greedy cover
-of its candidates cannot beat the incumbent: each member of a disjoint
-family contains a different cover element. The search also stops once the
-family reaches a given size. The dicut family searches pass the minimum
-dijoin size, which weak duality makes an upper bound: a dijoin meets each
-member of a disjoint family in a different edge. exact_max_set_packing
-passes none, so that hypergraph checks can compare it with the hitting set.
+the later candidates compatible with it. A level is pruned when the
+family so far plus a greedy cover of its candidates cannot beat the
+incumbent: each member of a disjoint family contains a different cover
+element. The cover is computed only when the incumbent is larger than
+the family so far (on a first dive they are equal, and the bound cannot
+prune) and the family plus all its candidates would beat it. The
+candidate loop stops once the family plus the candidates left cannot
+beat the incumbent, before the next level's candidates are built. Each
+check drops only branches that the cover bound would drop, so the answer
+and its tie-breaks are those of the plain search. The search also stops once the family reaches a given size. The
+dicut family searches pass the minimum dijoin size, which weak duality
+makes an upper bound: a dijoin meets each member of a disjoint family in
+a different edge. exact_max_set_packing passes none, so that hypergraph
+checks can compare it with the hitting set.
 """
 
 from __future__ import annotations
@@ -31,13 +46,15 @@ from typing import Iterable, Optional
 from .core import (
     Digraph,
     Dicut,
+    bit_positions,
     crossing,
     decompose_dicut,
+    is_weakly_connected,
     join,
     meet,
     nested,
 )
-from .enumeration import DEFAULT_CAP, enumerate_dibonds
+from .enumeration import DEFAULT_CAP, condensation, enumerate_dibonds
 from .errors import (
     CapExceeded,
     DualityGapDetected,
@@ -145,26 +162,68 @@ def is_dijoin(digraph: Digraph, edge_set: Iterable[int], klass: DibondClass) -> 
     return (True, None)
 
 
-def _greedy_cover(sets: list) -> frozenset:
-    uncovered = list(sets)
-    chosen = set()
-    while uncovered:
-        counts: dict = {}
-        for s in uncovered:
-            for e in s:
-                counts[e] = counts.get(e, 0) + 1
-        best_e = min(counts, key=lambda e: (-counts[e], e))
-        chosen.add(best_e)
-        uncovered = [s for s in uncovered if best_e not in s]
-    return frozenset(chosen)
+def _meets_every_dibond(digraph: Digraph, f: frozenset) -> bool:
+    """Whether the edge set meets every dibond of the digraph, without enumerating.
+
+    On a weakly connected digraph D, F meets every dicut exactly when D/F
+    is strongly connected (Schrijver, Combinatorial Optimization, ch. 55),
+    and every dicut is a disjoint union of dibonds. D plus the reverse of
+    each edge of F has the strong components of D/F, lifted to vertices.
+    Refuses a digraph that is not weakly connected, as enumeration does.
+    """
+    if not is_weakly_connected(digraph):
+        raise PreconditionViolated("dibonds need a weakly connected digraph")
+    if not all(0 <= e < digraph.m for e in f):
+        raise ValueError("edge set contains unknown edge ids")
+    reverse = tuple((h, t) for t, h in (digraph.edges[e] for e in sorted(f)))
+    augmented = Digraph(digraph.vertices, digraph.edges + reverse)
+    return len(condensation(augmented).components) <= 1
 
 
-def _packing_lower_bound(sets: list) -> int:
-    used: set = set()
-    count = 0
+def _rows(sets: list) -> tuple:
+    """Each set as (int mask, list of bit positions), bit i standing for
+    the i-th smallest element; and the elements."""
+    elements = sorted(set().union(*sets))
+    index = {e: i for i, e in enumerate(elements)}
+    rows = []
     for s in sets:
-        if not (s & used):
-            used |= s
+        positions = [index[e] for e in s]
+        rows.append((sum(1 << p for p in positions), positions))
+    return rows, elements
+
+
+def _greedy_cover(rows: list) -> int:
+    """A greedy cover of nonempty sets given as _rows, as a mask.
+
+    Each pick is the lowest position among those in the most uncovered
+    sets. The counts are taken once and lowered by the sets each pick
+    covers.
+    """
+    counts = [0] * max((m.bit_length() for m, _positions in rows), default=0)
+    for _m, positions in rows:
+        for p in positions:
+            counts[p] += 1
+    cover = 0
+    while rows:
+        pick = 1 << counts.index(max(counts))
+        cover |= pick
+        uncovered = []
+        for row in rows:
+            if row[0] & pick:
+                for p in row[1]:
+                    counts[p] -= 1
+            else:
+                uncovered.append(row)
+        rows = uncovered
+    return cover
+
+
+def _packing_lower_bound(masks: list) -> int:
+    used = 0
+    count = 0
+    for m in masks:
+        if not m & used:
+            used |= m
             count += 1
     return count
 
@@ -181,24 +240,26 @@ def exact_min_hitting_set(sets: Iterable[frozenset]) -> frozenset:
         return frozenset()
     if any(not s for s in todo):
         raise ValueError("cannot hit an empty set")
-    best = _greedy_cover(todo)
-
-    def search(chosen: set, uncovered: list) -> None:
-        nonlocal best
+    rows, elements = _rows(todo)
+    best = _greedy_cover(rows)
+    masks = [m for m, _positions in rows]
+    # Each entry is (chosen mask, its size, unhit masks in `todo` order).
+    # Filtering keeps that order, so the first unhit set is the smallest.
+    stack: list = [(0, 0, masks)]
+    while stack:
+        chosen, size, uncovered = stack.pop()
         if not uncovered:
-            if len(chosen) < len(best):
-                best = frozenset(chosen)
-            return
-        if len(chosen) + _packing_lower_bound(uncovered) >= len(best):
-            return
-        pivot = min(uncovered, key=lambda s: (len(s), tuple(sorted(s))))
-        for e in sorted(pivot):
-            chosen.add(e)
-            search(chosen, [s for s in uncovered if e not in s])
-            chosen.discard(e)
-
-    search(set(), todo)
-    return best
+            if size < best.bit_count():
+                best = chosen
+            continue
+        if size + _packing_lower_bound(uncovered) >= best.bit_count():
+            continue
+        # Pushed in reverse, so the lowest element's branch is searched first.
+        stack.extend(
+            (chosen | 1 << p, size + 1, [m for m in uncovered if not m >> p & 1])
+            for p in reversed(bit_positions(uncovered[0]))
+        )
+    return frozenset(elements[p] for p in bit_positions(best))
 
 
 def _largest_disjoint(sets: list, stop: Optional[int] = None, also=None) -> list:
@@ -207,32 +268,45 @@ def _largest_disjoint(sets: list, stop: Optional[int] = None, also=None) -> list
     Pairs of indices must also pass also(i, j), when given. The search ends
     early once the family reaches `stop` members; see the module docstring.
     """
+    rows, _elements = _rows(sets)
+    masks = [m for m, _positions in rows]
+
+    def cover_bound(cands: list) -> int:
+        nonempty = [rows[j] for j in cands if masks[j]]
+        return _greedy_cover(nonempty).bit_count() + len(cands) - len(nonempty)
+
     best: list = []
     chosen: list = []
-
-    def search(cands: list) -> bool:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if len(best) == stop:
-            return True
-        rest = [sets[i] for i in cands]
-        cover = _greedy_cover([s for s in rest if s])
-        if len(chosen) + len(cover) + sum(not s for s in rest) <= len(best):
-            return False
-        for pos, i in enumerate(cands):
+    # (candidates, next position) of each level above the current one; the
+    # current level's position is 0 exactly when the level was just entered.
+    levels: list = []
+    cands, pos = list(range(len(sets))), 0
+    while True:
+        if pos == 0:
+            if len(chosen) > len(best):
+                best = list(chosen)
+            if len(best) == stop:
+                return best
+            if (
+                len(best) > len(chosen)
+                and len(chosen) + len(cands) > len(best)
+                and len(chosen) + cover_bound(cands) <= len(best)
+            ):
+                pos = len(cands)
+        if pos < len(cands) and len(chosen) + len(cands) - pos > len(best):
+            i = cands[pos]
+            levels.append((cands, pos + 1))
             chosen.append(i)
-            done = search([
-                j for j in cands[pos + 1:]
-                if not (sets[i] & sets[j]) and (also is None or also(i, j))
-            ])
-            chosen.pop()
-            if done:
-                return True
-        return False
-
-    search(list(range(len(sets))))
-    return best
+            mi = masks[i]
+            cands = [j for j in cands[pos + 1:] if not mi & masks[j]]
+            if also is not None:
+                cands = [j for j in cands if also(i, j)]
+            pos = 0
+            continue
+        if not levels:
+            return best
+        cands, pos = levels.pop()
+        chosen.pop()
 
 
 def exact_max_set_packing(sets: list) -> list:
@@ -358,7 +432,8 @@ def uncross(
     Preconditions (PreconditionViolated names the failing one): the family
     members are pairwise edge-disjoint dicuts of the digraph, the dijoin
     meets each member exactly once, and the dijoin is a dijoin for the
-    ambient class (the full dibond class when none is given).
+    ambient class (the full dibond class when none is given, decided by
+    strong connectivity without enumerating it).
 
     Each replacement preserves pairwise disjointness and the exactly-once
     counts, and strictly increases the sum of squared in-shore sizes, so
@@ -375,8 +450,10 @@ def uncross(
         raise PreconditionViolated("family members must be pairwise edge-disjoint")
     if any(len(f & member.edge_set) != 1 for member in fam):
         raise PreconditionViolated("dijoin must meet each family member exactly once")
-    ambient = klass if klass is not None else DibondClass.full(digraph)
-    ok, _missed = is_dijoin(digraph, f, ambient)
+    if klass is None:
+        ok = _meets_every_dibond(digraph, f)
+    else:
+        ok, _missed = is_dijoin(digraph, f, klass)
     if not ok:
         raise PreconditionViolated("dijoin must be a dijoin for the ambient class")
 

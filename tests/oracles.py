@@ -8,6 +8,9 @@ and the package therefore always indicts the fast path, never a shared
 helper.  The one exception is `finitary_by_scan`, which scans the
 package's own window dibonds (checked against `brute_dibonds` in the
 enumeration tests) because brute force cannot reach family windows.
+The set-solver references below are the package's earlier frozenset
+kernels, kept so that the mask kernels can be required to return the
+same answers, tie-breaks included.
 """
 
 from __future__ import annotations
@@ -230,6 +233,94 @@ def brute_max_packing(cuts):
         extend(i + 1, chosen, used)
 
     extend(0, [], frozenset())
+    return best
+
+
+# ---------------------------------------------------------------------------
+# set-solver references: the frozenset kernels the mask kernels replaced
+
+
+def greedy_cover_by_recount(sets):
+    """Greedy cover of nonempty sets, recounting the uncovered sets after each pick."""
+    uncovered = list(sets)
+    chosen = set()
+    while uncovered:
+        counts = {}
+        for s in uncovered:
+            for e in s:
+                counts[e] = counts.get(e, 0) + 1
+        best_e = min(counts, key=lambda e: (-counts[e], e))
+        chosen.add(best_e)
+        uncovered = [s for s in uncovered if best_e not in s]
+    return frozenset(chosen)
+
+
+def _greedy_packing_size(sets):
+    used = set()
+    count = 0
+    for s in sets:
+        if not (s & used):
+            used |= s
+            count += 1
+    return count
+
+
+def min_hitting_set_by_recursion(sets):
+    """Exact minimum hitting set, branching over a smallest unhit set's elements."""
+    todo = sorted(set(sets), key=lambda s: (len(s), tuple(sorted(s))))
+    if not todo:
+        return frozenset()
+    best = greedy_cover_by_recount(todo)
+
+    def search(chosen, uncovered):
+        nonlocal best
+        if not uncovered:
+            if len(chosen) < len(best):
+                best = frozenset(chosen)
+            return
+        if len(chosen) + _greedy_packing_size(uncovered) >= len(best):
+            return
+        pivot = min(uncovered, key=lambda s: (len(s), tuple(sorted(s))))
+        for e in sorted(pivot):
+            chosen.add(e)
+            search(chosen, [s for s in uncovered if e not in s])
+            chosen.discard(e)
+
+    search(set(), todo)
+    return best
+
+
+def largest_disjoint_by_recursion(sets, stop=None, also=None):
+    """Indices of the lexicographically first largest disjoint subfamily.
+
+    Pairs must also pass also(i, j) when given; stops at `stop` members.
+    The greedy cover bound is computed at every level.
+    """
+    best = []
+    chosen = []
+
+    def search(cands):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if len(best) == stop:
+            return True
+        rest = [sets[i] for i in cands]
+        cover = greedy_cover_by_recount([s for s in rest if s])
+        if len(chosen) + len(cover) + sum(not s for s in rest) <= len(best):
+            return False
+        for pos, i in enumerate(cands):
+            chosen.append(i)
+            done = search([
+                j for j in cands[pos + 1:]
+                if not (sets[i] & sets[j]) and (also is None or also(i, j))
+            ])
+            chosen.pop()
+            if done:
+                return True
+        return False
+
+    search(list(range(len(sets))))
     return best
 
 

@@ -37,6 +37,11 @@ def diamond():
     return Digraph.from_edges([("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")])
 
 
+def square():
+    """Sources a and c, sinks b and d, each source into each sink."""
+    return Digraph.from_edges([("a", "b"), ("c", "b"), ("c", "d"), ("a", "d")])
+
+
 class TestDigraph:
     def test_vertices_inferred_from_edges(self):
         d = path3()
@@ -167,6 +172,24 @@ class TestNestedAndCorners:
         b1, b2 = Dicut(d, {"b", "d", "a"}), Dicut(d, {"b", "d", "c"})
         assert b1.in_shore | b2.in_shore == d.vertices
         assert nested(b1, b2)
+
+    @pytest.mark.parametrize("kinds", [(Dicut, Dicut), (Cut, Cut), (Dicut, Cut), (Cut, Dicut)])
+    @pytest.mark.parametrize(
+        "digraph, y1, y2, expected",
+        [
+            (diamond, {"t"}, {"a", "t"}, True),  # first side inside the second
+            (diamond, {"a", "b", "t"}, {"a", "t"}, True),  # second inside the first
+            (square, {"b"}, {"d"}, True),  # disjoint sides
+            (square, {"a", "b", "d"}, {"b", "c", "d"}, True),  # sides cover every vertex
+            (diamond, {"a", "t"}, {"b", "t"}, False),  # crossing
+        ],
+    )
+    def test_nested_reads_the_in_sides_of_any_cut_kinds(self, kinds, digraph, y1, y2, expected):
+        d = digraph()
+        c1, c2 = kinds[0](d, y1), kinds[1](d, y2)
+        assert nested(c1, c2) is expected
+        assert nested(c2, c1) is expected
+        assert crossing(c1, c2) is not expected
 
     def test_cross_digraph_operations_are_rejected(self):
         with pytest.raises(ValueError):

@@ -31,12 +31,17 @@ from dicuts import (
     verify_optimal_pair,
     window,
 )
+from dicuts.core import bit_positions
+from dicuts.solver import _greedy_cover, _largest_disjoint, _rows
 
 from .oracles import (
     brute_dicuts,
     brute_max_packing,
     brute_min_dijoin,
+    greedy_cover_by_recount,
+    largest_disjoint_by_recursion,
     meets_every_dicut,
+    min_hitting_set_by_recursion,
     random_dag,
     random_weak_digraph,
 )
@@ -117,6 +122,72 @@ class TestExactSetSolvers:
                 key=len,
             )
             assert len(hit) == len(best)
+
+
+def random_set_system(rng, universe, empties):
+    """Seeded sets over a small universe, so that counts tie, with duplicates."""
+    sets = []
+    for _ in range(rng.randint(1, 12)):
+        if sets and rng.random() < 0.2:
+            sets.append(rng.choice(sets))
+            continue
+        s = frozenset(x for x in universe if rng.random() < 0.3)
+        if s or empties:
+            sets.append(s)
+    return sets
+
+
+ELEMENTS = {"int": list(range(9)), "str": [f"v{i}" for i in range(9)]}
+
+
+class TestMaskKernels:
+    """The mask kernels return exactly what the frozenset kernels in oracles return."""
+
+    @pytest.mark.parametrize("kind", sorted(ELEMENTS))
+    def test_greedy_cover_matches_the_recount(self, kind):
+        rng = random.Random(f"cover:{kind}")
+        for _ in range(300):
+            sets = random_set_system(rng, ELEMENTS[kind], empties=False)
+            if not sets:
+                continue
+            rows, elements = _rows(sets)
+            cover = frozenset(elements[p] for p in bit_positions(_greedy_cover(rows)))
+            assert cover == greedy_cover_by_recount(sets)
+
+    @pytest.mark.parametrize("kind", sorted(ELEMENTS))
+    def test_hitting_set_matches_the_recursion(self, kind):
+        rng = random.Random(f"hit:{kind}")
+        for _ in range(300):
+            sets = random_set_system(rng, ELEMENTS[kind], empties=False)
+            assert exact_min_hitting_set(sets) == min_hitting_set_by_recursion(sets)
+
+    @pytest.mark.parametrize("kind", sorted(ELEMENTS))
+    def test_largest_disjoint_matches_the_recursion(self, kind):
+        rng = random.Random(f"pack:{kind}")
+        for _ in range(300):
+            sets = random_set_system(rng, ELEMENTS[kind], empties=True)
+            stop = rng.choice([None, 1, 2, 3])
+            assert _largest_disjoint(sets, stop) == largest_disjoint_by_recursion(sets, stop)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_nested_families_on_grid_windows_match_the_recursion(self, n):
+        d = window(get_family("grid_d2"), n).digraph
+        klass = DibondClass.full(d)
+        members = klass.members
+        sets = [m.edge_set for m in members]
+
+        def also(i, j):
+            return nested(members[i], members[j])
+
+        for stop in (len(min_dijoin(d, klass)), None):
+            assert _largest_disjoint(sets, stop, also) == largest_disjoint_by_recursion(
+                sets, stop, also
+            )
+
+    def test_packing_of_1500_disjoint_singletons(self):
+        # Far deeper than the recursion limit, so the search must keep its path on a stack.
+        sets = [frozenset({i}) for i in range(1500)]
+        assert exact_max_set_packing(sets) == list(range(1500))
 
 
 class TestDibondClass:
@@ -315,6 +386,28 @@ class TestUncross:
             uncross(d, {0, 2}, [Dicut(d, {"t"}), Dicut(d, {"a", "t"})])
         with pytest.raises(PreconditionViolated):
             uncross(d, {0, 3}, [Dicut(d, {"t"})])
+
+    def test_full_class_precondition_matches_the_scan(self):
+        # Without a class, uncross decides "dijoin for the full class" by
+        # strong connectivity; the scan over DibondClass.full is the reference.
+        rng = random.Random(23)
+        verdicts = set()
+        for _ in range(200):
+            d = random_weak_digraph(rng, max_n=8, max_extra=8)
+            f = {e for e in d.edge_ids() if rng.random() < 0.5}
+            ok, _missed = is_dijoin(d, f, DibondClass.full(d))
+            verdicts.add(ok)
+            if ok:
+                assert uncross(d, f, []) == []
+            else:
+                with pytest.raises(PreconditionViolated, match="ambient class"):
+                    uncross(d, f, [])
+        assert verdicts == {True, False}
+
+    def test_full_class_precondition_refuses_disconnected_input(self):
+        d = Digraph.from_edges([("a", "b"), ("c", "d")])
+        with pytest.raises(PreconditionViolated, match="weakly connected"):
+            uncross(d, {0, 1}, [])
 
     def test_refinement_to_dibonds(self):
         d = Digraph.from_edges(
