@@ -25,7 +25,6 @@ from .core import (
     decompose_dicut,
     dicut_from_shore,
     is_weakly_connected,
-    nested,
 )
 from .enumeration import (
     DEFAULT_CAP,
@@ -56,6 +55,7 @@ from .reduce import block_cut_tree, equivalence_classes, split_solve_merge
 from .solver import (
     DibondClass,
     OptimalPair,
+    _pairwise_nested,
     nested_optimal_pair,
     optimal_pair,
     uncross,
@@ -267,10 +267,7 @@ def _cmd_uncross(args) -> RunReport:
             lines.append(("optimal_pair", "absent"))
             return RunReport("uncross", tuple(lines), EXIT_OK)
         dijoin, family = pair.dijoin, list(pair.family)
-    before = all(
-        nested(family[i], family[j])
-        for i, j in combinations(range(len(family)), 2)
-    )
+    before = _pairwise_nested(family)
     lines.append(("nested_before", "true" if before else "false"))
     result = uncross(digraph, dijoin, family, klass=klass)
     lines.append(("nested_after", "true"))
@@ -327,35 +324,6 @@ def _cmd_blocks(args) -> RunReport:
     return RunReport("blocks", tuple(lines), EXIT_OK)
 
 
-_FAMILY_CLAIMS = {
-    ("ladder", "no-finite-dicut"): "every window is strongly connected",
-    ("zigzag_d1", "finitary:diagonals"): "the diagonals meet every window dibond",
-    ("zigzag_d1", "finitary:verticals_and_first_spoke"):
-        "the verticals plus the first spoke meet every window dibond",
-    ("zigzag_d1", "nested:diagonals"):
-        "the diagonals extend to a nested disjoint selection in every window",
-    ("zigzag_d1", "nested:verticals_and_first_spoke"):
-        "the verticals plus the first spoke extend to no nested disjoint selection "
-        "in all large windows",
-    ("grid_d2", "finitary:vertical_drops"):
-        "the vertical drops meet every window dibond",
-    ("grid_d2", "finitary:horizontal_steps"):
-        "the horizontal steps meet every window dibond",
-    ("grid_d2", "nested:vertical_drops"):
-        "the vertical drops extend to a nested disjoint selection in every window",
-    ("grid_d2", "nested:horizontal_steps"):
-        "the horizontal steps extend to no nested disjoint selection in all "
-        "large windows",
-}
-
-_EXPECT_ABSENT = {
-    ("zigzag_d1", "nested:verticals_and_first_spoke"),
-    ("grid_d2", "nested:horizontal_steps"),
-}
-
-_COHERENT_FAMILIES = ("zigzag_d1", "grid_d2", "ladder")
-
-
 def _family_windows(args) -> list:
     if args.window is not None:
         return [args.window]
@@ -375,15 +343,11 @@ def _cmd_family(args) -> RunReport:
         ("check", check),
     ]
     indices = _family_windows(args)
-    claim = _FAMILY_CLAIMS.get((spec.name, check))
+    claim = spec.claims.get(check)
     refuted_at: Optional[int] = None
-    expect_absent = (spec.name, check) in _EXPECT_ABSENT
-    if claim is None and check == "no-finite-dicut":
-        claim = "no finite dicut fits inside any window"
-    if claim is None and check.startswith("finitary:"):
-        claim = f"the set {check.split(':', 1)[1]!r} meets every window dibond"
 
     if check == "no-finite-dicut":
+        claim = claim or "no finite dicut fits inside any window"
         for n in indices:
             w = window(spec, n)
             sccs = len(condensation(w.digraph).components)
@@ -393,6 +357,7 @@ def _cmd_family(args) -> RunReport:
                 refuted_at = n
     elif check.startswith("finitary:"):
         set_name = check.split(":", 1)[1]
+        claim = claim or f"the set {set_name!r} meets every window dibond"
         for n in indices:
             w = window(spec, n)
             ok, miss = check_finitary_dijoin(w, set_name, args.cap)
@@ -406,21 +371,17 @@ def _cmd_family(args) -> RunReport:
         set_name = check.split(":", 1)[1]
         first_absent: Optional[int] = None
         for n in indices:
-            w = window(spec, n)
-            selection = nested_extension_search(w, set_name, args.cap)
-            present = selection is not None
+            present = nested_extension_search(window(spec, n), set_name, args.cap) is not None
             lines.append(("window", f"n={n} selection={'present' if present else 'absent'}"))
             if not present and first_absent is None:
                 first_absent = n
-            if expect_absent:
-                if present and n == indices[-1] and refuted_at is None:
-                    refuted_at = n
-            elif not present and refuted_at is None:
-                refuted_at = n
-        if expect_absent:
+        if check in spec.expect_absent:
             lines.append(
                 ("absence_threshold", str(first_absent) if first_absent else "none")
             )
+            refuted_at = indices[-1] if present else None
+        else:
+            refuted_at = first_absent
     elif check == "compactness":
         report = compactness_run(spec, indices[-1], cap=args.cap)
         for row in report.rows:
@@ -444,7 +405,7 @@ def _cmd_family(args) -> RunReport:
             refuted_at = indices[-1]
             claim = "per-window dibond counts never decrease"
     elif check == "coherence":
-        if spec.name not in _COHERENT_FAMILIES:
+        if not spec.coherent:
             lines.append(("evidence", "not applicable: windows are bundled quotients"))
             return RunReport("family", tuple(lines), EXIT_OK)
         claim = "contracting a larger window reproduces the smaller one"

@@ -1,4 +1,7 @@
-"""Finite multidigraphs and the cut-level primitives built on them.
+"""Finite multidigraphs and the dicut primitives built on them.
+
+A dicut is stored by its in shore; on it rest dibonds, nestedness, the
+meet and join of two dicuts, and the split of a dicut into dibonds.
 
 Vertex identifiers are opaque values that must be hashable and mutually
 sortable within one digraph. Edges are (tail, head) pairs stored in a fixed
@@ -13,7 +16,6 @@ and ascending edge ids throughout, so results are deterministic.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional
 
 Vertex = Hashable
@@ -185,49 +187,6 @@ def _subset_weakly_connected(digraph: Digraph, subset: frozenset) -> bool:
     return len(_component_containing(digraph, start, subset)) == len(subset)
 
 
-class Cut:
-    """An undirected edge cut, stored by its two vertex sides.
-
-    The in side is the authoritative representation; the edge set consists
-    of all edges with one endpoint on each side, in either direction.
-    """
-
-    def __init__(self, digraph: Digraph, in_side: Iterable[Vertex]):
-        in_side = frozenset(in_side)
-        if not in_side <= digraph.vertices:
-            raise ValueError("in side contains undeclared vertices")
-        if not in_side or in_side == digraph.vertices:
-            raise ValueError("both sides of a cut must be nonempty")
-        self.digraph = digraph
-        self.in_side = in_side
-        self.out_side = digraph.vertices - in_side
-        self._edge_set: Optional[frozenset] = None
-
-    @property
-    def edge_set(self) -> frozenset:
-        if self._edge_set is None:
-            y = self.in_side
-            self._edge_set = frozenset(
-                e for e, (t, h) in enumerate(self.digraph.edges) if (t in y) != (h in y)
-            )
-        return self._edge_set
-
-    @property
-    def sides(self) -> tuple:
-        return (self.in_side, self.out_side)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Cut):
-            return NotImplemented
-        return self.in_side == other.in_side and self.digraph == other.digraph
-
-    def __hash__(self) -> int:
-        return hash(self.in_side)
-
-    def __repr__(self) -> str:
-        return f"Cut(in_side={sorted(self.in_side)!r})"
-
-
 class Dicut:
     """A directed cut: no edge leaves the in shore.
 
@@ -281,10 +240,6 @@ class Dicut:
             )
         return self._is_dibond
 
-    @property
-    def sides(self) -> tuple:
-        return (self.in_shore, self.out_shore)
-
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
@@ -297,15 +252,6 @@ class Dicut:
 
     def __repr__(self) -> str:
         return f"Dicut(in_shore={sorted(self.in_shore)!r}, edges={sorted(self.edge_set)!r})"
-
-
-@dataclass(frozen=True, eq=False)
-class Witness:
-    """An edge set within which two designated vertices reach each other."""
-
-    digraph: Digraph
-    edge_set: frozenset
-    endpoints: tuple
 
 
 def dicut_from_shore(digraph: Digraph, in_shore: Iterable[Vertex]) -> Optional[Dicut]:
@@ -364,20 +310,15 @@ def dicut_from_edge_set(digraph: Digraph, edge_set: Iterable[EdgeId]) -> Optiona
     return cut
 
 
-def _in_side(cut) -> frozenset:
-    return cut.in_shore if isinstance(cut, Dicut) else cut.in_side
+def nested(c1: Dicut, c2: Dicut) -> bool:
+    """True iff some shore of one dicut is contained in some shore of the other.
 
-
-def nested(c1, c2) -> bool:
-    """True iff some side of one cut is contained in some side of the other.
-
-    Accepts any two cuts (directed or not) over the same digraph. In terms
-    of the in sides Y1, Y2 this is: Y1 <= Y2, or Y2 <= Y1, or Y1 and Y2 are
-    disjoint, or Y1 union Y2 covers every vertex.
+    In terms of the in shores Y1, Y2 this is: Y1 <= Y2, or Y2 <= Y1, or Y1
+    and Y2 are disjoint, or Y1 union Y2 covers every vertex.
     """
     if c1.digraph != c2.digraph:
-        raise ValueError("cuts are over different digraphs")
-    y1, y2 = _in_side(c1), _in_side(c2)
+        raise ValueError("dicuts are over different digraphs")
+    y1, y2 = c1.in_shore, c2.in_shore
     if y1 <= y2 or y2 <= y1:
         return True
     inter = len(y1 & y2)
@@ -386,8 +327,8 @@ def nested(c1, c2) -> bool:
     return len(y1) + len(y2) - inter == c1.digraph.n
 
 
-def crossing(c1, c2) -> bool:
-    """True iff the two cuts are not nested."""
+def crossing(c1: Dicut, c2: Dicut) -> bool:
+    """True iff the two dicuts are not nested."""
     return not nested(c1, c2)
 
 
@@ -439,63 +380,3 @@ def decompose_dicut(dicut: Dicut) -> list:
     parts.sort(key=lambda d: tuple(sorted(d.edge_set)))
     return parts
 
-
-def _reachable_within(digraph: Digraph, start: Vertex, allowed_edges: frozenset, forward: bool) -> frozenset:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        edges = digraph.out_edges(v) if forward else digraph.in_edges(v)
-        for e in edges:
-            if e not in allowed_edges:
-                continue
-            w = digraph.head(e) if forward else digraph.tail(e)
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
-
-
-def witness_check(digraph: Digraph, edge_set: Iterable[EdgeId], v: Vertex, w: Vertex) -> bool:
-    """True iff v reaches w and w reaches v using only the given edges."""
-    if v not in digraph.vertices or w not in digraph.vertices:
-        raise ValueError("witness endpoints must be vertices of the digraph")
-    if v == w:
-        raise ValueError("witness endpoints must be distinct")
-    allowed = frozenset(edge_set)
-    if not all(0 <= e < digraph.m for e in allowed):
-        raise ValueError("edge set contains unknown edge ids")
-    if w not in _reachable_within(digraph, v, allowed, forward=True):
-        return False
-    return w in _reachable_within(digraph, v, allowed, forward=False)
-
-
-def minimal_witness(digraph: Digraph, v: Vertex, w: Vertex) -> Optional[Witness]:
-    """An inclusion-minimal edge set within which v and w reach each other.
-
-    Greedy single-edge removal in ascending edge id order; a single pass
-    yields inclusion minimality because the witness property is monotone in
-    the edge set. Returns None when v and w are not mutually reachable at
-    all. The edges of the result always induce a strongly connected
-    subdigraph, which is verified before returning.
-    """
-    full = frozenset(digraph.edge_ids())
-    if not witness_check(digraph, full, v, w):
-        return None
-    kept = set(full)
-    for e in sorted(full):
-        trial = frozenset(kept - {e})
-        if witness_check(digraph, trial, v, w):
-            kept.discard(e)
-    witness_edges = frozenset(kept)
-    touched = set()
-    for e in witness_edges:
-        touched.add(digraph.tail(e))
-        touched.add(digraph.head(e))
-    if touched:
-        root = min(touched)
-        fwd = _reachable_within(digraph, root, witness_edges, forward=True)
-        bwd = _reachable_within(digraph, root, witness_edges, forward=False)
-        if not (touched <= fwd and touched <= bwd):
-            raise RuntimeError("internal error: minimal witness is not strongly connected")
-    return Witness(digraph=digraph, edge_set=witness_edges, endpoints=(v, w))

@@ -9,7 +9,8 @@ so no infinite object is ever materialized. Edges of the window carry
 their symbolic names, which is what lets claims about the infinite
 digraph be tested consistently across growing windows.
 
-The four families:
+The four families; each FamilySpec carries the claims below as data,
+keyed by the window check that tests them:
 
 - zigzag_d1: two one-way ranks feeding a hub. Upper vertex a_i sends a
   vertical edge to b_i and a diagonal edge to b_{i+1}; every b_i feeds
@@ -64,11 +65,21 @@ class RawWindow:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A symbolic infinite digraph family with a canonical window sequence."""
+    """A symbolic infinite digraph family with a canonical window sequence.
+
+    claims maps a window check, such as `nested:diagonals`, to the claim
+    about the infinite digraph that the window evidence is held against.
+    expect_absent names the nested checks whose claim is that no nested
+    selection exists in large windows. coherent is false when windows
+    are bundled quotients, so that no window contracts to a smaller one.
+    """
 
     name: str
     description: str
     _raw: Callable[[int], RawWindow] = field(repr=False)
+    claims: dict = field(default_factory=dict, compare=False)  # uncompared: specs stay hashable
+    expect_absent: frozenset = frozenset()
+    coherent: bool = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +89,8 @@ class FamilyWindow:
     class_map sends each symbolic vertex incident to a window edge to
     its window vertex; edge_provenance sends each window edge id to its
     symbolic name; named_edge_sets holds each distinguished set as the
-    ids of its surviving window edges, and dropped_named_edges records
-    the members that collapsed to loops and were removed.
+    ids of its surviving window edges; dropped_edges names the symbolic
+    edges that collapsed to loops and were removed.
     """
 
     spec: FamilySpec
@@ -89,9 +100,7 @@ class FamilyWindow:
     edge_provenance: dict
     name_to_edge: dict
     named_edge_sets: dict
-    dropped_named_edges: dict
     dropped_edges: tuple
-    symbolic_edges: tuple
     _dibond_cache: dict = field(default_factory=dict, repr=False)
 
 
@@ -249,21 +258,44 @@ FAMILIES = {
         name="zigzag_d1",
         description="two one-way ranks feeding a hub: verticals, diagonals, spokes",
         _raw=_zigzag_raw,
+        claims={
+            "finitary:diagonals": "the diagonals meet every window dibond",
+            "finitary:verticals_and_first_spoke":
+                "the verticals plus the first spoke meet every window dibond",
+            "nested:diagonals":
+                "the diagonals extend to a nested disjoint selection in every window",
+            "nested:verticals_and_first_spoke":
+                "the verticals plus the first spoke extend to no nested disjoint selection "
+                "in all large windows",
+        },
+        expect_absent=frozenset({"nested:verticals_and_first_spoke"}),
     ),
     "grid_d2": FamilySpec(
         name="grid_d2",
         description="half-plane grid directed down and right with sinks on the boundary",
         _raw=_grid_raw,
+        claims={
+            "finitary:vertical_drops": "the vertical drops meet every window dibond",
+            "finitary:horizontal_steps": "the horizontal steps meet every window dibond",
+            "nested:vertical_drops":
+                "the vertical drops extend to a nested disjoint selection in every window",
+            "nested:horizontal_steps":
+                "the horizontal steps extend to no nested disjoint selection in all "
+                "large windows",
+        },
+        expect_absent=frozenset({"nested:horizontal_steps"}),
     ),
     "ladder": FamilySpec(
         name="ladder",
         description="bi-infinite two-rail ladder with counter-rotating rails and rungs",
         _raw=_ladder_raw,
+        claims={"no-finite-dicut": "every window is strongly connected"},
     ),
     "transitive_tournament": FamilySpec(
         name="transitive_tournament",
         description="transitive tournament on the naturals with a bundled far vertex",
         _raw=_tournament_raw,
+        coherent=False,
     ),
 }
 
@@ -300,14 +332,10 @@ def window(spec: FamilySpec, n: int) -> FamilyWindow:
     if not is_weakly_connected(digraph):
         raise RuntimeError("window construction produced a disconnected digraph")
     name_to_edge = {name: e for e, name in provenance.items()}
-    dropped_set = set(dropped)
-    named_edge_sets = {}
-    dropped_named = {}
-    for set_name, members in raw.named_sets.items():
-        named_edge_sets[set_name] = frozenset(
-            name_to_edge[m] for m in members if m in name_to_edge
-        )
-        dropped_named[set_name] = tuple(m for m in members if m in dropped_set)
+    named_edge_sets = {
+        set_name: frozenset(name_to_edge[m] for m in members if m in name_to_edge)
+        for set_name, members in raw.named_sets.items()
+    }
     return FamilyWindow(
         spec=spec,
         n=n,
@@ -316,9 +344,7 @@ def window(spec: FamilySpec, n: int) -> FamilyWindow:
         edge_provenance=provenance,
         name_to_edge=name_to_edge,
         named_edge_sets=named_edge_sets,
-        dropped_named_edges=dropped_named,
         dropped_edges=tuple(dropped),
-        symbolic_edges=raw.symbolic_edges,
     )
 
 
@@ -389,27 +415,27 @@ def nested_extension_search(
             return None
         candidates[e] = cands
     order = sorted(edge_set, key=lambda e: (len(candidates[e]), e))
-    chosen: dict = {}
+    picked: list = []  # the dibond chosen for each edge of order, so far
 
     def compatible(b: Dicut) -> bool:
-        for c in chosen.values():
+        for c in picked:
             if b.edge_set & c.edge_set or not nested(b, c):
                 return False
         return True
 
-    def search(i: int) -> bool:
-        if i == len(order):
-            return True
-        e = order[i]
-        for b in candidates[e]:
-            if compatible(b):
-                chosen[e] = b
-                if search(i + 1):
-                    return True
-                del chosen[e]
-        return False
-
-    return dict(chosen) if search(0) else None
+    untried = [iter(candidates[order[0]])]
+    while untried:
+        b = next((d for d in untried[-1] if compatible(d)), None)
+        if b is None:
+            untried.pop()
+            if picked:
+                picked.pop()
+            continue
+        picked.append(b)
+        if len(picked) == len(order):
+            return dict(zip(order, picked))
+        untried.append(iter(candidates[order[len(picked)]]))
+    return None
 
 
 def _window_members(

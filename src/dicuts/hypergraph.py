@@ -46,16 +46,6 @@ class Hypergraph:
             verts |= h
         return Hypergraph(vertices=frozenset(verts), hyperedges=edges)
 
-    @property
-    def is_simple(self) -> bool:
-        """True iff no hyperedge contains another."""
-        edges = self.hyperedges
-        for i, a in enumerate(edges):
-            for j, b in enumerate(edges):
-                if i != j and a <= b:
-                    return False
-        return True
-
 
 @dataclass(frozen=True, eq=False)
 class KonigPair:
@@ -97,21 +87,20 @@ def _enumerate_maximum_matchings(edges: list, size: int, cap: int) -> list:
         # union, ignoring conflicts among those edges themselves.
         return sum(1 for j in range(i, k) if not (edges[j] & used))
 
-    def search(i: int, used: frozenset, chosen: list) -> None:
+    # Depth first, taking edge i before skipping it: the skip is pushed first.
+    stack = [(0, frozenset(), ())]
+    while stack:
+        i, used, chosen = stack.pop()
         if len(chosen) == size:
             if len(found) >= cap:
                 raise CapExceeded(cap, "enumerating maximum matchings")
-            found.append(tuple(chosen))
-            return
+            found.append(chosen)
+            continue
         if i == k or len(chosen) + compatible_bound(i, used) < size:
-            return
+            continue
+        stack.append((i + 1, used, chosen))
         if not (edges[i] & used):
-            chosen.append(i)
-            search(i + 1, used | edges[i], chosen)
-            chosen.pop()
-        search(i + 1, used, chosen)
-
-    search(0, frozenset(), [])
+            stack.append((i + 1, used | edges[i], chosen + (i,)))
     return found
 
 
@@ -133,29 +122,36 @@ def _covering_transversal(members: list, hyperedges: list) -> Optional[frozenset
     for hi, idx in enumerate(meets):
         if idx:
             last_chance.setdefault(idx[-1], []).append(hi)
+    if not k:  # then there are no hyperedges either
+        return frozenset()
     covered = [False] * len(hyperedges)
-
-    def search(i: int, picked: list) -> Optional[frozenset]:
-        if i == k:
-            return frozenset(picked) if all(covered) else None
-        for v in sorted(members[i]):
-            newly = []
-            for hi, h in enumerate(hyperedges):
-                if not covered[hi] and v in h:
-                    covered[hi] = True
-                    newly.append(hi)
-            dead = any(not covered[hi] for hi in last_chance.get(i, ()))
-            if not dead:
-                picked.append(v)
-                result = search(i + 1, picked)
-                if result is not None:
-                    return result
-                picked.pop()
+    picked: list = []  # the vertex chosen at each level
+    undo: list = []  # the hyperedges each of those choices newly covered
+    untried = [iter(sorted(members[0]))]
+    while untried:
+        i = len(untried) - 1
+        if len(picked) > i:
+            picked.pop()
+            for hi in undo.pop():
+                covered[hi] = False
+        v = next(untried[i], None)
+        if v is None:
+            untried.pop()
+            continue
+        newly = [hi for hi, h in enumerate(hyperedges) if not covered[hi] and v in h]
+        for hi in newly:
+            covered[hi] = True
+        if any(not covered[hi] for hi in last_chance.get(i, ())):
             for hi in newly:
                 covered[hi] = False
-        return None
-
-    return search(0, [])
+            continue
+        picked.append(v)
+        undo.append(newly)
+        if i + 1 < k:
+            untried.append(iter(sorted(members[i + 1])))
+        elif all(covered):
+            return frozenset(picked)
+    return None
 
 
 def konig_property(hypergraph: Hypergraph, cap: int = DEFAULT_CAP) -> Optional[KonigPair]:
@@ -207,9 +203,17 @@ def menger_hypergraph(graph: Multigraph, a_set: Iterable, b_set: Iterable, cap: 
             raise CapExceeded(cap, "enumerating paths")
         found.add(frozenset(path))
 
-    def extend(path: list, on_path: set) -> None:
-        v = path[-1]
-        for w, _e in graph.neighbors(v):
+    for a in sorted(a_set):
+        if a in b_set:
+            record([a])
+        path, on_path, untried = [a], {a}, [iter(graph.neighbors(a))]
+        while untried:
+            step = next(untried[-1], None)
+            if step is None:
+                untried.pop()
+                on_path.discard(path.pop())
+                continue
+            w = step[0]
             if w in on_path:
                 continue
             if w in b_set:
@@ -219,14 +223,7 @@ def menger_hypergraph(graph: Multigraph, a_set: Iterable, b_set: Iterable, cap: 
                 continue
             path.append(w)
             on_path.add(w)
-            extend(path, on_path)
-            path.pop()
-            on_path.discard(w)
-
-    for a in sorted(a_set):
-        if a in b_set:
-            record([a])
-        extend([a], {a})
+            untried.append(iter(graph.neighbors(w)))
     hyperedges = tuple(sorted(found, key=_edge_key))
     vertices: set = set()
     for h in hyperedges:

@@ -1,6 +1,6 @@
 """Reductions that preserve cut structure: quotients, contraction minors, 2-blocks.
 
-A family of cuts induces an equivalence on vertices (never separated by any
+A family of dicuts induces an equivalence on vertices (never separated by any
 family member); the quotient keeps exactly the non-internal edges and every
 generating cut survives with an identical edge set. Contracting to an edge
 set N collapses each weak component of the digraph minus N, and cuts inside
@@ -75,21 +75,22 @@ def _quotient_from_classes(digraph: Digraph, class_of: dict, generators: tuple) 
     )
 
 
-def equivalence_classes(digraph: Digraph, cuts: Iterable) -> QuotientMap:
-    """Quotient by a family of cuts: identify vertices no family member separates.
+def equivalence_classes(digraph: Digraph, cuts: Iterable[Dicut]) -> QuotientMap:
+    """Quotient by a family of dicuts: identify vertices no family member separates.
 
-    Accepts directed and undirected cuts alike; two vertices share a class
-    iff every listed cut has both on the same side. With no cuts everything
-    collapses to one vertex; with all dicuts of a finite digraph the classes
-    are exactly the strongly connected components.
+    Two vertices share a class iff every listed dicut has both on the same
+    shore. With no dicuts everything collapses to one vertex; with all
+    dicuts of a finite digraph the classes are exactly the strongly
+    connected components.
     """
     cuts = tuple(cuts)
     for cut in cuts:
         if cut.digraph != digraph:
             raise ValueError("cut belongs to a different digraph")
+    shores = [cut.in_shore for cut in cuts]
     by_signature: dict = {}
     for v in sorted(digraph.vertices):
-        sig = tuple(v in cut.sides[0] for cut in cuts)
+        sig = tuple(v in y for y in shores)
         by_signature.setdefault(sig, []).append(v)
     class_of = {}
     for group in by_signature.values():

@@ -5,9 +5,10 @@ own algorithms: shores are enumerated as raw subsets, connectivity is
 plain BFS, minima are found by exhausting subsets in size order, and
 flows use integral augmenting paths.  A disagreement between an oracle
 and the package therefore always indicts the fast path, never a shared
-helper.  The one exception is `finitary_by_scan`, which scans the
-package's own window dibonds (checked against `brute_dibonds` in the
-enumeration tests) because brute force cannot reach family windows.
+helper.  The exceptions are `finitary_by_scan` and
+`nested_extension_by_recursion`, which read the package's own window
+dibonds (checked against `brute_dibonds` in the enumeration tests)
+because brute force cannot reach family windows.
 The set-solver references below are the package's earlier frozenset
 kernels, kept so that the mask kernels can be required to return the
 same answers, tie-breaks included.
@@ -19,7 +20,7 @@ import itertools
 import random
 from collections import deque
 
-from dicuts import Dicut, Digraph, finite_dibonds_in_window
+from dicuts import Dicut, Digraph, finite_dibonds_in_window, nested
 
 
 # ---------------------------------------------------------------------------
@@ -49,22 +50,6 @@ def connected_subset(digraph, vertices):
                 seen.add(w)
                 queue.append(w)
     return seen == vertices
-
-
-def reachable_within(digraph, edge_ids, source):
-    """Vertices reachable from source using only the given edge ids."""
-    out = {v: [] for v in digraph.vertices}
-    for e in edge_ids:
-        out[digraph.tail(e)].append(digraph.head(e))
-    seen = {source}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in out[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
 
 
 def kosaraju_scc(digraph):
@@ -135,6 +120,40 @@ def finitary_by_scan(w, set_name):
         if not (b.edge_set & edge_set):
             return False, b
     return True, None
+
+
+def nested_extension_by_recursion(w, set_name):
+    """The recursive search that `nested_extension_search` replaced.
+
+    The same candidates and the same fewest-candidates-first edge order,
+    searched by one recursive call per named edge; kept so that the
+    explicit-stack search can be required to make the same selection.
+    """
+    edge_set = w.named_edge_sets[set_name]
+    if not edge_set:
+        return {}
+    dibonds = finite_dibonds_in_window(w)
+    candidates = {}
+    for e in sorted(edge_set):
+        cands = [b for b in dibonds if e in b.edge_set and len(b.edge_set & edge_set) == 1]
+        if not cands:
+            return None
+        candidates[e] = cands
+    order = sorted(edge_set, key=lambda e: (len(candidates[e]), e))
+    chosen = {}
+
+    def search(i):
+        if i == len(order):
+            return True
+        for b in candidates[order[i]]:
+            if all(not (b.edge_set & c.edge_set) and nested(b, c) for c in chosen.values()):
+                chosen[order[i]] = b
+                if search(i + 1):
+                    return True
+                del chosen[order[i]]
+        return False
+
+    return dict(chosen) if search(0) else None
 
 
 # ---------------------------------------------------------------------------
@@ -322,38 +341,6 @@ def largest_disjoint_by_recursion(sets, stop=None, also=None):
 
     search(list(range(len(sets))))
     return best
-
-
-# ---------------------------------------------------------------------------
-# witness oracle
-
-
-def crosses_every_separation(digraph, edge_ids, v, w):
-    """Quantified form: both directions crossed for every v/w split."""
-    others = sorted(digraph.vertices - {v, w})
-    chosen = frozenset(edge_ids)
-    for r in range(len(others) + 1):
-        for combo in itertools.combinations(others, r):
-            side = frozenset(combo) | {v}
-            forward = any(
-                e in chosen
-                for e in digraph.edge_ids()
-                if digraph.tail(e) in side and digraph.head(e) not in side
-            )
-            backward = any(
-                e in chosen
-                for e in digraph.edge_ids()
-                if digraph.head(e) in side and digraph.tail(e) not in side
-            )
-            if not (forward and backward):
-                return False
-    return True
-
-
-def mutually_reachable_within(digraph, edge_ids, v, w):
-    return w in reachable_within(digraph, edge_ids, v) and v in reachable_within(
-        digraph, edge_ids, w
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,10 @@
-"""Digraph, Cut, Dicut, corner operations, decomposition, witnesses."""
+"""Digraph, Dicut, nestedness, corner operations, decomposition, weak components."""
 
 from __future__ import annotations
-
-import random
 
 import pytest
 
 from dicuts import (
-    Cut,
     Dicut,
     Digraph,
     crossing,
@@ -17,15 +14,8 @@ from dicuts import (
     is_weakly_connected,
     join,
     meet,
-    minimal_witness,
     nested,
     weak_components_within,
-    witness_check,
-)
-
-from .oracles import (
-    crosses_every_separation,
-    random_weak_digraph,
 )
 
 
@@ -77,21 +67,6 @@ class TestDigraph:
         assert path3() == path3()
         assert hash(path3()) == hash(path3())
         assert path3() != diamond()
-
-
-class TestCut:
-    def test_edge_set_ignores_direction(self):
-        d = path3()
-        cut = Cut(d, {"b"})
-        assert cut.edge_set == frozenset({0, 1})
-        assert cut.sides == (frozenset({"b"}), frozenset({"a", "c"}))
-
-    def test_degenerate_sides_are_rejected(self):
-        d = path3()
-        with pytest.raises(ValueError):
-            Cut(d, set())
-        with pytest.raises(ValueError):
-            Cut(d, d.vertices)
 
 
 class TestDicut:
@@ -173,7 +148,6 @@ class TestNestedAndCorners:
         assert b1.in_shore | b2.in_shore == d.vertices
         assert nested(b1, b2)
 
-    @pytest.mark.parametrize("kinds", [(Dicut, Dicut), (Cut, Cut), (Dicut, Cut), (Cut, Dicut)])
     @pytest.mark.parametrize(
         "digraph, y1, y2, expected",
         [
@@ -184,9 +158,9 @@ class TestNestedAndCorners:
             (diamond, {"a", "t"}, {"b", "t"}, False),  # crossing
         ],
     )
-    def test_nested_reads_the_in_sides_of_any_cut_kinds(self, kinds, digraph, y1, y2, expected):
+    def test_nested_reads_the_in_shores(self, digraph, y1, y2, expected):
         d = digraph()
-        c1, c2 = kinds[0](d, y1), kinds[1](d, y2)
+        c1, c2 = Dicut(d, y1), Dicut(d, y2)
         assert nested(c1, c2) is expected
         assert nested(c2, c1) is expected
         assert crossing(c1, c2) is not expected
@@ -214,44 +188,6 @@ class TestDecompose:
     def test_empty_dicut_is_rejected(self):
         with pytest.raises(ValueError):
             decompose_dicut(Dicut(path3(), frozenset()))
-
-
-class TestWitness:
-    def test_two_cycle_witness(self):
-        d = Digraph.from_edges([("a", "b"), ("b", "a")])
-        assert witness_check(d, {0, 1}, "a", "b")
-        assert not witness_check(d, {0}, "a", "b")
-        w = minimal_witness(d, "a", "b")
-        assert w is not None and w.edge_set == frozenset({0, 1})
-
-    def test_one_way_pair_has_no_witness(self):
-        assert minimal_witness(path3(), "a", "c") is None
-
-    def test_shared_vertex_blocks(self):
-        d = Digraph.from_edges(
-            [("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")]
-        )
-        w = minimal_witness(d, "a", "c")
-        assert w is not None and w.edge_set == frozenset({0, 1, 2, 3})
-
-    def test_endpoint_validation(self):
-        d = path3()
-        with pytest.raises(ValueError):
-            witness_check(d, {0}, "a", "a")
-        with pytest.raises(ValueError):
-            witness_check(d, {0}, "a", "nope")
-
-    def test_reachability_equals_the_quantified_cut_form(self):
-        rng = random.Random(11)
-        for _ in range(60):
-            d = random_weak_digraph(rng, max_n=5, max_extra=5)
-            ids = list(d.edge_ids())
-            subset = frozenset(e for e in ids if rng.random() < 0.6)
-            vs = sorted(d.vertices)
-            v, w = rng.sample(vs, 2)
-            assert witness_check(d, subset, v, w) == crosses_every_separation(
-                d, subset, v, w
-            )
 
 
 class TestComponents:

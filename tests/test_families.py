@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -25,7 +26,7 @@ from dicuts import (
     window_coherent,
 )
 
-from .oracles import finitary_by_scan
+from .oracles import finitary_by_scan, nested_extension_by_recursion
 
 
 class TestRegistry:
@@ -192,6 +193,34 @@ class TestFinitaryByStrongConnectivity:
         assert check_finitary_dijoin(w, "diagonals", cap=1) == (True, None)
         with pytest.raises(CapExceeded):
             check_finitary_dijoin(w, "spokes_without_first", cap=1)
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+class TestNestedExtensionSearch:
+    def test_selections_agree_with_the_recursion(self):
+        for family, n in TestFinitaryByStrongConnectivity.WINDOWS:
+            w = window(get_family(family), n)
+            for set_name in sorted(w.named_edge_sets):
+                got = nested_extension_search(w, set_name)
+                assert got == nested_extension_by_recursion(w, set_name)
+
+    def test_zigzag_window_60_stays_within_the_recursion_limit(self):
+        # The search once recursed once per named edge: 60 levels here.
+        w = window(get_family("zigzag_d1"), 60)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 40)
+        try:
+            selection = nested_extension_search(w, "diagonals")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert selection is not None
+        assert set(selection) == set(w.named_edge_sets["diagonals"])
 
 
 class TestGridWindows:
