@@ -235,9 +235,8 @@ def _cmd_solve(args) -> RunReport:
         ("edges", str(digraph.m)),
         ("class_size", str(len(klass))),
     ]
-    pair = nested_optimal_pair(digraph, klass) if klass.corner_closed else None
-    if pair is None:
-        pair = optimal_pair(digraph, klass)
+    solve = nested_optimal_pair if klass.corner_closed else optimal_pair
+    pair = solve(digraph, klass)
     if pair is None:
         lines.append(("optimal_pair", "absent"))
         lines.append(("reason", "no pair attains equality for this class"))
@@ -327,6 +326,8 @@ def _cmd_blocks(args) -> RunReport:
 def _family_windows(args) -> list:
     if args.window is not None:
         return [args.window]
+    if args.nmax < 1:
+        raise ValueError("window index must be at least 1")
     return list(range(1, args.nmax + 1))
 
 
@@ -454,7 +455,7 @@ def _cmd_hypergraph(args) -> RunReport:
     lines.append(("vertices", str(len(hyper.vertices))))
     lines.append(("hyperedges", str(len(hyper.hyperedges))))
     lines.append(("fin_check", "true" if fin_parameter_check(hyper) else "false"))
-    pair = konig_property(hyper, args.cap)
+    pair = konig_property(hyper)
     if pair is None:
         lines.append(("konig", "absent"))
     else:
@@ -525,7 +526,7 @@ def _cmd_selftest(args) -> RunReport:
             raise RuntimeError("selftest: missing optimal pair")
         verify_optimal_pair(digraph, klass, pair)
         hyper = dibond_hypergraph(digraph, args.cap)
-        kp = konig_property(hyper, args.cap)
+        kp = konig_property(hyper)
         if kp is None or len(kp.matching) != len(pair.family):
             raise RuntimeError("selftest: hypergraph does not mirror the solver")
         if not fin_parameter_check(hyper):

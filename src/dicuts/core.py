@@ -122,17 +122,30 @@ def bit_positions(mask: int) -> list:
     return positions
 
 
-def _component_containing(digraph: Digraph, start: Vertex, allowed: frozenset) -> frozenset:
-    """Weak component of `start` inside the induced subdigraph on `allowed`."""
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w, _e in digraph.und_neighbors(v):
-            if w in allowed and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
+def _component_labels(
+    digraph: Digraph, within: Optional[frozenset] = None, removed: frozenset = frozenset()
+) -> dict:
+    """Vertex -> least vertex of its weak component, for the vertices of `within`.
+
+    The components are those of the subdigraph induced on `within` (every
+    vertex when None) without the `removed` edges. Seeds are taken in
+    sorted order, so the labels, in insertion order, list the components
+    in ascending order of their least vertex.
+    """
+    vertices = digraph.vertices if within is None else within
+    label: dict = {}
+    for v in sorted(vertices):
+        if v in label:
+            continue
+        label[v] = v
+        queue = deque([v])
+        while queue:
+            u = queue.popleft()
+            for w, e in digraph.und_neighbors(u):
+                if w not in label and w in vertices and e not in removed:
+                    label[w] = v
+                    queue.append(w)
+    return label
 
 
 def weak_components_within(digraph: Digraph, subset: frozenset) -> list:
@@ -141,31 +154,10 @@ def weak_components_within(digraph: Digraph, subset: frozenset) -> list:
     Deterministic: components are discovered from sorted seeds and returned
     in that discovery order.
     """
-    remaining = set(subset)
-    comps = []
-    for v in sorted(subset):
-        if v in remaining:
-            comp = _component_containing(digraph, v, frozenset(remaining))
-            comps.append(comp)
-            remaining -= comp
-    return comps
-
-
-def _component_labels(digraph: Digraph, removed: frozenset) -> dict:
-    """Vertex -> least vertex of its weak component in the digraph minus `removed` edges."""
-    label: dict = {}
-    for v in sorted(digraph.vertices):
-        if v in label:
-            continue
-        label[v] = v
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w, e in digraph.und_neighbors(u):
-                if e not in removed and w not in label:
-                    label[w] = v
-                    queue.append(w)
-    return label
+    comps: dict = {}
+    for v, c in _component_labels(digraph, subset).items():
+        comps.setdefault(c, []).append(v)
+    return [frozenset(comp) for comp in comps.values()]
 
 
 def is_weakly_connected(digraph: Digraph) -> bool:
@@ -173,18 +165,16 @@ def is_weakly_connected(digraph: Digraph) -> bool:
 
     The empty digraph and a single vertex both count as connected.
     """
-    if digraph.n <= 1:
-        return True
-    start = min(digraph.vertices)
-    comp = _component_containing(digraph, start, digraph.vertices)
-    return len(comp) == digraph.n
+    return len(set(_component_labels(digraph).values())) <= 1
 
 
-def _subset_weakly_connected(digraph: Digraph, subset: frozenset) -> bool:
-    if len(subset) <= 1:
-        return True
-    start = min(subset)
-    return len(_component_containing(digraph, start, subset)) == len(subset)
+def _leaving_edge(digraph: Digraph, shore: frozenset) -> Optional[EdgeId]:
+    """Some edge from the shore to its complement, or None when no edge leaves it."""
+    for v in shore:
+        for e in digraph.out_edges(v):
+            if digraph.head(e) not in shore:
+                return e
+    return None
 
 
 class Dicut:
@@ -200,10 +190,9 @@ class Dicut:
         in_shore = frozenset(in_shore)
         if not in_shore <= digraph.vertices:
             raise ValueError("in shore contains undeclared vertices")
-        for v in in_shore:
-            for e in digraph.out_edges(v):
-                if digraph.head(e) not in in_shore:
-                    raise ValueError(f"edge {e} leaves the in shore; not a dicut")
+        e = _leaving_edge(digraph, in_shore)
+        if e is not None:
+            raise ValueError(f"edge {e} leaves the in shore; not a dicut")
         self.digraph = digraph
         self.in_shore = in_shore
         self._edge_set: Optional[frozenset] = None
@@ -231,12 +220,14 @@ class Dicut:
 
     @property
     def is_dibond(self) -> bool:
-        """True iff the dicut is nonempty and both shores induce weakly connected subdigraphs."""
+        """True iff the dicut is nonempty and both shores induce weakly connected subdigraphs.
+
+        No edge leaves the in shore, so the digraph minus the cut edges is
+        the two induced shores side by side: exactly two weak components.
+        """
         if self._is_dibond is None:
-            self._is_dibond = (
-                not self.is_empty
-                and _subset_weakly_connected(self.digraph, self.in_shore)
-                and _subset_weakly_connected(self.digraph, self.out_shore)
+            self._is_dibond = not self.is_empty and (
+                len(set(_component_labels(self.digraph, removed=self.edge_set).values())) == 2
             )
         return self._is_dibond
 
@@ -264,10 +255,8 @@ def dicut_from_shore(digraph: Digraph, in_shore: Iterable[Vertex]) -> Optional[D
         raise ValueError("in shore contains undeclared vertices")
     if not y or y == digraph.vertices:
         raise ValueError("in shore must be a nonempty proper vertex subset")
-    for v in y:
-        for e in digraph.out_edges(v):
-            if digraph.head(e) not in y:
-                return None
+    if _leaving_edge(digraph, y) is not None:
+        return None
     return Dicut(digraph, y)
 
 
@@ -284,7 +273,7 @@ def dicut_from_edge_set(digraph: Digraph, edge_set: Iterable[EdgeId]) -> Optiona
         return None
     if not all(0 <= e < digraph.m for e in b):
         raise ValueError("edge set contains unknown edge ids")
-    comp_of = _component_labels(digraph, b)
+    comp_of = _component_labels(digraph, removed=b)
     label: dict = {}
     for e in b:
         t_comp = comp_of[digraph.tail(e)]
@@ -298,12 +287,8 @@ def dicut_from_edge_set(digraph: Digraph, edge_set: Iterable[EdgeId]) -> Optiona
     if any(comp not in label for comp in set(comp_of.values())):
         return None
     y = frozenset(v for v in digraph.vertices if label[comp_of[v]] == "in")
-    if not y or y == digraph.vertices:
+    if not y or y == digraph.vertices or _leaving_edge(digraph, y) is not None:
         return None
-    for v in y:
-        for e in digraph.out_edges(v):
-            if digraph.head(e) not in y:
-                return None
     cut = Dicut(digraph, y)
     if cut.edge_set != b:
         return None

@@ -1,7 +1,8 @@
 """Exhaustive enumeration of dicuts and dibonds via the strong component DAG.
 
 Dicut in shores are exactly the successor-closed unions of strong
-components, so enumeration happens on the condensation. Dibonds are the
+components that some edge enters, so enumeration happens on the
+condensation. Dibonds are the
 dicuts whose two shores both induce weakly connected subdigraphs; they are
 enumerated by a dedicated walk over connected predecessor-closed component
 sets rather than by filtering all dicuts, because on the window digraphs of
@@ -165,8 +166,10 @@ def _shores(cond: Condensation, comps: list, masks: list) -> list:
 def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     """All dicuts of the digraph, exactly once each, in a deterministic order.
 
-    In shores correspond to the successor-closed proper nonempty unions of
-    strong components. Raises CapExceeded when the count would pass the cap.
+    In shores correspond to the successor-closed unions of strong
+    components that some edge enters; a dicut has at least one edge, so on
+    a digraph that is not weakly connected the edgeless shores are left
+    out. Raises CapExceeded when the count would pass the cap.
     """
     cond = condensation(digraph)
     comps, succ, pred, _und = _dag_masks(cond)
@@ -175,7 +178,6 @@ def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
         return []
     desc = _transitive_closure(succ)
     anc = _transitive_closure(pred)
-    full = (1 << k) - 1
     found: list = []
     # Each entry is (next component index, in shore mask, out shore mask)
     # over the components decided so far.
@@ -186,7 +188,9 @@ def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
         while i < k and decided >> i & 1:
             i += 1
         if i == k:
-            if ins and ins != full:
+            # Some edge enters the in shore: a component in it has a
+            # predecessor outside it.
+            if any(pred[p] & ~ins for p in bit_positions(ins)):
                 if len(found) >= cap:
                     raise CapExceeded(cap, "enumerating dicuts")
                 found.append(ins)

@@ -7,6 +7,13 @@ hypergraph form of an optimal pair: the dibond hypergraph of a digraph
 turns dijoins into covers and disjoint dicut families into matchings, and
 the path hypergraph of an undirected graph turns Menger's theorem into the
 same statement.
+
+Any cover meets the members of a matching in distinct vertices, so the
+cover number tau is at least the matching number nu (weak duality). The
+property therefore holds exactly when tau = nu, and then every maximum
+matching has a one-per-member cover: a least cover meets each of its nu
+disjoint members and has only nu vertices. So one maximum matching
+decides the property, and no search over maximum matchings is needed.
 """
 
 from __future__ import annotations
@@ -77,33 +84,6 @@ class Multigraph:
         return self._adj[v]
 
 
-def _enumerate_maximum_matchings(edges: list, size: int, cap: int) -> list:
-    """All pairwise-disjoint subfamilies of exactly the given size, canonical order."""
-    k = len(edges)
-    found: list = []
-
-    def compatible_bound(i: int, used: frozenset) -> int:
-        # Optimistic: counts every remaining edge disjoint from the current
-        # union, ignoring conflicts among those edges themselves.
-        return sum(1 for j in range(i, k) if not (edges[j] & used))
-
-    # Depth first, taking edge i before skipping it: the skip is pushed first.
-    stack = [(0, frozenset(), ())]
-    while stack:
-        i, used, chosen = stack.pop()
-        if len(chosen) == size:
-            if len(found) >= cap:
-                raise CapExceeded(cap, "enumerating maximum matchings")
-            found.append(chosen)
-            continue
-        if i == k or len(chosen) + compatible_bound(i, used) < size:
-            continue
-        stack.append((i + 1, used, chosen))
-        if not (edges[i] & used):
-            stack.append((i + 1, used | edges[i], chosen + (i,)))
-    return found
-
-
 def _covering_transversal(members: list, hyperedges: list) -> Optional[frozenset]:
     """One vertex per member such that every hyperedge is hit, or None.
 
@@ -154,25 +134,24 @@ def _covering_transversal(members: list, hyperedges: list) -> Optional[frozenset
     return None
 
 
-def konig_property(hypergraph: Hypergraph, cap: int = DEFAULT_CAP) -> Optional[KonigPair]:
+def konig_property(hypergraph: Hypergraph) -> Optional[KonigPair]:
     """A maximum matching with a one-vertex-per-member cover, or None.
 
-    Any matching-cover pair with the one-per-member structure sandwiches
-    the two optima into equality, so its matching is automatically maximum;
-    completeness therefore only requires searching all maximum matchings,
-    each paired with an exact transversal search. Deterministic: hyperedges
-    are considered in canonical order.
+    Only the canonical maximum matching, the first that exact set packing
+    finds among the hyperedges in canonical order, is searched for such a
+    cover. That decides the property: a one-per-member cover of a maximum
+    matching has nu vertices, so tau = nu; conversely when tau = nu, a
+    least cover meets each of the nu disjoint members of every maximum
+    matching and has only nu vertices, so it meets each exactly once.
     """
     edges = sorted(set(hypergraph.hyperedges), key=_edge_key)
     if not edges:
         return KonigPair(matching=(), cover=frozenset())
-    size = len(exact_max_set_packing(edges))
-    for matching_idx in _enumerate_maximum_matchings(edges, size, cap):
-        members = [edges[i] for i in matching_idx]
-        cover = _covering_transversal(members, edges)
-        if cover is not None:
-            return KonigPair(matching=tuple(members), cover=cover)
-    return None
+    members = [edges[i] for i in exact_max_set_packing(edges)]
+    cover = _covering_transversal(members, edges)
+    if cover is None:
+        return None
+    return KonigPair(matching=tuple(members), cover=cover)
 
 
 def dibond_hypergraph(digraph: Digraph, cap: int = DEFAULT_CAP) -> Hypergraph:

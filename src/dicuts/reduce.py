@@ -111,7 +111,7 @@ def contract_to(digraph: Digraph, edge_ids: Iterable[int]) -> QuotientMap:
     kept = frozenset(edge_ids)
     if not all(0 <= e < digraph.m for e in kept):
         raise ValueError("edge set contains unknown edge ids")
-    qm = _quotient_from_classes(digraph, _component_labels(digraph, kept), generators=())
+    qm = _quotient_from_classes(digraph, _component_labels(digraph, removed=kept), generators=())
     if set(qm.edge_provenance.values()) - kept:
         raise RuntimeError("internal error: contraction kept an edge outside the target set")
     return qm
@@ -160,12 +160,12 @@ class BlockTree:
 def block_cut_tree(digraph: Digraph) -> BlockTree:
     """Blocks via a depth-first lowpoint sweep of the underlying multigraph.
 
-    Requires a weakly connected digraph. Blocks are ordered by their least
-    edge id; parallel edges are distinct, so a doubled bridge forms one
-    two-edge block.
+    Requires a weakly connected digraph (PreconditionViolated otherwise).
+    Blocks are ordered by their least edge id; parallel edges are
+    distinct, so a doubled bridge forms one two-edge block.
     """
     if not is_weakly_connected(digraph):
-        raise ValueError("block decomposition requires a weakly connected digraph")
+        raise PreconditionViolated("block decomposition requires a weakly connected digraph")
     disc: dict = {}
     low: dict = {}
     edge_stack: list = []

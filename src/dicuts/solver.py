@@ -46,8 +46,8 @@ from typing import Iterable, Optional
 from .core import (
     Digraph,
     Dicut,
+    _leaving_edge,
     bit_positions,
-    crossing,
     decompose_dicut,
     is_weakly_connected,
     join,
@@ -355,12 +355,17 @@ def _pairwise_disjoint(family: Iterable[Dicut]) -> bool:
     return True
 
 
-def _pairwise_nested(family: list) -> bool:
+def _first_crossing(family: list) -> Optional[tuple]:
+    """The first pair (i, j), i < j, of family members that cross, or None."""
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
             if not nested(family[i], family[j]):
-                return False
-    return True
+                return (i, j)
+    return None
+
+
+def _pairwise_nested(family: list) -> bool:
+    return _first_crossing(family) is None
 
 
 def verify_optimal_pair(digraph: Digraph, klass: DibondClass, pair: OptimalPair) -> None:
@@ -373,14 +378,12 @@ def verify_optimal_pair(digraph: Digraph, klass: DibondClass, pair: OptimalPair)
     family is pairwise nested.
     """
     for member in pair.family:
-        if member.digraph != digraph or member.is_empty:
+        if (
+            member.digraph != digraph
+            or member.is_empty
+            or _leaving_edge(digraph, member.in_shore) is not None
+        ):
             raise VerificationFailed("family member is not a nonempty dicut of the digraph")
-        for v in member.in_shore:
-            for e in digraph.out_edges(v):
-                if digraph.head(e) not in member.in_shore:
-                    raise VerificationFailed(
-                        "family member is not a nonempty dicut of the digraph"
-                    )
     if not _pairwise_disjoint(pair.family):
         raise VerificationFailed("family members are not pairwise edge-disjoint")
     ok, _missed = is_dijoin(digraph, pair.dijoin, klass)
@@ -460,14 +463,7 @@ def uncross(
     limit = len(fam) * digraph.n * digraph.n + len(fam) + 1
     steps = 0
     while True:
-        pair = None
-        for i in range(len(fam)):
-            for j in range(i + 1, len(fam)):
-                if crossing(fam[i], fam[j]):
-                    pair = (i, j)
-                    break
-            if pair:
-                break
+        pair = _first_crossing(fam)
         if pair is None:
             break
         steps += 1

@@ -11,7 +11,9 @@ dibonds (checked against `brute_dibonds` in the enumeration tests)
 because brute force cannot reach family windows.
 The set-solver references below are the package's earlier frozenset
 kernels, kept so that the mask kernels can be required to return the
-same answers, tie-breaks included.
+same answers, tie-breaks included; `konig_by_matching_enumeration`
+likewise keeps the earlier Koenig search, on the package's own
+transversal search.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import itertools
 import random
 from collections import deque
 
-from dicuts import Dicut, Digraph, finite_dibonds_in_window, nested
+from dicuts import Dicut, Digraph, exact_max_set_packing, finite_dibonds_in_window, nested
+from dicuts.hypergraph import _covering_transversal
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +344,37 @@ def largest_disjoint_by_recursion(sets, stop=None, also=None):
 
     search(list(range(len(sets))))
     return best
+
+
+def konig_by_matching_enumeration(hypergraph):
+    """(matching, cover) the way `konig_property` once searched, or None.
+
+    Walks the maximum matchings in canonical order, each as ascending
+    indices into the hyperedges sorted by size and then elements, and
+    returns the first with a one-vertex-per-member cover. The matching
+    size and the transversal search are the package's own; what this
+    keeps is the search over all maximum matchings that the single
+    canonical matching replaced.
+    """
+    edges = sorted(set(hypergraph.hyperedges), key=lambda h: (len(h), tuple(sorted(h))))
+    if not edges:
+        return (), frozenset()
+    size = len(exact_max_set_packing(edges))
+
+    def extend(i, used, chosen):
+        if len(chosen) == size:
+            members = [edges[j] for j in chosen]
+            cover = _covering_transversal(members, edges)
+            return None if cover is None else (tuple(members), cover)
+        if i == len(edges):
+            return None
+        if not (edges[i] & used):
+            found = extend(i + 1, used | edges[i], chosen + (i,))
+            if found is not None:
+                return found
+        return extend(i + 1, used, chosen)
+
+    return extend(0, frozenset(), ())
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,15 @@ class TestMainEntry:
         assert main(["solve", "--input", str(path)]) == EXIT_ERROR
         assert "error: PreconditionViolated: " in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "check", ["nested:diagonals", "finitary:diagonals", "compactness", "coherence"]
+    )
+    def test_nmax_below_one_is_an_error_line(self, check, capsys):
+        argv = ["family", "--name", "zigzag_d1", "--check", check, "--nmax", "0"]
+        assert main(argv) == EXIT_ERROR
+        out = capsys.readouterr().out
+        assert "error: ValueError: window index must be at least 1\n" in out
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["solve", "--input", "/nonexistent/file.txt"]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().out

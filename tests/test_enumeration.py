@@ -74,6 +74,24 @@ class TestEnumerateDicuts:
             fast = {c.in_shore for c in enumerate_dicuts(d)}
             assert fast == {c.in_shore for c in brute_dicuts(d)}
 
+    def test_dicuts_of_a_disconnected_digraph_are_nonempty(self):
+        d = Digraph.from_edges([("a", "b"), ("c", "d")])
+        cuts = enumerate_dicuts(d, cap=5)
+        assert len(cuts) == 5
+        assert all(c.edge_set for c in cuts)
+        with pytest.raises(CapExceeded):
+            enumerate_dicuts(d, cap=4)
+
+    def test_matches_nonempty_brute_force_on_disconnected_digraphs(self):
+        rng = random.Random(9)
+        for _ in range(80):
+            left, right = random_weak_digraph(rng, max_n=4), random_weak_digraph(rng, max_n=4)
+            edges = list(left.edges) + [(f"w{t}", f"w{h}") for t, h in right.edges]
+            d = Digraph.from_edges(edges, isolated=["z"] * rng.randint(0, 1))
+            fast = [c.in_shore for c in enumerate_dicuts(d)]
+            assert len(fast) == len(set(fast))
+            assert set(fast) == {c.in_shore for c in brute_dicuts(d) if c.edge_set}
+
     def test_ordering_is_by_size_then_shore(self):
         d = diamond()
         sizes = [len(c.in_shore) for c in enumerate_dicuts(d)]

@@ -7,20 +7,26 @@ import random
 import pytest
 
 from dicuts import (
-    CapExceeded,
     DibondClass,
     Digraph,
     Hypergraph,
     Multigraph,
     dibond_hypergraph,
     fin_parameter_check,
+    get_family,
     konig_property,
     max_disjoint_dicuts,
     menger_hypergraph,
     min_dijoin,
+    window,
 )
 
-from .oracles import max_disjoint_path_count, random_multigraph_edges, random_weak_digraph
+from .oracles import (
+    konig_by_matching_enumeration,
+    max_disjoint_path_count,
+    random_multigraph_edges,
+    random_weak_digraph,
+)
 
 
 def diamond():
@@ -96,15 +102,46 @@ class TestKonigProperty:
         assert kp is not None and len(kp.matching) == 1200
         assert kp.cover == frozenset(range(1200))
 
-    def test_matching_enumeration_cap(self):
+
+def _same_as_matching_enumeration(hg):
+    kp = konig_property(hg)
+    want = konig_by_matching_enumeration(hg)
+    if want is None:
+        assert kp is None
+    else:
+        assert kp is not None and (kp.matching, kp.cover) == want
+    return kp is not None
+
+
+class TestKonigAgainstMatchingEnumeration:
+    """The canonical maximum matching decides as the search over all of them did."""
+
+    def test_seeded_random_hypergraphs(self):
+        rng = random.Random(83)
+        verdicts = set()
+        for _ in range(300):
+            universe = [f"x{i}" for i in range(rng.randint(2, 7))]
+            hyperedges = []
+            for _ in range(rng.randint(1, 7)):
+                size = 2 if rng.random() < 0.6 else rng.randint(1, len(universe))
+                hyperedges.append(frozenset(rng.sample(universe, size)))
+            verdicts.add(_same_as_matching_enumeration(Hypergraph.from_edges(hyperedges)))
+        assert verdicts == {True, False}
+
+    def test_1024_maximum_matchings(self):
         hyperedges = []
         for i in range(10):
             hyperedges.append(frozenset({f"x{i}", f"y{i}"}))
             hyperedges.append(frozenset({f"x{i}", f"z{i}"}))
-        hg = Hypergraph.from_edges(hyperedges)
-        with pytest.raises(CapExceeded) as info:
-            konig_property(hg, cap=16)
-        assert info.value.cap == 16
+        assert _same_as_matching_enumeration(Hypergraph.from_edges(hyperedges))
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [("zigzag_d1", n) for n in range(1, 9)] + [("grid_d2", n) for n in range(1, 6)],
+    )
+    def test_window_dibond_hypergraphs(self, family, n):
+        hg = dibond_hypergraph(window(get_family(family), n).digraph)
+        assert _same_as_matching_enumeration(hg)
 
 
 class TestDibondHypergraph:

@@ -10,6 +10,7 @@ from dicuts import (
     DibondClass,
     Dicut,
     Digraph,
+    PreconditionViolated,
     block_cut_tree,
     contract_to,
     enumerate_dibonds,
@@ -207,7 +208,7 @@ class TestBlocks:
 
     def test_disconnected_input_is_rejected(self):
         d = Digraph.from_edges([("a", "b")], isolated=("z",))
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionViolated, match="weakly connected"):
             block_cut_tree(d)
 
 

@@ -32,7 +32,7 @@ from dicuts import (
     window,
 )
 from dicuts.core import bit_positions
-from dicuts.solver import _greedy_cover, _largest_disjoint, _rows
+from dicuts.solver import _first_crossing, _greedy_cover, _largest_disjoint, _rows
 
 from .oracles import (
     brute_dicuts,
@@ -379,6 +379,13 @@ class TestUncross:
         shores = {m.in_shore for m in result}
         assert shores == {frozenset({"t"}), frozenset({"a", "b", "t"})}
         assert nested(result[0], result[1])
+
+    def test_first_crossing_takes_pairs_in_index_order(self):
+        # uncross replaces the first crossing pair, so the order fixes its output.
+        star = Digraph.from_edges([("r", "x0"), ("r", "x1"), ("r", "x2")])
+        family = [Dicut(star, s) for s in ({"x0", "x1"}, {"x1", "x2"}, {"x0", "x2"})]
+        assert _first_crossing(family) == (0, 1)
+        assert _first_crossing([Dicut(star, {"x0"}), Dicut(star, {"x1"})]) is None
 
     def test_preconditions_are_named(self):
         d = diamond()
