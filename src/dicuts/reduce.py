@@ -242,8 +242,11 @@ def split_solve_merge(digraph: Digraph, klass: DibondClass) -> Optional[OptimalP
     block; each sub-class is solved for a nested optimal pair on the full
     digraph and the pieces are concatenated. Members in different blocks
     are automatically disjoint and nested, which the final verification
-    re-checks rather than assumes. Returns None exactly when some block
-    has a genuine duality gap (possible only for user classes).
+    re-checks rather than assumes. Each block's sub-class is corner-closed
+    when the class is, since the corners of two dibonds of one block have
+    their edges in that block. Returns None exactly when some block has a
+    genuine duality gap, which is possible only when the class is not
+    corner-closed.
     """
     tree = block_cut_tree(digraph)
     by_block: dict = {}
@@ -263,7 +266,6 @@ def split_solve_merge(digraph: Digraph, klass: DibondClass) -> Optional[OptimalP
             digraph=digraph,
             members=tuple(sorted(by_block[i], key=_member_key)),
             corner_closed=klass.corner_closed,
-            tag=klass.tag,
         )
         pair = nested_optimal_pair(digraph, sub)
         if pair is None:
@@ -271,10 +273,7 @@ def split_solve_merge(digraph: Digraph, klass: DibondClass) -> Optional[OptimalP
         dijoin |= pair.dijoin
         family.extend(pair.family)
     merged = OptimalPair(
-        dijoin=frozenset(dijoin),
-        family=tuple(sorted(family, key=_member_key)),
-        nested=True,
-        class_tag=klass.tag,
+        dijoin=frozenset(dijoin), family=tuple(sorted(family, key=_member_key)), nested=True
     )
     verify_optimal_pair(digraph, klass, merged)
     return merged
@@ -331,7 +330,7 @@ def quotient_lift(
                 key=_member_key,
             )
         )
-        klass = DibondClass.from_members(digraph, generators, tag=pair.class_tag)
+        klass = DibondClass.from_members(digraph, generators)
         target = digraph
     else:
         inverse = {orig: q for q, orig in qm.edge_provenance.items()}
@@ -351,13 +350,8 @@ def quotient_lift(
         projected_generators = [
             Dicut(qm.quotient, _project_in_shore(qm, g.in_shore)) for g in generators
         ]
-        klass = DibondClass.from_members(qm.quotient, projected_generators, tag=pair.class_tag)
+        klass = DibondClass.from_members(qm.quotient, projected_generators)
         target = qm.quotient
-    restated = OptimalPair(
-        dijoin=new_dijoin,
-        family=new_family,
-        nested=pair.nested,
-        class_tag=pair.class_tag,
-    )
+    restated = OptimalPair(dijoin=new_dijoin, family=new_family, nested=pair.nested)
     verify_optimal_pair(target, klass, restated)
     return restated

@@ -63,9 +63,6 @@ from .errors import (
     VerificationFailed,
 )
 
-FULL_CLASS_TAG = "all"
-CUSTOM_CLASS_TAG = "custom"
-
 
 def _member_key(d: Dicut) -> tuple:
     return (len(d.edge_set), tuple(sorted(d.edge_set)), tuple(sorted(d.in_shore)))
@@ -76,26 +73,24 @@ class DibondClass:
     """A finite set of dibonds of one digraph, with its corner-closure status.
 
     corner_closed means: for every pair of members, the decompositions of
-    their meet and join (when nonempty) consist of members again.
+    their meet and join (when nonempty) consist of members again. On such a
+    class the minimum dijoin size equals the maximum number of disjoint
+    members, by the crossing-family form of Lucchesi-Younger (Edmonds and
+    Giles 1977), so the solvers treat a gap there as a defect.
     """
 
     digraph: Digraph
     members: tuple
     corner_closed: bool
-    tag: str
 
     @staticmethod
     def full(digraph: Digraph, cap: int = DEFAULT_CAP) -> "DibondClass":
         """The class of all dibonds; corner-closed by construction."""
         members = tuple(sorted(enumerate_dibonds(digraph, cap), key=_member_key))
-        return DibondClass(
-            digraph=digraph, members=members, corner_closed=True, tag=FULL_CLASS_TAG
-        )
+        return DibondClass(digraph=digraph, members=members, corner_closed=True)
 
     @staticmethod
-    def from_members(
-        digraph: Digraph, members: Iterable[Dicut], tag: str = CUSTOM_CLASS_TAG
-    ) -> "DibondClass":
+    def from_members(digraph: Digraph, members: Iterable[Dicut]) -> "DibondClass":
         """A user class; validates every member is a dibond and computes closure status."""
         seen = set()
         unique = []
@@ -108,14 +103,9 @@ class DibondClass:
                 seen.add(member.in_shore)
                 unique.append(member)
         unique.sort(key=_member_key)
-        klass = DibondClass(
-            digraph=digraph, members=tuple(unique), corner_closed=False, tag=tag
+        return DibondClass(
+            digraph=digraph, members=tuple(unique), corner_closed=_is_corner_closed(unique)
         )
-        if _is_corner_closed(klass):
-            klass = DibondClass(
-                digraph=digraph, members=tuple(unique), corner_closed=True, tag=tag
-            )
-        return klass
 
     def __len__(self) -> int:
         return len(self.members)
@@ -123,16 +113,14 @@ class DibondClass:
 
 @dataclass(frozen=True, eq=False)
 class OptimalPair:
-    """A dijoin F and a disjoint dicut family of equal size, plus flags.
+    """A dijoin F and a disjoint dicut family of equal size.
 
-    nested records whether the family is pairwise nested; class_tag records
-    whether the ambient class was the full dibond class or user-supplied.
+    nested records whether the family is pairwise nested.
     """
 
     dijoin: frozenset
     family: tuple
     nested: bool
-    class_tag: str
 
 
 def _corner_parts(a: Dicut, b: Dicut):
@@ -142,11 +130,11 @@ def _corner_parts(a: Dicut, b: Dicut):
             yield from decompose_dicut(corner)
 
 
-def _is_corner_closed(klass: DibondClass) -> bool:
-    member_shores = {m.in_shore for m in klass.members}
+def _is_corner_closed(members: list) -> bool:
+    member_shores = {m.in_shore for m in members}
     return all(
         part.in_shore in member_shores
-        for a, b in combinations(klass.members, 2)
+        for a, b in combinations(members, 2)
         for part in _corner_parts(a, b)
     )
 
@@ -399,26 +387,22 @@ def verify_optimal_pair(digraph: Digraph, klass: DibondClass, pair: OptimalPair)
 
 
 def optimal_pair(digraph: Digraph, klass: DibondClass) -> Optional[OptimalPair]:
-    """A minimum dijoin and maximum disjoint family of equal size, verified.
+    """A minimum dijoin and maximum disjoint family of equal size, verified once.
 
-    On the full class the two optima always agree, so a mismatch raises
-    DualityGapDetected (an implementation defect signal). On a user class a
-    genuine gap is possible and is reported by returning None. When the
-    sizes agree, the containment and meets-exactly-once conditions follow
-    by counting, but the verifier still checks them explicitly.
+    On a corner-closed class (the full class included) the two optima
+    always agree, so a mismatch raises DualityGapDetected (an implementation
+    defect signal). On any other class a genuine gap is possible and is
+    reported by returning None. When the sizes agree, the containment and
+    meets-exactly-once conditions follow by counting, but the verifier
+    still checks them explicitly.
     """
     dijoin = min_dijoin(digraph, klass)
     family = _disjoint_members(klass, len(dijoin))
     if len(dijoin) != len(family):
-        if klass.tag == FULL_CLASS_TAG:
+        if klass.corner_closed:
             raise DualityGapDetected(len(dijoin), len(family))
         return None
-    pair = OptimalPair(
-        dijoin=dijoin,
-        family=tuple(family),
-        nested=_pairwise_nested(family),
-        class_tag=klass.tag,
-    )
+    pair = OptimalPair(dijoin=dijoin, family=tuple(family), nested=_pairwise_nested(family))
     verify_optimal_pair(digraph, klass, pair)
     return pair
 
@@ -492,20 +476,19 @@ def uncross(
 def nested_optimal_pair(digraph: Digraph, klass: DibondClass) -> Optional[OptimalPair]:
     """An optimal pair whose family is pairwise nested, verified end to end.
 
-    Solves for an optimal pair, uncrosses its family, and re-verifies all
-    conditions. Returns None exactly when optimal_pair does (a genuine gap
-    on a user class).
+    Solves for an optimal pair; when its family crosses, uncrosses it and
+    verifies the result again. A family that is already nested is returned
+    as optimal_pair verified it. Returns None exactly when optimal_pair
+    does (a genuine gap on a class that is not corner-closed). On such a
+    class uncross may also raise PreconditionViolated, when the dijoin
+    misses a corner of a crossing pair.
     """
     pair = optimal_pair(digraph, klass)
-    if pair is None:
-        return None
+    if pair is None or pair.nested:
+        return pair
     fam = uncross(digraph, pair.dijoin, pair.family, klass=klass)
-    fam = sorted(fam, key=_member_key)
     nested_pair = OptimalPair(
-        dijoin=pair.dijoin,
-        family=tuple(fam),
-        nested=True,
-        class_tag=klass.tag,
+        dijoin=pair.dijoin, family=tuple(sorted(fam, key=_member_key)), nested=True
     )
     verify_optimal_pair(digraph, klass, nested_pair)
     return nested_pair
@@ -520,12 +503,7 @@ def corner_closure(
     meet and join are decomposed into dibonds and any new ones join the
     class. Raises CapExceeded when the member count would pass the cap.
     """
-    if isinstance(seed, DibondClass):
-        tag = seed.tag
-        seed_members = list(seed.members)
-    else:
-        tag = CUSTOM_CLASS_TAG
-        seed_members = list(seed)
+    seed_members = seed.members if isinstance(seed, DibondClass) else seed
     members: list = []
     shores: set = set()
 
@@ -554,9 +532,7 @@ def corner_closure(
                 new_idx = len(members) - 1
                 pair_queue.extend((idx, new_idx) for idx in range(new_idx))
     final = sorted(members, key=_member_key)
-    return DibondClass(
-        digraph=digraph, members=tuple(final), corner_closed=True, tag=tag
-    )
+    return DibondClass(digraph=digraph, members=tuple(final), corner_closed=True)
 
 
 def maximal_nested_disjoint_family(digraph: Digraph, klass: DibondClass) -> list:

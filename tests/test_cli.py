@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from dicuts import ParseError, main, parse_digraph, run, serialize_digraph
+from dicuts import ParseError, VerificationFailed, main, parse_digraph, run, serialize_digraph
+from dicuts import solver
 from dicuts.cli import EXIT_ERROR, EXIT_OK, EXIT_REFUTED
 
 
@@ -273,6 +274,26 @@ class TestMainEntry:
         assert main(argv) == EXIT_ERROR
         out = capsys.readouterr().out
         assert "error: ValueError: window index must be at least 1\n" in out
+
+    def test_solve_verifies_once(self, diamond_path, monkeypatch):
+        calls = []
+        verify = solver.verify_optimal_pair
+
+        def counted(*args):
+            calls.append(args)
+            verify(*args)
+
+        monkeypatch.setattr(solver, "verify_optimal_pair", counted)
+        assert ("verified", "true") in run("solve", {"input": diamond_path}).lines
+        assert len(calls) == 1
+
+    def test_verified_line_rests_on_the_library_check(self, diamond_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise VerificationFailed("planted")
+
+        monkeypatch.setattr(solver, "verify_optimal_pair", refuse)
+        assert main(["solve", "--input", diamond_path]) == EXIT_ERROR
+        assert capsys.readouterr().out == "command: solve\nerror: VerificationFailed: planted\n"
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["solve", "--input", "/nonexistent/file.txt"]) == EXIT_ERROR

@@ -17,6 +17,7 @@ from dicuts import (
     PreconditionViolated,
     VerificationFailed,
     corner_closure,
+    enumerate_dibonds,
     exact_max_set_packing,
     exact_min_hitting_set,
     get_family,
@@ -31,6 +32,7 @@ from dicuts import (
     verify_optimal_pair,
     window,
 )
+from dicuts import solver
 from dicuts.core import bit_positions
 from dicuts.solver import _first_crossing, _greedy_cover, _largest_disjoint, _rows
 
@@ -194,7 +196,6 @@ class TestDibondClass:
     def test_full_class_on_the_diamond(self):
         klass = DibondClass.full(diamond())
         assert len(klass) == 4
-        assert klass.tag == "all"
         assert klass.corner_closed
 
     def test_partial_class_is_not_corner_closed(self):
@@ -202,7 +203,6 @@ class TestDibondClass:
         klass = DibondClass.from_members(
             d, [Dicut(d, {"a", "t"}), Dicut(d, {"b", "t"})]
         )
-        assert klass.tag == "custom"
         assert not klass.corner_closed
 
     def test_full_subfamily_is_corner_closed(self):
@@ -267,7 +267,6 @@ class TestOptimalPairs:
         pair = optimal_pair(d, klass)
         assert pair is not None
         assert len(pair.dijoin) == len(pair.family) == 2
-        assert pair.class_tag == "all"
         verify_optimal_pair(d, klass, pair)
 
     def test_nested_pair_on_the_diamond(self):
@@ -319,6 +318,29 @@ class TestOptimalPairs:
         assert meets_every_dicut(d, pair.dijoin)
         assert not any(meets_every_dicut(d, pair.dijoin - {e}) for e in pair.dijoin)
 
+    def test_each_pair_is_verified_once_per_solve(self, monkeypatch):
+        calls = []
+        verify = solver.verify_optimal_pair
+
+        def counted(*args):
+            calls.append(args[2])
+            verify(*args)
+
+        monkeypatch.setattr(solver, "verify_optimal_pair", counted)
+        d = diamond()
+        klass = DibondClass.full(d)
+        assert optimal_pair(d, klass) is not None and len(calls) == 1
+        calls.clear()
+        pair = nested_optimal_pair(d, klass)
+        assert pair is calls[0] and len(calls) == 1
+        # The diamond again, with its edges listed so that the first
+        # packing in canonical order crosses.
+        crossing = Digraph.from_edges([("s", "a"), ("a", "t"), ("b", "t"), ("s", "b")])
+        klass = DibondClass.full(crossing)
+        calls.clear()
+        pair = nested_optimal_pair(crossing, klass)
+        assert [p.nested for p in calls] == [False, True] and pair is calls[1]
+
     def test_verifier_rejects_corrupted_pairs(self):
         d = diamond()
         klass = DibondClass.full(d)
@@ -328,7 +350,6 @@ class TestOptimalPairs:
             dijoin=frozenset(list(pair.dijoin)[:1]),
             family=pair.family,
             nested=pair.nested,
-            class_tag=pair.class_tag,
         )
         with pytest.raises(VerificationFailed):
             verify_optimal_pair(d, klass, short)
@@ -336,7 +357,6 @@ class TestOptimalPairs:
             dijoin=pair.dijoin,
             family=(Dicut(d, {"t"}), Dicut(d, {"a", "t"})),
             nested=False,
-            class_tag=pair.class_tag,
         )
         with pytest.raises(VerificationFailed):
             verify_optimal_pair(d, klass, overlapping)
@@ -362,11 +382,15 @@ class TestDualityGap:
         assert all(a & b for a in sets for b in sets)
         assert not (sets[0] & sets[1] & sets[2])
 
-    def test_gap_on_a_class_tagged_full_raises(self):
-        d, klass = gap_instance()
-        fake_full = DibondClass.from_members(d, klass.members, tag="all")
+    def test_gap_on_a_corner_closed_class_raises(self, monkeypatch):
+        d = diamond()
+        klass = DibondClass.full(d)
+        assert klass.corner_closed
+        monkeypatch.setattr(
+            solver, "_disjoint_members", lambda klass, stop=None, also=None: [klass.members[0]]
+        )
         with pytest.raises(DualityGapDetected) as info:
-            optimal_pair(d, fake_full)
+            optimal_pair(d, klass)
         assert info.value.min_dijoin_size == 2
         assert info.value.max_packing_size == 1
 
@@ -452,6 +476,31 @@ class TestCornerClosure:
         assert {m.in_shore for m in again.members} == {
             m.in_shore for m in closed.members
         }
+
+
+    def test_min_equals_max_on_closures_of_random_seeds(self):
+        # The rule that a gap raises on every corner-closed class rests on
+        # this: Lucchesi-Younger holds on crossing families (Edmonds and
+        # Giles 1977), not only on the full class. Sizes come from the
+        # brute-force oracles, independent of the solvers.
+        rng = random.Random(41)
+        closures = proper = 0
+        while closures < 300:
+            d = random_weak_digraph(rng, max_n=8, max_extra=8)
+            bonds = enumerate_dibonds(d)
+            if len(bonds) < 2:
+                continue
+            klass = corner_closure(d, rng.sample(bonds, rng.randint(2, min(len(bonds), 4))))
+            assert DibondClass.from_members(d, klass.members).corner_closed
+            members = list(klass.members)
+            size = len(brute_min_dijoin(d, members))
+            assert len(brute_max_packing(members)) == size
+            pair = optimal_pair(d, klass)
+            assert pair is not None and len(pair.dijoin) == size
+            verify_optimal_pair(d, klass, pair)
+            closures += 1
+            proper += len(klass) < len(bonds)
+        assert proper > 100
 
 
 class TestNestedFamilyConstruction:
