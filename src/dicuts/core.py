@@ -198,6 +198,23 @@ class Dicut:
         self._edge_set: Optional[frozenset] = None
         self._is_dibond: Optional[bool] = None
 
+    @classmethod
+    def _known(
+        cls,
+        digraph: Digraph,
+        in_shore: frozenset,
+        edge_set: frozenset,
+        is_dibond: Optional[bool] = None,
+    ) -> "Dicut":
+        """A dicut whose caller has already checked that no edge leaves the
+        in shore, with its edge set and, when given, its dibond status."""
+        cut = cls.__new__(cls)
+        cut.digraph = digraph
+        cut.in_shore = in_shore
+        cut._edge_set = edge_set
+        cut._is_dibond = is_dibond
+        return cut
+
     @property
     def out_shore(self) -> frozenset:
         return self.digraph.vertices - self.in_shore

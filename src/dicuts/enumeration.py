@@ -20,17 +20,31 @@ Every walk uses an explicit stack, so recursion depth never grows with the
 number of strong components. Every enumeration takes a cap and raises
 CapExceeded as soon as the result count would pass it; a capped call never
 returns a truncated list.
+
+Alongside each component set, the walks carry the masks of its vertices
+(bit j standing for the j-th largest vertex) and of the edges (bit e for
+edge e) whose tail, and whose head, lies in it. Adding a closure to the
+set ORs in the closure's masks, precomputed once. For a
+shore Y with tail mask T and head mask H, the edges entering Y are
+H & ~T and the edges leaving it T & ~H, so each emitted cut gets its edge
+set, and the dicut check that no edge leaves its in shore, in a few int
+operations, with no pass over its vertices; a failed check raises an
+internal error. One helper sorts the emitted (vertex mask, edge mask)
+pairs by shore size, then sorted shore, and builds each Dicut once, with
+its edge set filled in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from .core import Digraph, Dicut, EdgeId, bit_positions, is_weakly_connected
 from .errors import CapExceeded, PreconditionViolated
 
 DEFAULT_CAP = 1_000_000
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,14 +167,71 @@ def _transitive_closure(step: list) -> list:
     return closure
 
 
-def _shores(cond: Condensation, comps: list, masks: list) -> list:
-    """The in shores with the given component masks, sorted by size, then vertices."""
-    members = [cond.component_members[c] for c in comps]
-    shores = [
-        frozenset(v for p in bit_positions(m) for v in members[p]) for m in masks
+def _bit_tables(digraph: Digraph, cond: Condensation, comps: list) -> tuple:
+    """The vertices in descending order, and per component index the
+    masks of its vertices and of the edges whose tail, and whose head,
+    lies in it.
+
+    Bit j of a vertex mask is order[j], the j-th largest vertex, and bit
+    e of an edge mask is edge e.
+    """
+    order = sorted(digraph.vertices, reverse=True)
+    index = {c: i for i, c in enumerate(comps)}
+    comp_of = {v: index[c] for v, c in cond.scc_of.items()}
+    verts = [0] * len(comps)
+    tails = [0] * len(comps)
+    heads = [0] * len(comps)
+    for j, v in enumerate(order):
+        verts[comp_of[v]] |= 1 << j
+    for e, (t, h) in enumerate(digraph.edges):
+        tails[comp_of[t]] |= 1 << e
+        heads[comp_of[h]] |= 1 << e
+    return order, verts, tails, heads
+
+
+def _closure_masks(step: list, closure: list, tables: tuple) -> list:
+    """Per component, the union of each table over its closure under
+    `step`, as a tuple.
+
+    A closure is the component plus the closures of its `step`
+    neighbours, each of them strictly smaller, so taking the components
+    by closure size builds every union from those of its neighbours.
+    """
+    unions: list = [None] * len(closure)
+    for i in sorted(range(len(closure)), key=lambda i: closure[i].bit_count()):
+        acc = [table[i] for table in tables]
+        for j in bit_positions(step[i]):
+            for t, mask in enumerate(unions[j]):
+                acc[t] |= mask
+        unions[i] = tuple(acc)
+    return unions
+
+
+def _check_dicut(leaving: int) -> None:
+    if leaving:
+        raise RuntimeError("internal error: an edge leaves an enumerated in shore")
+
+
+def _build(digraph: Digraph, order: list, found: list, is_dibond: Optional[bool] = None) -> list:
+    """The dicuts given as (in shore vertex mask, edge mask) pairs, sorted by
+    shore size, then sorted shore.
+
+    Vertex bit j is order[j], the j-th largest vertex, so the least vertex
+    where two shores of one size differ lies in the one with the larger
+    mask: that shore comes first in sorted-tuple order.
+    """
+    found.sort(key=lambda item: (item[0].bit_count(), -item[0]))
+    return [
+        Dicut._known(
+            digraph,
+            # bin() lists the bits high to low; reversed and mapped to
+            # bytes 0 and 1 they select the shore from `order` in C.
+            frozenset(compress(order, bin(vertex_mask)[:1:-1].encode().translate(_BITS))),
+            frozenset(bit_positions(edge_mask)),
+            is_dibond,
+        )
+        for vertex_mask, edge_mask in found
     ]
-    shores.sort(key=lambda y: (len(y), tuple(sorted(y))))
-    return shores
 
 
 def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
@@ -178,28 +249,32 @@ def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
         return []
     desc = _transitive_closure(succ)
     anc = _transitive_closure(pred)
+    order, verts, tails, heads = _bit_tables(digraph, cond, comps)
+    desc_masks = _closure_masks(succ, desc, (verts, tails, heads))
     found: list = []
     # Each entry is (next component index, in shore mask, out shore mask)
-    # over the components decided so far.
-    stack: list = [(0, 0, 0)]
+    # over the components decided so far, and the masks of the in shore's
+    # vertices and of the edges whose tail, and whose head, lies in it.
+    stack: list = [(0, 0, 0, 0, 0, 0)]
     while stack:
-        i, ins, outs = stack.pop()
+        i, ins, outs, vs, ts, hs = stack.pop()
         decided = ins | outs
         while i < k and decided >> i & 1:
             i += 1
         if i == k:
-            # Some edge enters the in shore: a component in it has a
-            # predecessor outside it.
-            if any(pred[p] & ~ins for p in bit_positions(ins)):
+            entering = hs & ~ts
+            if entering:
                 if len(found) >= cap:
                     raise CapExceeded(cap, "enumerating dicuts")
-                found.append(ins)
+                _check_dicut(ts & ~hs)
+                found.append((vs, entering))
             continue
         if not desc[i] & outs:
-            stack.append((i + 1, ins | desc[i], outs))
+            dv, dt, dh = desc_masks[i]
+            stack.append((i + 1, ins | desc[i], outs, vs | dv, ts | dt, hs | dh))
         if not anc[i] & ins:
-            stack.append((i + 1, ins, outs | anc[i]))
-    return [Dicut(digraph, y) for y in _shores(cond, comps, found)]
+            stack.append((i + 1, ins, outs | anc[i], vs, ts, hs))
+    return _build(digraph, order, found)
 
 
 def _reach_within(und: list, subset: int, start: int) -> int:
@@ -214,6 +289,59 @@ def _reach_within(und: list, subset: int, start: int) -> int:
         frontier = step & subset & ~seen
         seen |= frontier
     return seen
+
+
+def _dibond_masks(digraph: Digraph, cap: int) -> tuple:
+    """The dibond walk of enumerate_dibonds: the vertices in descending
+    order, and each dibond as an (in shore vertex mask, edge mask) pair,
+    in walk order."""
+    if not is_weakly_connected(digraph):
+        raise PreconditionViolated("dibonds need a weakly connected digraph")
+    cond = condensation(digraph)
+    comps, _succ, pred, und = _dag_masks(cond)
+    k = len(comps)
+    if k <= 1:
+        return [], []
+    anc = _transitive_closure(pred)
+    order, verts, tails, heads = _bit_tables(digraph, cond, comps)
+    anc_masks = _closure_masks(pred, anc, (und, verts, tails, heads))
+    full = (1 << k) - 1
+    all_vertices = (1 << len(order)) - 1
+    found: list = []
+
+    for idx in range(k):
+        base = anc[idx]
+        below = (1 << idx) - 1
+        if base & below:
+            continue
+        # Each entry is (grown set, forbidden components, and the masks of
+        # the grown set's undirected neighbours, of its vertices and of the
+        # edges whose tail, and whose head, lies in it).
+        stack: list = [(base, below) + anc_masks[idx]]
+        while stack:
+            s, forbidden, nbrs, vs, ts, hs = stack.pop()
+            complement = full ^ s
+            if not complement:
+                continue
+            start = forbidden or complement
+            reach = _reach_within(und, complement, start & -start)
+            if forbidden & ~reach:
+                continue
+            if reach == complement:
+                if len(found) >= cap:
+                    raise CapExceeded(cap, "enumerating dibonds")
+                # The in shore is the complement, so the dibond's edges
+                # have their tail in s and their head outside it.
+                _check_dicut(hs & ~ts)
+                found.append((all_vertices ^ vs, ts & ~hs))
+            blocked = forbidden
+            for u in bit_positions(nbrs & complement & ~forbidden):
+                need = anc[u]
+                if not need & blocked:
+                    un, uv, ut, uh = anc_masks[u]
+                    stack.append((s | need, blocked, nbrs | un, vs | uv, ts | ut, hs | uh))
+                blocked |= 1 << u
+    return order, found
 
 
 def enumerate_dibonds(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
@@ -235,61 +363,30 @@ def enumerate_dibonds(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     the branch is dropped. One search from the least forbidden component
     (or the least complement component when nothing is forbidden) decides
     both that prune and whether the complement is connected, which selects
-    the dibonds. Raises CapExceeded when the dibond count would pass the
+    the dibonds.
+
+    Alongside each grown set the walk carries the masks of its vertices and
+    of the edges whose tail, and whose head, lies in it, ORing in those of
+    each ancestor closure it adds. A dibond's edge set is then the tail
+    mask minus the head mask, and the dicut check, that no edge leaves the
+    in shore, is the head mask minus the tail mask being empty: a few int
+    operations per dibond, with no pass over its vertices. Each Dicut is
+    built once, from these masks, with its edge set and dibond status
+    filled in. Raises CapExceeded when the dibond count would pass the
     cap, and PreconditionViolated when the digraph is not weakly connected,
     where no nonempty dicut has two weakly connected shores.
     """
-    if not is_weakly_connected(digraph):
-        raise PreconditionViolated("dibonds need a weakly connected digraph")
-    cond = condensation(digraph)
-    comps, _succ, pred, und = _dag_masks(cond)
-    k = len(comps)
-    if k <= 1:
-        return []
-    anc = _transitive_closure(pred)
-    # The undirected neighbours of each ancestor closure.
-    anc_und = []
-    for closure in anc:
-        nbrs = 0
-        for p in bit_positions(closure):
-            nbrs |= und[p]
-        anc_und.append(nbrs)
-    full = (1 << k) - 1
-    in_shores: list = []
-
-    for idx in range(k):
-        base = anc[idx]
-        below = (1 << idx) - 1
-        if base & below:
-            continue
-        # Each entry is (grown set, forbidden components, undirected
-        # neighbours of the grown set).
-        stack: list = [(base, below, anc_und[idx])]
-        while stack:
-            s, forbidden, nbrs = stack.pop()
-            complement = full ^ s
-            if not complement:
-                continue
-            start = forbidden or complement
-            reach = _reach_within(und, complement, start & -start)
-            if forbidden & ~reach:
-                continue
-            if reach == complement:
-                if len(in_shores) >= cap:
-                    raise CapExceeded(cap, "enumerating dibonds")
-                in_shores.append(complement)
-            blocked = forbidden
-            for u in bit_positions(nbrs & complement & ~forbidden):
-                need = anc[u]
-                if not need & blocked:
-                    stack.append((s | need, blocked, nbrs | anc_und[u]))
-                blocked |= 1 << u
-
-    return [Dicut(digraph, y) for y in _shores(cond, comps, in_shores)]
+    order, found = _dibond_masks(digraph, cap)
+    return _build(digraph, order, found, True)
 
 
 def dibonds_containing_edge(digraph: Digraph, e: EdgeId, cap: int = DEFAULT_CAP) -> list:
-    """All dibonds whose edge set contains the edge id `e`."""
+    """All dibonds whose edge set contains the edge id `e`, in enumerate_dibonds order.
+
+    The cap counts every dibond, as in enumerate_dibonds; only those whose
+    edge mask has bit e are built.
+    """
     if not 0 <= e < digraph.m:
         raise ValueError(f"unknown edge id {e}")
-    return [b for b in enumerate_dibonds(digraph, cap) if e in b.edge_set]
+    order, found = _dibond_masks(digraph, cap)
+    return _build(digraph, order, [item for item in found if item[1] >> e & 1], True)

@@ -37,15 +37,10 @@ from itertools import product
 from typing import Callable, Iterable, Optional
 
 from .core import Dicut, Digraph, dicut_from_edge_set, is_weakly_connected, nested
-from .enumeration import (
-    DEFAULT_CAP,
-    condensation,
-    dibonds_containing_edge,
-    enumerate_dibonds,
-)
+from .enumeration import DEFAULT_CAP, condensation, dibonds_containing_edge
 from .errors import CapExceeded
 from .reduce import contract_to
-from .solver import DibondClass, _member_key, maximal_nested_disjoint_family
+from .solver import DibondClass, _sorted_dibonds, maximal_nested_disjoint_family
 
 
 @dataclass(frozen=True)
@@ -349,7 +344,7 @@ def window(spec: FamilySpec, n: int) -> FamilyWindow:
 
 
 def finite_dibonds_in_window(w: FamilyWindow, cap: int = DEFAULT_CAP) -> list:
-    """All dibonds of the window digraph, canonically ordered.
+    """All dibonds of the window digraph, in the order of the full class.
 
     The window has exactly the window edges, so these are the finite
     dibonds of the infinite digraph that fit inside the window. The
@@ -357,7 +352,7 @@ def finite_dibonds_in_window(w: FamilyWindow, cap: int = DEFAULT_CAP) -> list:
     enumeration.
     """
     if cap not in w._dibond_cache:
-        w._dibond_cache[cap] = sorted(enumerate_dibonds(w.digraph, cap), key=_member_key)
+        w._dibond_cache[cap] = _sorted_dibonds(w.digraph, cap)
     return list(w._dibond_cache[cap])
 
 

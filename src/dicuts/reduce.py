@@ -244,9 +244,9 @@ def split_solve_merge(digraph: Digraph, klass: DibondClass) -> Optional[OptimalP
     are automatically disjoint and nested, which the final verification
     re-checks rather than assumes. Each block's sub-class is corner-closed
     when the class is, since the corners of two dibonds of one block have
-    their edges in that block. Returns None exactly when some block has a
-    genuine duality gap, which is possible only when the class is not
-    corner-closed.
+    their edges in that block. Returns None exactly when nested_optimal_pair
+    does on some block: a genuine duality gap, or no nested pair of the
+    dijoin's size, both possible only when the class is not corner-closed.
     """
     tree = block_cut_tree(digraph)
     by_block: dict = {}

@@ -65,7 +65,18 @@ from .errors import (
 
 
 def _member_key(d: Dicut) -> tuple:
-    return (len(d.edge_set), tuple(sorted(d.edge_set)), tuple(sorted(d.in_shore)))
+    """The class order: edge count, then sorted edge ids.
+
+    Distinct nonempty dicuts of a weakly connected digraph have distinct
+    edge sets (see core.dicut_from_edge_set), so the key never ties
+    between class members or between the members of a disjoint family.
+    """
+    return (len(d.edge_set), tuple(sorted(d.edge_set)))
+
+
+def _sorted_dibonds(digraph: Digraph, cap: int) -> list:
+    """Every dibond of the digraph in class order: the full class's members."""
+    return sorted(enumerate_dibonds(digraph, cap), key=_member_key)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +97,7 @@ class DibondClass:
     @staticmethod
     def full(digraph: Digraph, cap: int = DEFAULT_CAP) -> "DibondClass":
         """The class of all dibonds; corner-closed by construction."""
-        members = tuple(sorted(enumerate_dibonds(digraph, cap), key=_member_key))
+        members = tuple(_sorted_dibonds(digraph, cap))
         return DibondClass(digraph=digraph, members=members, corner_closed=True)
 
     @staticmethod
@@ -478,15 +489,24 @@ def nested_optimal_pair(digraph: Digraph, klass: DibondClass) -> Optional[Optima
 
     Solves for an optimal pair; when its family crosses, uncrosses it and
     verifies the result again. A family that is already nested is returned
-    as optimal_pair verified it. Returns None exactly when optimal_pair
-    does (a genuine gap on a class that is not corner-closed). On such a
-    class uncross may also raise PreconditionViolated, when the dijoin
-    misses a corner of a crossing pair.
+    as optimal_pair verified it. On a class that is not corner-closed the
+    dijoin may miss a corner of a crossing pair, so that uncross refuses;
+    then the largest pairwise nested disjoint family of members is
+    searched for instead, stopping at the dijoin size. Returns None when
+    optimal_pair does (a genuine gap) or when that nested family is
+    smaller than the dijoin.
     """
     pair = optimal_pair(digraph, klass)
     if pair is None or pair.nested:
         return pair
-    fam = uncross(digraph, pair.dijoin, pair.family, klass=klass)
+    try:
+        fam = uncross(digraph, pair.dijoin, pair.family, klass=klass)
+    except PreconditionViolated:
+        if klass.corner_closed:
+            raise
+        fam = _disjoint_members(klass, len(pair.dijoin), nested)
+        if len(fam) < len(pair.dijoin):
+            return None
     nested_pair = OptimalPair(
         dijoin=pair.dijoin, family=tuple(sorted(fam, key=_member_key)), nested=True
     )

@@ -8,14 +8,18 @@ import pytest
 
 from dicuts import (
     CapExceeded,
+    DibondClass,
+    Dicut,
     Digraph,
     condensation,
+    dibond_growth,
     dibonds_containing_edge,
     enumerate_dibonds,
     enumerate_dicuts,
     get_family,
     window,
 )
+from dicuts import enumeration
 
 from .oracles import brute_dibonds, brute_dicuts, kosaraju_scc, random_weak_digraph
 
@@ -158,3 +162,131 @@ class TestEnumerateDibonds:
 
     def test_grid_window_10_dibond_count(self):
         assert len(enumerate_dibonds(window(get_family("grid_d2"), 10).digraph)) == 3059
+
+
+def _shore_order(y):
+    return (len(y), tuple(sorted(y)))
+
+
+def _class_order_with_shores(d):
+    return (len(d.edge_set), tuple(sorted(d.edge_set)), tuple(sorted(d.in_shore)))
+
+
+def _relabelled(d, name):
+    """The digraph with each vertex `v<i>` renamed to name(i)."""
+    rename = {v: name(int(v[1:])) for v in d.vertices}
+    return Digraph.from_edges((rename[t], rename[h]) for t, h in d.edges)
+
+
+def _mask_test_digraphs(zigzag_max=12):
+    rng = random.Random(12)
+    for k in range(90):
+        d = random_weak_digraph(rng, max_n=9, max_extra=10)
+        if k % 3 == 1:
+            d = _relabelled(d, lambda i: i)
+        elif k % 3 == 2:
+            d = _relabelled(d, lambda i: (i % 2, -i))
+        yield d
+    for n in range(1, 8):
+        yield window(get_family("grid_d2"), n).digraph
+    for n in range(1, zigzag_max + 1):
+        yield window(get_family("zigzag_d1"), n).digraph
+
+
+class TestMaskBuiltMembers:
+    """The walks build each member from masks; a Dicut built from its
+    shore alone must agree with it, in the old shore order."""
+
+    @staticmethod
+    def assert_like_fresh_dicuts(d, members):
+        shores = [m.in_shore for m in members]
+        assert shores == sorted(shores, key=_shore_order)
+        assert len(set(shores)) == len(shores)
+        for m in members:
+            fresh = Dicut(d, m.in_shore)
+            assert m.digraph is d
+            assert m.edge_set == fresh.edge_set
+            assert m.is_dibond == fresh.is_dibond
+
+    def test_dibonds_match_fresh_dicuts(self):
+        seen_parallel = seen_strong = seen_int = seen_tuple = False
+        for d in _mask_test_digraphs():
+            seen_parallel |= len(set(d.edges)) < d.m
+            seen_strong |= any(len(ms) > 1 for ms in condensation(d).component_members.values())
+            seen_int |= all(isinstance(v, int) for v in d.vertices)
+            seen_tuple |= all(isinstance(v, tuple) for v in d.vertices)
+            bonds = enumerate_dibonds(d)
+            assert all(b.is_dibond for b in bonds)
+            self.assert_like_fresh_dicuts(d, bonds)
+        assert seen_parallel and seen_strong and seen_int and seen_tuple
+
+    def test_dicuts_match_fresh_dicuts(self):
+        # zigzag_d1 n=10 has 17,710 dicuts; n=12 has 121,392.
+        for d in _mask_test_digraphs(zigzag_max=10):
+            self.assert_like_fresh_dicuts(d, enumerate_dicuts(d))
+
+    def test_class_order_never_needs_the_shores(self):
+        for d in _mask_test_digraphs():
+            bonds = enumerate_dibonds(d)
+            assert DibondClass.full(d).members == tuple(
+                sorted(bonds, key=_class_order_with_shores)
+            )
+            assert len({b.edge_set for b in bonds}) == len(bonds)
+
+    def test_long_path_members_match_fresh_dicuts(self):
+        path = Digraph.from_edges([(i, i + 1) for i in range(1200)])
+        bonds = enumerate_dibonds(path)
+        assert [b.in_shore for b in bonds] == [
+            frozenset(range(i, 1201)) for i in range(1200, 0, -1)
+        ]
+        assert [b.edge_set for b in bonds] == [frozenset({i - 1}) for i in range(1200, 0, -1)]
+        assert enumerate_dicuts(path) == bonds
+        for b in bonds[::97]:
+            assert b.is_dibond and Dicut(path, b.in_shore).is_dibond
+
+    def test_the_mask_dicut_check_is_not_skipped(self, monkeypatch):
+        # The masks gain an edge t->s that the digraph lacks; it leaves
+        # every in shore of the diamond, which holds t but not s.
+        bit_tables = enumeration._bit_tables
+
+        def with_phantom_edge(digraph, cond, comps):
+            order, verts, tails, heads = bit_tables(digraph, cond, comps)
+            tails[comps.index("t")] |= 1 << digraph.m
+            heads[comps.index("s")] |= 1 << digraph.m
+            return order, verts, tails, heads
+
+        monkeypatch.setattr(enumeration, "_bit_tables", with_phantom_edge)
+        for enumerate_cuts in (enumerate_dicuts, enumerate_dibonds):
+            with pytest.raises(RuntimeError, match="leaves an enumerated in shore"):
+                enumerate_cuts(diamond())
+
+
+class TestDibondsContainingEdge:
+    def test_equals_the_filter_for_every_edge(self):
+        for d in _mask_test_digraphs():
+            bonds = enumerate_dibonds(d)
+            for e in d.edge_ids():
+                assert dibonds_containing_edge(d, e) == [b for b in bonds if e in b.edge_set]
+
+    def test_cap_counts_every_dibond(self):
+        d = window(get_family("zigzag_d1"), 8).digraph
+        total = len(enumerate_dibonds(d))
+        counts = [len(dibonds_containing_edge(d, e)) for e in d.edge_ids()]
+        rare = counts.index(min(counts))
+        assert counts[rare] < total // 4
+        for e in (0, rare):
+            assert len(dibonds_containing_edge(d, e, cap=total)) == counts[e]
+            with pytest.raises(CapExceeded):
+                dibonds_containing_edge(d, e, cap=total - 1)
+
+    def test_growth_counts_equal_the_per_window_filter(self):
+        spec = get_family("zigzag_d1")
+        want = []
+        for n in range(1, 13):
+            w = window(spec, n)
+            e = w.name_to_edge.get("a0->b1")
+            want.append(
+                0 if e is None else sum(e in b.edge_set for b in enumerate_dibonds(w.digraph))
+            )
+        assert dibond_growth(spec, "a0->b1", 12) == tuple(want)
+        assert any(want)

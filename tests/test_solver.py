@@ -28,6 +28,7 @@ from dicuts import (
     nested,
     nested_optimal_pair,
     optimal_pair,
+    split_solve_merge,
     uncross,
     verify_optimal_pair,
     window,
@@ -381,6 +382,52 @@ class TestDualityGap:
         sets = [m.edge_set for m in klass.members]
         assert all(a & b for a in sets for b in sets)
         assert not (sets[0] & sets[1] & sets[2])
+
+    def test_refused_uncrossing_without_a_nested_pair_gives_none(self):
+        # Once PreconditionViolated from uncross: optimal_pair verifies the
+        # dijoin {s->a, s->b} with the crossing members {a, t} and {b, t},
+        # whose meet {t} the dijoin misses; no nested pair of size 2 exists.
+        d = diamond()
+        klass = DibondClass.from_members(d, [Dicut(d, {"a", "t"}), Dicut(d, {"b", "t"})])
+        assert not klass.corner_closed
+        pair = optimal_pair(d, klass)
+        assert pair is not None and not pair.nested
+        with pytest.raises(PreconditionViolated, match="corner dicut"):
+            uncross(d, pair.dijoin, pair.family, klass=klass)
+        assert nested_optimal_pair(d, klass) is None
+        assert split_solve_merge(d, klass) is None
+
+    def test_refused_uncrossing_falls_back_to_a_nested_packing(self):
+        # Once PreconditionViolated from uncross; the nested packing finds
+        # two disjoint nested members that the dijoin meets once each.
+        edges = "1 0, 2 1, 3 0, 3 4, 5 4, 4 0, 5 2"
+        d = Digraph.from_edges(tuple(e.split()) for e in edges.split(", "))
+        shores = ({"0", "3", "4"}, {"0", "1", "2", "3", "4"}, {"0", "1"})
+        klass = DibondClass.from_members(d, [Dicut(d, y) for y in shores])
+        assert not klass.corner_closed
+        pair = optimal_pair(d, klass)
+        assert pair is not None and not pair.nested
+        with pytest.raises(PreconditionViolated, match="corner dicut"):
+            uncross(d, pair.dijoin, pair.family, klass=klass)
+        for nested_pair in (nested_optimal_pair(d, klass), split_solve_merge(d, klass)):
+            assert nested_pair.nested and nested_pair.dijoin == pair.dijoin
+            assert [m.in_shore for m in nested_pair.family] == [
+                frozenset({"0", "1", "2", "3", "4"}),
+                frozenset({"0", "1"}),
+            ]
+            verify_optimal_pair(d, klass, nested_pair)
+
+    def test_refused_uncrossing_on_a_corner_closed_class_raises(self, monkeypatch):
+        # The diamond with its edges listed so that the first packing crosses.
+        d = Digraph.from_edges([("s", "a"), ("a", "t"), ("b", "t"), ("s", "b")])
+        klass = DibondClass.full(d)
+
+        def refuse(*args, **kwargs):
+            raise PreconditionViolated("planted")
+
+        monkeypatch.setattr(solver, "uncross", refuse)
+        with pytest.raises(PreconditionViolated, match="planted"):
+            nested_optimal_pair(d, klass)
 
     def test_gap_on_a_corner_closed_class_raises(self, monkeypatch):
         d = diamond()
