@@ -14,8 +14,14 @@ instead of every connected predecessor-closed set.
 The walks index the strong components in ascending id order and hold
 every set of components as an int mask, bit i standing for the i-th
 component: ancestor and descendant closures, undirected neighbours, the
-sets grown and forbidden, their complements and the reach searches. Bit
+sets grown and forbidden, their complements and their reaches. Bit
 order is id order, so every branch order is that of the component ids.
+A set's reach, the weak component of its complement that holds its
+start, is found from its parent's: removing a closure from a connected
+set can split it only at the closure's neighbours, so the search inside
+the parent's reach stops once it has joined those neighbours up again
+(the observation behind decremental connectivity; Even and Shiloach,
+"An on-line edge-deletion problem", JACM 1981).
 Every walk uses an explicit stack, so recursion depth never grows with the
 number of strong components. Every enumeration takes a cap and raises
 CapExceeded as soon as the result count would pass it; a capped call never
@@ -277,18 +283,29 @@ def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     return _build(digraph, order, found)
 
 
-def _reach_within(und: list, subset: int, start: int) -> int:
-    """The components of `subset` joined to the `start` bit by an undirected path inside it."""
+def _neighbours(und: list, mask: int) -> int:
+    """The union of the undirected neighbours of the components in `mask`."""
+    step = 0
+    while mask:
+        low = mask & -mask
+        step |= und[low.bit_length() - 1]
+        mask ^= low
+    return step
+
+
+def _reach_within(und: list, subset: int, start: int, stop: int) -> int:
+    """The components of `subset` joined to the `start` bit by an undirected path inside it.
+
+    The search returns all of `subset` once it has seen every component
+    of `stop`: the caller passes a stop set that every weak component of
+    `subset` touches, so one search reaching all of it has joined them
+    all. With `subset` itself as the stop set this is a plain search.
+    """
     seen = frontier = start
-    while frontier:
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            step |= und[low.bit_length() - 1]
-            frontier ^= low
-        frontier = step & subset & ~seen
+    while frontier and stop & ~seen:
+        frontier = _neighbours(und, frontier) & subset & ~seen
         seen |= frontier
-    return seen
+    return seen if stop & ~seen else subset
 
 
 def _dibond_masks(digraph: Digraph, cap: int) -> tuple:
@@ -314,17 +331,30 @@ def _dibond_masks(digraph: Digraph, cap: int) -> tuple:
         below = (1 << idx) - 1
         if base & below:
             continue
-        # Each entry is (grown set, forbidden components, and the masks of
-        # the grown set's undirected neighbours, of its vertices and of the
-        # edges whose tail, and whose head, lies in it).
-        stack: list = [(base, below) + anc_masks[idx]]
+        # Each entry is (grown set, forbidden components, the parent's
+        # reach, the components this set removes from the parent's
+        # complement, and the masks of the grown set's undirected
+        # neighbours, of its vertices and of the edges whose tail, and
+        # whose head, lies in it).
+        stack: list = [(base, below, 0, 0) + anc_masks[idx]]
         while stack:
-            s, forbidden, nbrs, vs, ts, hs = stack.pop()
+            s, forbidden, parent_reach, removed, nbrs, vs, ts, hs = stack.pop()
             complement = full ^ s
             if not complement:
                 continue
             start = forbidden or complement
-            reach = _reach_within(und, complement, start & -start)
+            start &= -start
+            if not start & parent_reach:
+                reach = _reach_within(und, complement, start, complement)
+            elif removed & parent_reach:
+                # The parent's reach was connected, so every weak component
+                # of what is left of it touches a neighbour of the removed
+                # part: reaching all those neighbours reconnects it.
+                rest = parent_reach & ~removed
+                boundary = _neighbours(und, removed & parent_reach) & rest
+                reach = _reach_within(und, rest, start, boundary)
+            else:
+                reach = parent_reach
             if forbidden & ~reach:
                 continue
             if reach == complement:
@@ -339,7 +369,10 @@ def _dibond_masks(digraph: Digraph, cap: int) -> tuple:
                 need = anc[u]
                 if not need & blocked:
                     un, uv, ut, uh = anc_masks[u]
-                    stack.append((s | need, blocked, nbrs | un, vs | uv, ts | ut, hs | uh))
+                    stack.append(
+                        (s | need, blocked, reach, need & complement,
+                         nbrs | un, vs | uv, ts | ut, hs | uh)
+                    )
                 blocked |= 1 << u
     return order, found
 
@@ -360,10 +393,22 @@ def enumerate_dibonds(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     complement. Growing the set only removes components from the
     complement, so once the forbidden components lie in two different weak
     components of the complement, no set grown from here is a dibond and
-    the branch is dropped. One search from the least forbidden component
-    (or the least complement component when nothing is forbidden) decides
-    both that prune and whether the complement is connected, which selects
-    the dibonds.
+    the branch is dropped. The set's reach, the weak component of the
+    complement that holds the least forbidden component (or the least
+    complement component when nothing is forbidden), decides both that
+    prune and whether the complement is connected, which selects the
+    dibonds.
+
+    Each set carries its parent's reach R and the components N that it
+    removes from the parent's complement. When its start lies in R and N
+    misses R, its reach is R. When N meets R, the reach lies in X = R - N,
+    and the search there from the start stops as soon as it has seen every
+    neighbour of N inside X: R was connected, so every weak component of
+    X holds such a neighbour, and once they are all joined the reach is
+    X. Only when the start lies outside R, at the anchors and the few sets
+    right after them, is the whole complement searched. On a directed
+    path each set then costs a few mask operations, not a search of its
+    complement.
 
     Alongside each grown set the walk carries the masks of its vertices and
     of the edges whose tail, and whose head, lies in it, ORing in those of

@@ -402,13 +402,14 @@ def nested_extension_search(
     edge_set = _named_ids(w, set_name)
     if not edge_set:
         return {}
-    dibonds = finite_dibonds_in_window(w, cap)
-    candidates = {}
-    for e in sorted(edge_set):
-        cands = [b for b in dibonds if e in b.edge_set and len(b.edge_set & edge_set) == 1]
-        if not cands:
-            return None
-        candidates[e] = cands
+    # A dibond is a candidate for the one named edge it meets, if any.
+    candidates: dict = {e: [] for e in edge_set}
+    for b in finite_dibonds_in_window(w, cap):
+        hit = b.edge_set & edge_set
+        if len(hit) == 1:
+            candidates[next(iter(hit))].append(b)
+    if not all(candidates.values()):
+        return None
     order = sorted(edge_set, key=lambda e: (len(candidates[e]), e))
     picked: list = []  # the dibond chosen for each edge of order, so far
 
@@ -538,7 +539,7 @@ def dibond_growth(
         raise ValueError(f"edge {edge_name!r} is not inside window {n_max}")
     counts = []
     for n in range(1, n_max + 1):
-        w = window(spec, n)
+        w = w_max if n == n_max else window(spec, n)
         e = w.name_to_edge.get(edge_name)
         if e is None:
             counts.append(0)

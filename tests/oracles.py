@@ -13,7 +13,9 @@ The set-solver references below are the package's earlier frozenset
 kernels, kept so that the mask kernels can be required to return the
 same answers, tie-breaks included; `konig_by_matching_enumeration`
 likewise keeps the earlier Koenig search, on the package's own
-transversal search.
+transversal search, and `dibond_masks_by_rescan` the earlier dibond walk,
+which searches the whole complement at every set, on the package's own
+condensation and bit tables.
 """
 
 from __future__ import annotations
@@ -22,7 +24,18 @@ import itertools
 import random
 from collections import deque
 
-from dicuts import Dicut, Digraph, exact_max_set_packing, finite_dibonds_in_window, nested
+from dicuts import (
+    CapExceeded,
+    Dicut,
+    Digraph,
+    condensation,
+    exact_max_set_packing,
+    finite_dibonds_in_window,
+    is_weakly_connected,
+    nested,
+)
+from dicuts.core import bit_positions
+from dicuts.enumeration import _bit_tables, _closure_masks, _dag_masks, _transitive_closure
 from dicuts.hypergraph import _covering_transversal
 
 
@@ -157,6 +170,68 @@ def nested_extension_by_recursion(w, set_name):
         return False
 
     return dict(chosen) if search(0) else None
+
+
+def dibond_masks_by_rescan(digraph, cap=10**6):
+    """The dibond walk that `enumeration._dibond_masks` replaced.
+
+    The same anchored growth, prune and emission, in the same order, but
+    the reach of every set is a fresh search over its whole complement;
+    kept so that the walk that carries each set's reach can be required
+    to return the same (vertex mask, edge mask) list in the same order.
+    """
+    if not is_weakly_connected(digraph):
+        raise ValueError("dibonds need a weakly connected digraph")
+    cond = condensation(digraph)
+    comps, _succ, pred, und = _dag_masks(cond)
+    k = len(comps)
+    if k <= 1:
+        return [], []
+    anc = _transitive_closure(pred)
+    order, verts, tails, heads = _bit_tables(digraph, cond, comps)
+    anc_masks = _closure_masks(pred, anc, (und, verts, tails, heads))
+    full = (1 << k) - 1
+    all_vertices = (1 << len(order)) - 1
+    found = []
+
+    def reach_within(subset, start):
+        seen = frontier = start
+        while frontier:
+            step = 0
+            for i in bit_positions(frontier):
+                step |= und[i]
+            frontier = step & subset & ~seen
+            seen |= frontier
+        return seen
+
+    for idx in range(k):
+        base = anc[idx]
+        below = (1 << idx) - 1
+        if base & below:
+            continue
+        stack = [(base, below) + anc_masks[idx]]
+        while stack:
+            s, forbidden, nbrs, vs, ts, hs = stack.pop()
+            complement = full ^ s
+            if not complement:
+                continue
+            start = forbidden or complement
+            reach = reach_within(complement, start & -start)
+            if forbidden & ~reach:
+                continue
+            if reach == complement:
+                if len(found) >= cap:
+                    raise CapExceeded(cap, "enumerating dibonds")
+                assert not hs & ~ts
+                found.append((all_vertices ^ vs, ts & ~hs))
+            blocked = forbidden
+            for u in bit_positions(nbrs & complement & ~forbidden):
+                need = anc[u]
+                if not need & blocked:
+                    un, uv, ut, uh = anc_masks[u]
+                    stack.append((s | need, blocked, nbrs | un, vs | uv, ts | ut, hs | uh))
+                blocked |= 1 << u
+    return order, found
 
 
 # ---------------------------------------------------------------------------

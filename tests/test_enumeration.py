@@ -21,7 +21,13 @@ from dicuts import (
 )
 from dicuts import enumeration
 
-from .oracles import brute_dibonds, brute_dicuts, kosaraju_scc, random_weak_digraph
+from .oracles import (
+    brute_dibonds,
+    brute_dicuts,
+    dibond_masks_by_rescan,
+    kosaraju_scc,
+    random_weak_digraph,
+)
 
 
 def diamond():
@@ -290,3 +296,38 @@ class TestDibondsContainingEdge:
             )
         assert dibond_growth(spec, "a0->b1", 12) == tuple(want)
         assert any(want)
+
+
+class TestCarriedReach:
+    """The walk finds each set's reach from its parent's; the walk that
+    searches the whole complement at every set must give the same list."""
+
+    def test_random_digraphs_with_strong_components(self):
+        rng = random.Random(9)
+        checked = 0
+        while checked < 320:
+            d = random_weak_digraph(rng, max_n=12, max_extra=14)
+            comps = condensation(d).component_members.values()
+            if len(comps) == 1 or all(len(ms) == 1 for ms in comps):
+                continue
+            checked += 1
+            assert enumeration._dibond_masks(d, 10**6) == dibond_masks_by_rescan(d)
+
+    @pytest.mark.parametrize(
+        "family,n",
+        [("grid_d2", n) for n in range(1, 10)] + [("zigzag_d1", n) for n in range(1, 61)],
+    )
+    def test_family_windows(self, family, n):
+        d = window(get_family(family), n).digraph
+        assert enumeration._dibond_masks(d, 10**6) == dibond_masks_by_rescan(d)
+
+    def test_long_path(self):
+        path = Digraph.from_edges([(i, i + 1) for i in range(1200)])
+        assert enumeration._dibond_masks(path, 10**6) == dibond_masks_by_rescan(path)
+
+    def test_edge_on_the_6000_vertex_path(self):
+        # Rescanning the complement at every set makes this quadratic.
+        path = Digraph.from_edges([(i, i + 1) for i in range(6000)])
+        (bond,) = dibonds_containing_edge(path, 0)
+        assert bond.in_shore == frozenset(range(1, 6001))
+        assert bond.edge_set == frozenset({0})

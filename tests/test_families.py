@@ -25,6 +25,7 @@ from dicuts import (
     window,
     window_coherent,
 )
+from dicuts import families
 
 from .oracles import finitary_by_scan, nested_extension_by_recursion
 
@@ -210,6 +211,28 @@ class TestNestedExtensionSearch:
                 got = nested_extension_search(w, set_name)
                 assert got == nested_extension_by_recursion(w, set_name)
 
+    def test_random_edge_sets_agree_with_the_recursion(self):
+        # Small random sets reach every outcome: a selection, no selection,
+        # and an edge that no dibond meets without another edge of the set.
+        rng = random.Random(23)
+        windows = [
+            window(get_family(family), n) for family, n in TestFinitaryByStrongConnectivity.WINDOWS
+        ]
+        outcomes = set()
+        for _ in range(200):
+            w = rng.choice(windows)
+            sample = frozenset(rng.sample(range(w.digraph.m), min(w.digraph.m, rng.randint(1, 4))))
+            w = replace(w, named_edge_sets={"sample": sample})
+            got = nested_extension_search(w, "sample")
+            assert got == nested_extension_by_recursion(w, "sample")
+            dibonds = finite_dibonds_in_window(w)
+            orphan = any(
+                all(len(b.edge_set & sample) != 1 or e not in b.edge_set for b in dibonds)
+                for e in sample
+            )
+            outcomes.add("orphan" if orphan else got is not None)
+        assert outcomes == {True, False, "orphan"}
+
     def test_zigzag_window_60_stays_within_the_recursion_limit(self):
         # The search once recursed once per named edge: 60 levels here.
         w = window(get_family("zigzag_d1"), 60)
@@ -300,6 +323,17 @@ class TestGrowth:
     def test_unknown_edge_name_is_rejected(self):
         with pytest.raises(ValueError):
             dibond_growth(get_family("ladder"), "zzz", 3)
+
+    def test_each_window_is_built_once(self, monkeypatch):
+        built = []
+
+        def counting_window(spec, n):
+            built.append(n)
+            return window(spec, n)
+
+        monkeypatch.setattr(families, "window", counting_window)
+        assert dibond_growth(get_family("zigzag_d1"), "b0->r", 6) == (1, 2, 3, 4, 5, 6)
+        assert sorted(built) == [1, 2, 3, 4, 5, 6]
 
 
 class TestCompactness:
