@@ -18,6 +18,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Hashable, Iterable, Optional
 
+from .errors import PreconditionViolated
+
 Vertex = Hashable
 EdgeId = int
 
@@ -361,7 +363,10 @@ def decompose_dicut(dicut: Dicut) -> list:
     Repeatedly splits along disconnected shores: a disconnected in shore
     splits the edge set by head component, a disconnected out shore by tail
     component. Every edge of the input lands in exactly one returned dibond.
-    Deterministic: the result is sorted by edge id tuples.
+    Deterministic: the result is sorted by edge id tuples. On a weakly
+    connected digraph every part of a split has an entering edge. A part
+    without one raises PreconditionViolated: the digraph has no dibond,
+    and its splits could cycle forever.
     """
     if dicut.is_empty:
         raise ValueError("cannot decompose an empty dicut")
@@ -372,13 +377,16 @@ def decompose_dicut(dicut: Dicut) -> list:
         cur = stack.pop()
         in_comps = weak_components_within(digraph, cur.in_shore)
         if len(in_comps) > 1:
-            stack.extend(Dicut(digraph, comp) for comp in in_comps)
-            continue
-        out_comps = weak_components_within(digraph, cur.out_shore)
-        if len(out_comps) > 1:
-            stack.extend(Dicut(digraph, digraph.vertices - comp) for comp in out_comps)
-            continue
-        parts.append(cur)
+            split = [Dicut(digraph, comp) for comp in in_comps]
+        else:
+            out_comps = weak_components_within(digraph, cur.out_shore)
+            if len(out_comps) == 1:
+                parts.append(cur)
+                continue
+            split = [Dicut(digraph, digraph.vertices - comp) for comp in out_comps]
+        if any(part.is_empty for part in split):
+            raise PreconditionViolated("dibonds need a weakly connected digraph")
+        stack.extend(split)
     parts.sort(key=lambda d: tuple(sorted(d.edge_set)))
     return parts
 

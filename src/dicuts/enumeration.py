@@ -2,42 +2,40 @@
 
 Dicut in shores are exactly the successor-closed unions of strong
 components that some edge enters, so enumeration happens on the
-condensation. Dibonds are the
-dicuts whose two shores both induce weakly connected subdigraphs; they are
-enumerated by a dedicated walk over connected predecessor-closed component
-sets rather than by filtering all dicuts, because on the window digraphs of
-interest the dicut count grows exponentially while the dibond count stays
-polynomial. The walk drops every branch that can no longer reach a
-dibond, so on the family windows it visits a few sets per dibond emitted
-instead of every connected predecessor-closed set.
+condensation. Dibonds are the dicuts whose two shores both induce weakly
+connected subdigraphs; a dedicated walk over connected predecessor-closed
+component sets enumerates them, because on the window digraphs of
+interest the dicut count grows exponentially while the dibond count
+stays polynomial. The walk drops every branch that can no longer reach a
+dibond, so on the family windows it visits a few sets per dibond emitted.
 
-The walks index the strong components in ascending id order and hold
-every set of components as an int mask, bit i standing for the i-th
-component: ancestor and descendant closures, undirected neighbours, the
-sets grown and forbidden, their complements and their reaches. Bit
-order is id order, so every branch order is that of the component ids.
+One setup pass serves both walks: one condensation, then per strong
+component, indexed in ascending id order, the int masks of its DAG
+successors, predecessors and undirected neighbours, of its vertices (bit
+j for the j-th largest vertex) and of the edges (bit e for edge e) whose
+tail, and whose head, lies in it. One post-order pass gives each
+component its descendant or ancestor closure together with the union of
+each mask over it. Every set of components is a mask, bit i for the i-th
+component, so every branch order is that of the component ids. Strong
+components are connected, so the component graph is weakly connected
+exactly when the digraph is, and the dibond walk checks that with one
+mask search.
+
 A set's reach, the weak component of its complement that holds its
 start, is found from its parent's: removing a closure from a connected
 set can split it only at the closure's neighbours, so the search inside
 the parent's reach stops once it has joined those neighbours up again
 (the observation behind decremental connectivity; Even and Shiloach,
 "An on-line edge-deletion problem", JACM 1981).
-Every walk uses an explicit stack, so recursion depth never grows with the
-number of strong components. Every enumeration takes a cap and raises
-CapExceeded as soon as the result count would pass it; a capped call never
-returns a truncated list.
 
-Alongside each component set, the walks carry the masks of its vertices
-(bit j standing for the j-th largest vertex) and of the edges (bit e for
-edge e) whose tail, and whose head, lies in it. Adding a closure to the
-set ORs in the closure's masks, precomputed once. For a
-shore Y with tail mask T and head mask H, the edges entering Y are
-H & ~T and the edges leaving it T & ~H, so each emitted cut gets its edge
-set, and the dicut check that no edge leaves its in shore, in a few int
-operations, with no pass over its vertices; a failed check raises an
-internal error. One helper sorts the emitted (vertex mask, edge mask)
-pairs by shore size, then sorted shore, and builds each Dicut once, with
-its edge set filled in.
+For a shore Y with tail mask T and head mask H, the edges entering Y are
+H & ~T and the edges leaving it T & ~H, so each emitted cut gets its
+edge set, and the dicut check that no edge leaves its in shore, in a few
+int operations; a failed check raises an internal error. One helper sorts
+the emitted (vertex mask, edge mask) pairs by shore size, then sorted
+shore, and builds each Dicut once. Every walk uses an explicit stack.
+Every enumeration takes a cap and raises CapExceeded as soon as the
+result count would pass it; a capped call never returns a truncated list.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Optional
 
-from .core import Digraph, Dicut, EdgeId, bit_positions, is_weakly_connected
+from .core import Digraph, Dicut, EdgeId, bit_positions
 from .errors import CapExceeded, PreconditionViolated
 
 DEFAULT_CAP = 1_000_000
@@ -136,81 +134,65 @@ def condensation(digraph: Digraph) -> Condensation:
     )
 
 
-def _dag_masks(cond: Condensation) -> tuple:
-    """The components, and per component index the masks of its DAG
-    successors, predecessors and undirected neighbours; bit i is comps[i]."""
+def _walk_tables(digraph: Digraph) -> Optional[tuple]:
+    """The condensation's masks that both walks start from, described in
+    the module docstring: succ, pred and und per component, the vertices
+    in descending order, then verts, tails and heads per component. None
+    when there is at most one strong component, before any vertex or edge
+    mask is built: no walk then has anything to emit.
+    """
+    cond = condensation(digraph)
     comps = cond.components
+    k = len(comps)
+    if k <= 1:
+        return None
     index = {c: i for i, c in enumerate(comps)}
-    succ = [0] * len(comps)
-    pred = [0] * len(comps)
+    succ = [0] * k
+    pred = [0] * k
     for a, b in cond.dag_edges:
         succ[index[a]] |= 1 << index[b]
         pred[index[b]] |= 1 << index[a]
     und = [s | p for s, p in zip(succ, pred)]
-    return comps, succ, pred, und
-
-
-def _transitive_closure(step: list) -> list:
-    """closure[i] = mask of the components reachable from i via `step`, including i."""
-    closure = [0] * len(step)
-    for root in range(len(step)):
-        stack = [root]
-        while stack:
-            i = stack[-1]
-            if closure[i]:
-                stack.pop()
-                continue
-            nexts = bit_positions(step[i])
-            pending = [j for j in nexts if not closure[j]]
-            if pending:
-                stack.extend(pending)
-                continue
-            acc = 1 << i
-            for j in nexts:
-                acc |= closure[j]
-            closure[i] = acc
-            stack.pop()
-    return closure
-
-
-def _bit_tables(digraph: Digraph, cond: Condensation, comps: list) -> tuple:
-    """The vertices in descending order, and per component index the
-    masks of its vertices and of the edges whose tail, and whose head,
-    lies in it.
-
-    Bit j of a vertex mask is order[j], the j-th largest vertex, and bit
-    e of an edge mask is edge e.
-    """
     order = sorted(digraph.vertices, reverse=True)
-    index = {c: i for i, c in enumerate(comps)}
     comp_of = {v: index[c] for v, c in cond.scc_of.items()}
-    verts = [0] * len(comps)
-    tails = [0] * len(comps)
-    heads = [0] * len(comps)
+    verts = [0] * k
+    tails = [0] * k
+    heads = [0] * k
     for j, v in enumerate(order):
         verts[comp_of[v]] |= 1 << j
     for e, (t, h) in enumerate(digraph.edges):
         tails[comp_of[t]] |= 1 << e
         heads[comp_of[h]] |= 1 << e
-    return order, verts, tails, heads
+    return succ, pred, und, order, verts, tails, heads
 
 
-def _closure_masks(step: list, closure: list, tables: tuple) -> list:
-    """Per component, the union of each table over its closure under
-    `step`, as a tuple.
+def _closures(step: list, tables: tuple) -> list:
+    """Per component i, a tuple: the mask of the components reachable from
+    i via `step`, i included, then the union of each table over them.
 
-    A closure is the component plus the closures of its `step`
-    neighbours, each of them strictly smaller, so taking the components
-    by closure size builds every union from those of its neighbours.
+    One post-order pass: a component is finished once every `step`
+    neighbour is, and its tuple ORs theirs into its own entries. `step`
+    is acyclic, so every neighbour finishes first.
     """
-    unions: list = [None] * len(closure)
-    for i in sorted(range(len(closure)), key=lambda i: closure[i].bit_count()):
-        acc = [table[i] for table in tables]
-        for j in bit_positions(step[i]):
-            for t, mask in enumerate(unions[j]):
-                acc[t] |= mask
-        unions[i] = tuple(acc)
-    return unions
+    closures: list = [None] * len(step)
+    for root in range(len(step)):
+        stack = [root]
+        while stack:
+            i = stack[-1]
+            if closures[i] is not None:
+                stack.pop()
+                continue
+            nexts = bit_positions(step[i])
+            pending = [j for j in nexts if closures[j] is None]
+            if pending:
+                stack.extend(pending)
+                continue
+            acc = [1 << i, *(table[i] for table in tables)]
+            for j in nexts:
+                acc = [a | b for a, b in zip(acc, closures[j])]
+            closures[i] = tuple(acc)
+            stack.pop()
+    return closures
 
 
 def _check_dicut(leaving: int) -> None:
@@ -248,15 +230,13 @@ def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     a digraph that is not weakly connected the edgeless shores are left
     out. Raises CapExceeded when the count would pass the cap.
     """
-    cond = condensation(digraph)
-    comps, succ, pred, _und = _dag_masks(cond)
-    k = len(comps)
-    if k <= 1:
+    tables = _walk_tables(digraph)
+    if tables is None:
         return []
-    desc = _transitive_closure(succ)
-    anc = _transitive_closure(pred)
-    order, verts, tails, heads = _bit_tables(digraph, cond, comps)
-    desc_masks = _closure_masks(succ, desc, (verts, tails, heads))
+    succ, pred, _und, order, verts, tails, heads = tables
+    k = len(succ)
+    desc = _closures(succ, (verts, tails, heads))
+    anc = [closure[0] for closure in _closures(pred, ())]
     found: list = []
     # Each entry is (next component index, in shore mask, out shore mask)
     # over the components decided so far, and the masks of the in shore's
@@ -275,9 +255,9 @@ def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
                 _check_dicut(ts & ~hs)
                 found.append((vs, entering))
             continue
-        if not desc[i] & outs:
-            dv, dt, dh = desc_masks[i]
-            stack.append((i + 1, ins | desc[i], outs, vs | dv, ts | dt, hs | dh))
+        down, dv, dt, dh = desc[i]
+        if not down & outs:
+            stack.append((i + 1, ins | down, outs, vs | dv, ts | dt, hs | dh))
         if not anc[i] & ins:
             stack.append((i + 1, ins, outs | anc[i], vs, ts, hs))
     return _build(digraph, order, found)
@@ -312,33 +292,32 @@ def _dibond_masks(digraph: Digraph, cap: int) -> tuple:
     """The dibond walk of enumerate_dibonds: the vertices in descending
     order, and each dibond as an (in shore vertex mask, edge mask) pair,
     in walk order."""
-    if not is_weakly_connected(digraph):
-        raise PreconditionViolated("dibonds need a weakly connected digraph")
-    cond = condensation(digraph)
-    comps, _succ, pred, und = _dag_masks(cond)
-    k = len(comps)
-    if k <= 1:
+    tables = _walk_tables(digraph)
+    if tables is None:
         return [], []
-    anc = _transitive_closure(pred)
-    order, verts, tails, heads = _bit_tables(digraph, cond, comps)
-    anc_masks = _closure_masks(pred, anc, (und, verts, tails, heads))
+    _succ, pred, und, order, verts, tails, heads = tables
+    k = len(und)
     full = (1 << k) - 1
+    # Strong components are connected, so the component graph is weakly
+    # connected exactly when the digraph is.
+    if _reach_within(und, full, 1, full) != full:
+        raise PreconditionViolated("dibonds need a weakly connected digraph")
+    anc = _closures(pred, (und, verts, tails, heads))
     all_vertices = (1 << len(order)) - 1
     found: list = []
 
     for idx in range(k):
-        base = anc[idx]
         below = (1 << idx) - 1
-        if base & below:
+        if anc[idx][0] & below:
             continue
-        # Each entry is (grown set, forbidden components, the parent's
-        # reach, the components this set removes from the parent's
-        # complement, and the masks of the grown set's undirected
+        # Each entry is (forbidden components, the parent's reach, the
+        # components this set removes from the parent's complement, the
+        # grown set, and the masks of the grown set's undirected
         # neighbours, of its vertices and of the edges whose tail, and
         # whose head, lies in it).
-        stack: list = [(base, below, 0, 0) + anc_masks[idx]]
+        stack: list = [(below, 0, 0) + anc[idx]]
         while stack:
-            s, forbidden, parent_reach, removed, nbrs, vs, ts, hs = stack.pop()
+            forbidden, parent_reach, removed, s, nbrs, vs, ts, hs = stack.pop()
             complement = full ^ s
             if not complement:
                 continue
@@ -366,11 +345,10 @@ def _dibond_masks(digraph: Digraph, cap: int) -> tuple:
                 found.append((all_vertices ^ vs, ts & ~hs))
             blocked = forbidden
             for u in bit_positions(nbrs & complement & ~forbidden):
-                need = anc[u]
+                need, un, uv, ut, uh = anc[u]
                 if not need & blocked:
-                    un, uv, ut, uh = anc_masks[u]
                     stack.append(
-                        (s | need, blocked, reach, need & complement,
+                        (blocked, reach, need & complement, s | need,
                          nbrs | un, vs | uv, ts | ut, hs | uh)
                     )
                 blocked |= 1 << u
@@ -419,7 +397,10 @@ def enumerate_dibonds(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     built once, from these masks, with its edge set and dibond status
     filled in. Raises CapExceeded when the dibond count would pass the
     cap, and PreconditionViolated when the digraph is not weakly connected,
-    where no nonempty dicut has two weakly connected shores.
+    where no nonempty dicut has two weakly connected shores: a search over
+    the component graph's undirected masks decides that before the walk.
+    A digraph with at most one strong component, the empty one included,
+    is connected and has no dibond.
     """
     order, found = _dibond_masks(digraph, cap)
     return _build(digraph, order, found, True)

@@ -37,10 +37,10 @@ from itertools import product
 from typing import Callable, Iterable, Optional
 
 from .core import Dicut, Digraph, dicut_from_edge_set, is_weakly_connected, nested
-from .enumeration import DEFAULT_CAP, condensation, dibonds_containing_edge
+from .enumeration import DEFAULT_CAP, dibonds_containing_edge
 from .errors import CapExceeded
 from .reduce import contract_to
-from .solver import DibondClass, _sorted_dibonds, maximal_nested_disjoint_family
+from .solver import DibondClass, _meets_every_dibond, _sorted_dibonds, maximal_nested_disjoint_family
 
 
 @dataclass(frozen=True)
@@ -374,19 +374,20 @@ def check_finitary_dijoin(
     Every dicut is a disjoint union of dibonds, and a set F meets every
     dicut of the weakly connected window D exactly when D/F, the window
     with F contracted, is strongly connected (Schrijver, Combinatorial
-    Optimization, ch. 55). That test decides a set that hits every dibond
-    without enumerating.
+    Optimization, ch. 55). That test, the solver's, decides a set that
+    hits every dibond without enumerating.
     Only a refuted set enumerates the window dibonds, to return the first
-    miss in canonical order, so only that path can raise CapExceeded.
+    miss in canonical order, so only that path can raise CapExceeded; a
+    refuted set that misses no dibond contradicts the theorem and raises
+    an internal error.
     """
     edge_set = _named_ids(w, set_name)
-    contracted = contract_to(w.digraph, frozenset(range(w.digraph.m)) - edge_set)
-    if len(condensation(contracted.quotient).components) == 1:
+    if _meets_every_dibond(w.digraph, edge_set):
         return True, None
     for b in finite_dibonds_in_window(w, cap):
         if not (b.edge_set & edge_set):
             return False, b
-    return True, None
+    raise RuntimeError("internal error: D/F is not strongly connected but no dibond is missed")
 
 
 def nested_extension_search(
@@ -562,10 +563,7 @@ def window_coherent(spec: FamilySpec, m: int, n: int) -> bool:
     if any(nm not in wn.name_to_edge for nm in wm.name_to_edge):
         return False
     kept = frozenset(wn.name_to_edge[nm] for nm in wm.name_to_edge)
-    try:
-        qm = contract_to(wn.digraph, kept)
-    except RuntimeError:
-        return False
+    qm = contract_to(wn.digraph, kept)
     phi: dict = {}
     for sym_v, cm in wm.class_map.items():
         if sym_v not in wn.class_map:

@@ -169,6 +169,7 @@ def menger_hypergraph(graph: Multigraph, a_set: Iterable, b_set: Iterable, cap: 
     A path meets A and B only at its endpoints; a vertex in both A and B is
     itself a single-vertex path. Hyperedges are deduplicated by vertex set
     and the hypergraph's vertices are exactly those lying on some path.
+    The cap counts distinct vertex sets, not paths.
     """
     a_set = frozenset(a_set)
     b_set = frozenset(b_set)
@@ -178,9 +179,12 @@ def menger_hypergraph(graph: Multigraph, a_set: Iterable, b_set: Iterable, cap: 
     found: set = set()
 
     def record(path: list) -> None:
+        vertex_set = frozenset(path)
+        if vertex_set in found:
+            return
         if len(found) >= cap:
             raise CapExceeded(cap, "enumerating paths")
-        found.add(frozenset(path))
+        found.add(vertex_set)
 
     for a in sorted(a_set):
         if a in b_set:

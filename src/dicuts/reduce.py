@@ -19,7 +19,6 @@ from .core import (
     Dicut,
     _component_labels,
     dicut_from_edge_set,
-    is_weakly_connected,
 )
 from .errors import PreconditionViolated, VerificationFailed
 from .solver import (
@@ -160,20 +159,18 @@ class BlockTree:
 def block_cut_tree(digraph: Digraph) -> BlockTree:
     """Blocks via a depth-first lowpoint sweep of the underlying multigraph.
 
-    Requires a weakly connected digraph (PreconditionViolated otherwise).
-    Blocks are ordered by their least edge id; parallel edges are
-    distinct, so a doubled bridge forms one two-edge block.
+    Requires a weakly connected digraph: the sweep starts from the least
+    vertex only, and PreconditionViolated is raised when it does not
+    reach every vertex. Blocks are ordered by their least edge id;
+    parallel edges are distinct, so a doubled bridge forms one two-edge
+    block.
     """
-    if not is_weakly_connected(digraph):
-        raise PreconditionViolated("block decomposition requires a weakly connected digraph")
     disc: dict = {}
     low: dict = {}
     edge_stack: list = []
     raw_blocks: list = []
     counter = 0
-    for root in sorted(digraph.vertices):
-        if root in disc:
-            continue
+    for root in sorted(digraph.vertices)[:1]:
         disc[root] = low[root] = counter
         counter += 1
         frames = [(root, None, iter(sorted(digraph.und_neighbors(root))))]
@@ -209,6 +206,8 @@ def block_cut_tree(digraph: Digraph) -> BlockTree:
                         if e == entry_edge:
                             break
                     raw_blocks.append(frozenset(block))
+    if len(disc) != digraph.n:
+        raise PreconditionViolated("block decomposition requires a weakly connected digraph")
     if edge_stack:
         raise RuntimeError("internal error: block sweep left unassigned edges")
     raw_blocks.sort(key=min)

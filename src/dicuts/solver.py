@@ -46,6 +46,7 @@ from typing import Iterable, Optional
 from .core import (
     Digraph,
     Dicut,
+    _component_labels,
     _leaving_edge,
     bit_positions,
     decompose_dicut,
@@ -166,17 +167,22 @@ def _meets_every_dibond(digraph: Digraph, f: frozenset) -> bool:
 
     On a weakly connected digraph D, F meets every dicut exactly when D/F
     is strongly connected (Schrijver, Combinatorial Optimization, ch. 55),
-    and every dicut is a disjoint union of dibonds. D plus the reverse of
-    each edge of F has the strong components of D/F, lifted to vertices.
-    Refuses a digraph that is not weakly connected, as enumeration does.
+    and every dicut is a disjoint union of dibonds. The vertices of D/F are
+    the weak components of the edges of F alone. A strongly connected D/F
+    makes D weakly connected, so only a negative answer checks D, refusing
+    one that is not weakly connected, as enumeration does.
     """
-    if not is_weakly_connected(digraph):
+    label = _component_labels(digraph, removed=frozenset(digraph.edge_ids()).difference(f))
+    contracted = Digraph(
+        set(label.values()),
+        [(label[t], label[h]) for t, h in digraph.edges if label[t] != label[h]],
+    )
+    strong = len(condensation(contracted).components) <= 1
+    if not strong and not is_weakly_connected(digraph):
         raise PreconditionViolated("dibonds need a weakly connected digraph")
     if not all(0 <= e < digraph.m for e in f):
         raise ValueError("edge set contains unknown edge ids")
-    reverse = tuple((h, t) for t, h in (digraph.edges[e] for e in sorted(f)))
-    augmented = Digraph(digraph.vertices, digraph.edges + reverse)
-    return len(condensation(augmented).components) <= 1
+    return strong
 
 
 def _rows(sets: list) -> tuple:

@@ -15,7 +15,8 @@ same answers, tie-breaks included; `konig_by_matching_enumeration`
 likewise keeps the earlier Koenig search, on the package's own
 transversal search, and `dibond_masks_by_rescan` the earlier dibond walk,
 which searches the whole complement at every set, on the package's own
-condensation and bit tables.
+walk tables and closures (`_closures` is checked against a plain search
+in the enumeration tests).
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from dicuts import (
     CapExceeded,
     Dicut,
     Digraph,
-    condensation,
     exact_max_set_packing,
     finite_dibonds_in_window,
     is_weakly_connected,
     nested,
 )
 from dicuts.core import bit_positions
-from dicuts.enumeration import _bit_tables, _closure_masks, _dag_masks, _transitive_closure
+from dicuts.enumeration import _closures, _walk_tables
 from dicuts.hypergraph import _covering_transversal
 
 
@@ -182,14 +182,12 @@ def dibond_masks_by_rescan(digraph, cap=10**6):
     """
     if not is_weakly_connected(digraph):
         raise ValueError("dibonds need a weakly connected digraph")
-    cond = condensation(digraph)
-    comps, _succ, pred, und = _dag_masks(cond)
-    k = len(comps)
-    if k <= 1:
+    tables = _walk_tables(digraph)
+    if tables is None:
         return [], []
-    anc = _transitive_closure(pred)
-    order, verts, tails, heads = _bit_tables(digraph, cond, comps)
-    anc_masks = _closure_masks(pred, anc, (und, verts, tails, heads))
+    _succ, pred, und, order, verts, tails, heads = tables
+    k = len(und)
+    anc = _closures(pred, (und, verts, tails, heads))
     full = (1 << k) - 1
     all_vertices = (1 << len(order)) - 1
     found = []
@@ -205,13 +203,12 @@ def dibond_masks_by_rescan(digraph, cap=10**6):
         return seen
 
     for idx in range(k):
-        base = anc[idx]
         below = (1 << idx) - 1
-        if base & below:
+        if anc[idx][0] & below:
             continue
-        stack = [(base, below) + anc_masks[idx]]
+        stack = [(below,) + anc[idx]]
         while stack:
-            s, forbidden, nbrs, vs, ts, hs = stack.pop()
+            forbidden, s, nbrs, vs, ts, hs = stack.pop()
             complement = full ^ s
             if not complement:
                 continue
@@ -226,10 +223,9 @@ def dibond_masks_by_rescan(digraph, cap=10**6):
                 found.append((all_vertices ^ vs, ts & ~hs))
             blocked = forbidden
             for u in bit_positions(nbrs & complement & ~forbidden):
-                need = anc[u]
+                need, un, uv, ut, uh = anc[u]
                 if not need & blocked:
-                    un, uv, ut, uh = anc_masks[u]
-                    stack.append((s | need, blocked, nbrs | un, vs | uv, ts | ut, hs | uh))
+                    stack.append((blocked, s | need, nbrs | un, vs | uv, ts | ut, hs | uh))
                 blocked |= 1 << u
     return order, found
 
@@ -507,6 +503,16 @@ def random_weak_digraph(rng, max_n=7, max_extra=7, parallels=True):
             continue
         edges.append((t, h))
     return Digraph.from_edges(edges)
+
+
+def disconnected_digraphs(seed=9, count=80):
+    """Two random weak digraphs side by side, sometimes with an isolated
+    vertex as well: never weakly connected."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        left, right = random_weak_digraph(rng, max_n=4), random_weak_digraph(rng, max_n=4)
+        edges = list(left.edges) + [(f"w{t}", f"w{h}") for t, h in right.edges]
+        yield Digraph.from_edges(edges, isolated=["z"] * rng.randint(0, 1))
 
 
 def random_dag(rng, n, extra):

@@ -7,6 +7,7 @@ import pytest
 from dicuts import (
     Dicut,
     Digraph,
+    PreconditionViolated,
     crossing,
     decompose_dicut,
     dicut_from_edge_set,
@@ -17,6 +18,8 @@ from dicuts import (
     nested,
     weak_components_within,
 )
+
+from .oracles import brute_dicuts, disconnected_digraphs
 
 
 def path3():
@@ -188,6 +191,17 @@ class TestDecompose:
     def test_empty_dicut_is_rejected(self):
         with pytest.raises(ValueError):
             decompose_dicut(Dicut(path3(), frozenset()))
+
+    def test_disconnected_digraphs_are_refused(self):
+        # The splits of {b} once cycled forever: {b} -> {b, c, d} -> {b}.
+        d = Digraph.from_edges([("a", "b"), ("c", "d")])
+        with pytest.raises(PreconditionViolated, match="weakly connected"):
+            decompose_dicut(Dicut(d, {"b"}))
+        for d in disconnected_digraphs():
+            for cut in brute_dicuts(d):
+                if cut.edge_set:
+                    with pytest.raises(PreconditionViolated, match="weakly connected"):
+                        decompose_dicut(cut)
 
 
 class TestComponents:

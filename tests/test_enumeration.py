@@ -11,6 +11,7 @@ from dicuts import (
     DibondClass,
     Dicut,
     Digraph,
+    PreconditionViolated,
     condensation,
     dibond_growth,
     dibonds_containing_edge,
@@ -25,6 +26,7 @@ from .oracles import (
     brute_dibonds,
     brute_dicuts,
     dibond_masks_by_rescan,
+    disconnected_digraphs,
     kosaraju_scc,
     random_weak_digraph,
 )
@@ -93,11 +95,7 @@ class TestEnumerateDicuts:
             enumerate_dicuts(d, cap=4)
 
     def test_matches_nonempty_brute_force_on_disconnected_digraphs(self):
-        rng = random.Random(9)
-        for _ in range(80):
-            left, right = random_weak_digraph(rng, max_n=4), random_weak_digraph(rng, max_n=4)
-            edges = list(left.edges) + [(f"w{t}", f"w{h}") for t, h in right.edges]
-            d = Digraph.from_edges(edges, isolated=["z"] * rng.randint(0, 1))
+        for d in disconnected_digraphs():
             fast = [c.in_shore for c in enumerate_dicuts(d)]
             assert len(fast) == len(set(fast))
             assert set(fast) == {c.in_shore for c in brute_dicuts(d) if c.edge_set}
@@ -168,6 +166,21 @@ class TestEnumerateDibonds:
 
     def test_grid_window_10_dibond_count(self):
         assert len(enumerate_dibonds(window(get_family("grid_d2"), 10).digraph)) == 3059
+
+    def test_disconnected_digraphs_are_refused(self):
+        two_cycle_and_isolated = Digraph.from_edges([("a", "b"), ("b", "a")], isolated=["c"])
+        assert len(condensation(two_cycle_and_isolated).components) == 2
+        assert not condensation(two_cycle_and_isolated).dag_edges
+        for d in [two_cycle_and_isolated, *disconnected_digraphs()]:
+            with pytest.raises(PreconditionViolated, match="weakly connected"):
+                enumerate_dibonds(d)
+            with pytest.raises(PreconditionViolated, match="weakly connected"):
+                dibonds_containing_edge(d, 0)
+
+    def test_a_single_vertex_and_the_empty_digraph_have_no_dibonds(self):
+        for d in (Digraph(["a"], []), Digraph([], [])):
+            assert enumerate_dibonds(d) == []
+            assert enumerate_dicuts(d) == []
 
 
 def _shore_order(y):
@@ -253,15 +266,19 @@ class TestMaskBuiltMembers:
     def test_the_mask_dicut_check_is_not_skipped(self, monkeypatch):
         # The masks gain an edge t->s that the digraph lacks; it leaves
         # every in shore of the diamond, which holds t but not s.
-        bit_tables = enumeration._bit_tables
+        walk_tables = enumeration._walk_tables
 
-        def with_phantom_edge(digraph, cond, comps):
-            order, verts, tails, heads = bit_tables(digraph, cond, comps)
-            tails[comps.index("t")] |= 1 << digraph.m
-            heads[comps.index("s")] |= 1 << digraph.m
-            return order, verts, tails, heads
+        def with_phantom_edge(digraph):
+            succ, pred, und, order, verts, tails, heads = walk_tables(digraph)
 
-        monkeypatch.setattr(enumeration, "_bit_tables", with_phantom_edge)
+            def comp(v):
+                return next(i for i, m in enumerate(verts) if m >> order.index(v) & 1)
+
+            tails[comp("t")] |= 1 << digraph.m
+            heads[comp("s")] |= 1 << digraph.m
+            return succ, pred, und, order, verts, tails, heads
+
+        monkeypatch.setattr(enumeration, "_walk_tables", with_phantom_edge)
         for enumerate_cuts in (enumerate_dicuts, enumerate_dibonds):
             with pytest.raises(RuntimeError, match="leaves an enumerated in shore"):
                 enumerate_cuts(diamond())
@@ -296,6 +313,38 @@ class TestDibondsContainingEdge:
             )
         assert dibond_growth(spec, "a0->b1", 12) == tuple(want)
         assert any(want)
+
+
+class TestClosures:
+    def test_matches_a_plain_search_on_random_dags(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            # A DAG on k components whose topological order is a random
+            # permutation of the indices, not the index order.
+            k = rng.randint(1, 12)
+            rank = rng.sample(range(k), k)
+            p = rng.random()
+            step = [
+                sum(1 << j for j in range(k) if rank[i] < rank[j] and rng.random() < p)
+                for i in range(k)
+            ]
+            tables = tuple([rng.getrandbits(16) for _ in range(k)] for _ in range(rng.randint(0, 3)))
+            got = enumeration._closures(step, tables)
+            for i in range(k):
+                seen, queue = {i}, [i]
+                while queue:
+                    u = queue.pop()
+                    for j in range(k):
+                        if step[u] >> j & 1 and j not in seen:
+                            seen.add(j)
+                            queue.append(j)
+                want = [sum(1 << j for j in seen)]
+                for table in tables:
+                    acc = 0
+                    for j in seen:
+                        acc |= table[j]
+                    want.append(acc)
+                assert got[i] == tuple(want)
 
 
 class TestCarriedReach:

@@ -195,6 +195,12 @@ class TestFinitaryByStrongConnectivity:
         with pytest.raises(CapExceeded):
             check_finitary_dijoin(w, "spokes_without_first", cap=1)
 
+    def test_a_refutation_without_a_missed_dibond_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(families, "_meets_every_dibond", lambda digraph, f: False)
+        w = window(get_family("zigzag_d1"), 4)
+        with pytest.raises(RuntimeError, match="internal error"):
+            check_finitary_dijoin(w, "diagonals")
+
 
 def _stack_depth() -> int:
     depth, frame = 0, sys._getframe()
@@ -388,3 +394,11 @@ class TestCoherence:
 
     def test_tournament_bundles_break_exact_coherence(self):
         assert not window_coherent(get_family("transitive_tournament"), 2, 4)
+
+    def test_a_contraction_defect_is_not_a_verdict(self, monkeypatch):
+        def broken(digraph, edge_ids):
+            raise RuntimeError("internal error: contraction kept an edge outside the target set")
+
+        monkeypatch.setattr(families, "contract_to", broken)
+        with pytest.raises(RuntimeError, match="internal error"):
+            window_coherent(get_family("zigzag_d1"), 2, 5)

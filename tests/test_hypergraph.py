@@ -7,6 +7,7 @@ import random
 import pytest
 
 from dicuts import (
+    CapExceeded,
     DibondClass,
     Digraph,
     Hypergraph,
@@ -203,6 +204,22 @@ class TestMengerHypergraph:
         )
         hg = menger_hypergraph(g, {"a"}, {"b", "c"})
         assert sorted(map(sorted, hg.hyperedges)) == [["a", "b", "m"]]
+
+    def test_the_cap_counts_distinct_vertex_sets(self):
+        parallel = Multigraph(["a", "b"], [("a", "b"), ("a", "b")])
+        assert menger_hypergraph(parallel, {"a"}, {"b"}, cap=1).hyperedges == (
+            frozenset({"a", "b"}),
+        )
+        # Four paths from a to b, two of them on {a, x, y, b}.
+        g = Multigraph(
+            ["a", "b", "x", "y"],
+            [("a", "x"), ("x", "y"), ("y", "b"), ("a", "y"), ("x", "b")],
+        )
+        assert len(menger_hypergraph(g, {"a"}, {"b"}, cap=3).hyperedges) == 3
+        with pytest.raises(CapExceeded):
+            menger_hypergraph(g, {"a"}, {"b"}, cap=2)
+        with pytest.raises(CapExceeded):
+            menger_hypergraph(parallel, {"a"}, {"b"}, cap=0)
 
     def test_long_path_is_one_hyperedge(self):
         # The path search once recursed once per path vertex.

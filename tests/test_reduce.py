@@ -207,9 +207,12 @@ class TestBlocks:
             assert ids == list(d.edge_ids())
 
     def test_disconnected_input_is_rejected(self):
-        d = Digraph.from_edges([("a", "b")], isolated=("z",))
-        with pytest.raises(PreconditionViolated, match="weakly connected"):
-            block_cut_tree(d)
+        for d in (
+            Digraph.from_edges([("a", "b")], isolated=("z",)),
+            Digraph.from_edges([("a", "b"), ("c", "d")]),
+        ):
+            with pytest.raises(PreconditionViolated, match="weakly connected"):
+                block_cut_tree(d)
 
 
 class TestSplitSolveMerge:
