@@ -44,7 +44,6 @@ from .families import (
 )
 from .hypergraph import (
     Hypergraph,
-    Multigraph,
     dibond_hypergraph,
     fin_parameter_check,
     konig_property,
@@ -246,13 +245,15 @@ def _cmd_solve(args) -> RunReport:
 
 def _cmd_uncross(args) -> RunReport:
     digraph, digest = _load_digraph(args)
-    klass = _class_from_args(digraph, args)
     lines = [
         ("command", "uncross"),
         ("input_sha256", digest),
     ]
     if bool(args.dijoin) != bool(args.family):
         raise ValueError("--dijoin and --family must be given together")
+    # A given pair against the full class needs no class list: uncross
+    # decides its dijoin by strong connectivity.
+    klass = None if args.dijoin and not args.class_file else _class_from_args(digraph, args)
     if args.dijoin:
         dijoin = _resolve_edge_lines(digraph, _read_text(args.dijoin))
         shores = _resolve_shore_lines(digraph, _read_text(args.family))
@@ -443,7 +444,7 @@ def _cmd_hypergraph(args) -> RunReport:
         vertices = {v for e in digraph_like for v in e}
         a_set = frozenset(t for t in a_part.split(",") if t)
         b_set = frozenset(t for t in b_part.split(",") if t)
-        graph = Multigraph(vertices | a_set | b_set, digraph_like)
+        graph = Digraph(vertices | a_set | b_set, digraph_like)
         hyper = menger_hypergraph(graph, a_set, b_set, args.cap)
         lines.append(("mode", "menger"))
     else:

@@ -9,7 +9,9 @@ order; the edge id is the index into that order, so ids are dense ints
 0..m-1 and stable. Parallel edges are distinct ids; loops are rejected.
 
 All values are treated as immutable once constructed, and every operation
-is a pure function of its inputs. Iteration orders follow sorted vertex ids
+is a pure function of its inputs. A digraph builds its out, in and
+undirected adjacency when it is constructed, and a dicut its edge set, so
+lookups never build tables. Iteration orders follow sorted vertex ids
 and ascending edge ids throughout, so results are deterministic.
 """
 
@@ -30,17 +32,24 @@ class Digraph:
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple]):
         self.vertices: frozenset = frozenset(vertices)
         self.edges: tuple = tuple((t, h) for (t, h) in edges)
-        for i, (t, h) in enumerate(self.edges):
+        out: dict = {v: [] for v in self.vertices}
+        inc: dict = {v: [] for v in self.vertices}
+        und: dict = {v: [] for v in self.vertices}
+        for e, (t, h) in enumerate(self.edges):
             if t == h:
-                raise ValueError(f"edge {i} is a loop at {t!r}")
+                raise ValueError(f"edge {e} is a loop at {t!r}")
             if t not in self.vertices:
-                raise ValueError(f"edge {i} has undeclared tail {t!r}")
+                raise ValueError(f"edge {e} has undeclared tail {t!r}")
             if h not in self.vertices:
-                raise ValueError(f"edge {i} has undeclared head {h!r}")
+                raise ValueError(f"edge {e} has undeclared head {h!r}")
+            out[t].append(e)
+            inc[h].append(e)
+            und[t].append((h, e))
+            und[h].append((t, e))
+        self._out = {v: tuple(es) for v, es in out.items()}
+        self._in = {v: tuple(es) for v, es in inc.items()}
+        self._und = {v: tuple(ps) for v, ps in und.items()}
         self._hash: Optional[int] = None
-        self._out: Optional[dict] = None
-        self._in: Optional[dict] = None
-        self._und: Optional[dict] = None
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple], isolated: Iterable[Vertex] = ()) -> "Digraph":
@@ -69,33 +78,14 @@ class Digraph:
     def edge_ids(self) -> range:
         return range(len(self.edges))
 
-    def _build_adjacency(self) -> None:
-        out: dict = {v: [] for v in self.vertices}
-        inc: dict = {v: [] for v in self.vertices}
-        und: dict = {v: [] for v in self.vertices}
-        for e, (t, h) in enumerate(self.edges):
-            out[t].append(e)
-            inc[h].append(e)
-            und[t].append((h, e))
-            und[h].append((t, e))
-        self._out = {v: tuple(es) for v, es in out.items()}
-        self._in = {v: tuple(es) for v, es in inc.items()}
-        self._und = {v: tuple(ps) for v, ps in und.items()}
-
     def out_edges(self, v: Vertex) -> tuple:
-        if self._out is None:
-            self._build_adjacency()
         return self._out[v]
 
     def in_edges(self, v: Vertex) -> tuple:
-        if self._in is None:
-            self._build_adjacency()
         return self._in[v]
 
     def und_neighbors(self, v: Vertex) -> tuple:
         """Pairs (other endpoint, edge id) over all incident edges, ignoring direction."""
-        if self._und is None:
-            self._build_adjacency()
         return self._und[v]
 
     def __eq__(self, other: object) -> bool:
@@ -197,7 +187,9 @@ class Dicut:
             raise ValueError(f"edge {e} leaves the in shore; not a dicut")
         self.digraph = digraph
         self.in_shore = in_shore
-        self._edge_set: Optional[frozenset] = None
+        self.edge_set: frozenset = frozenset(
+            e for v in in_shore for e in digraph.in_edges(v) if digraph.tail(e) not in in_shore
+        )
         self._is_dibond: Optional[bool] = None
 
     @classmethod
@@ -213,25 +205,13 @@ class Dicut:
         cut = cls.__new__(cls)
         cut.digraph = digraph
         cut.in_shore = in_shore
-        cut._edge_set = edge_set
+        cut.edge_set = edge_set
         cut._is_dibond = is_dibond
         return cut
 
     @property
     def out_shore(self) -> frozenset:
         return self.digraph.vertices - self.in_shore
-
-    @property
-    def edge_set(self) -> frozenset:
-        if self._edge_set is None:
-            y = self.in_shore
-            edges = []
-            for v in y:
-                for e in self.digraph.in_edges(v):
-                    if self.digraph.tail(e) not in y:
-                        edges.append(e)
-            self._edge_set = frozenset(edges)
-        return self._edge_set
 
     @property
     def is_empty(self) -> bool:

@@ -22,12 +22,13 @@ class CapExceeded(DicutsError):
 
 
 class DualityGapDetected(DicutsError):
-    """Min dijoin size and max disjoint dicut count disagree on the full dibond class.
+    """Min dijoin size and max disjoint dicut count disagree on a corner-closed class.
 
-    On a finite weakly connected digraph with the full dibond class the two
-    numbers are always equal, so this error signals an implementation defect.
-    For user-supplied classes a gap is a legitimate result and is reported by
-    returning None instead of raising.
+    On a corner-closed dibond class of a finite weakly connected digraph
+    (the full class, every corner closure, and any custom class found
+    corner-closed) the two numbers are always equal, so this error signals
+    an implementation defect. On a class that is not corner-closed a gap is
+    a legitimate result and is reported by returning None instead of raising.
     """
 
     def __init__(self, min_dijoin_size: int, max_packing_size: int):

@@ -5,8 +5,8 @@ cover A built by picking exactly one vertex from each member of M. Such a
 pair forces the matching and cover optima to coincide, which is the
 hypergraph form of an optimal pair: the dibond hypergraph of a digraph
 turns dijoins into covers and disjoint dicut families into matchings, and
-the path hypergraph of an undirected graph turns Menger's theorem into the
-same statement.
+the path hypergraph of a digraph's underlying undirected multigraph turns
+Menger's theorem into the same statement.
 
 Any cover meets the members of a matching in distinct vertices, so the
 cover number tau is at least the matching number nu (weak duality). The
@@ -60,28 +60,6 @@ class KonigPair:
 
     matching: tuple
     cover: frozenset
-
-
-class Multigraph:
-    """A loopless undirected multigraph with dense integer edge ids."""
-
-    def __init__(self, vertices: Iterable, edges: Iterable[tuple]):
-        self.vertices: frozenset = frozenset(vertices)
-        self.edges: tuple = tuple((a, b) for (a, b) in edges)
-        for i, (a, b) in enumerate(self.edges):
-            if a == b:
-                raise ValueError(f"edge {i} is a loop at {a!r}")
-            if a not in self.vertices or b not in self.vertices:
-                raise ValueError(f"edge {i} has undeclared endpoints")
-        adj: dict = {v: [] for v in self.vertices}
-        for e, (a, b) in enumerate(self.edges):
-            adj[a].append((b, e))
-            adj[b].append((a, e))
-        self._adj = {v: tuple(sorted(ps)) for v, ps in adj.items()}
-
-    def neighbors(self, v) -> tuple:
-        """Pairs (other endpoint, edge id) sorted by endpoint then edge id."""
-        return self._adj[v]
 
 
 def _covering_transversal(members: list, hyperedges: list) -> Optional[frozenset]:
@@ -163,11 +141,13 @@ def dibond_hypergraph(digraph: Digraph, cap: int = DEFAULT_CAP) -> Hypergraph:
     )
 
 
-def menger_hypergraph(graph: Multigraph, a_set: Iterable, b_set: Iterable, cap: int = DEFAULT_CAP) -> Hypergraph:
+def menger_hypergraph(graph: Digraph, a_set: Iterable, b_set: Iterable, cap: int = DEFAULT_CAP) -> Hypergraph:
     """Hyperedges are the vertex sets of paths from A to B, internally avoiding both.
 
-    A path meets A and B only at its endpoints; a vertex in both A and B is
-    itself a single-vertex path. Hyperedges are deduplicated by vertex set
+    The paths live in the underlying undirected multigraph of the digraph,
+    so edge directions are ignored, as in the block-cut tree. A path meets
+    A and B only at its endpoints; a vertex in both A and B is itself a
+    single-vertex path. Hyperedges are deduplicated by vertex set
     and the hypergraph's vertices are exactly those lying on some path.
     The cap counts distinct vertex sets, not paths.
     """
@@ -189,7 +169,7 @@ def menger_hypergraph(graph: Multigraph, a_set: Iterable, b_set: Iterable, cap: 
     for a in sorted(a_set):
         if a in b_set:
             record([a])
-        path, on_path, untried = [a], {a}, [iter(graph.neighbors(a))]
+        path, on_path, untried = [a], {a}, [iter(graph.und_neighbors(a))]
         while untried:
             step = next(untried[-1], None)
             if step is None:
@@ -206,7 +186,7 @@ def menger_hypergraph(graph: Multigraph, a_set: Iterable, b_set: Iterable, cap: 
                 continue
             path.append(w)
             on_path.add(w)
-            untried.append(iter(graph.neighbors(w)))
+            untried.append(iter(graph.und_neighbors(w)))
     hyperedges = tuple(sorted(found, key=_edge_key))
     vertices: set = set()
     for h in hyperedges:

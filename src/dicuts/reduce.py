@@ -247,6 +247,8 @@ def split_solve_merge(digraph: Digraph, klass: DibondClass) -> Optional[OptimalP
     does on some block: a genuine duality gap, or no nested pair of the
     dijoin's size, both possible only when the class is not corner-closed.
     """
+    if klass.digraph != digraph:
+        raise PreconditionViolated("class belongs to a different digraph")
     tree = block_cut_tree(digraph)
     by_block: dict = {}
     for member in klass.members:

@@ -153,6 +153,8 @@ def _is_corner_closed(members: list) -> bool:
 
 def is_dijoin(digraph: Digraph, edge_set: Iterable[int], klass: DibondClass) -> tuple:
     """(True, None) if the edge set meets every class member, else (False, first missed member)."""
+    if klass.digraph != digraph:
+        raise PreconditionViolated("class belongs to a different digraph")
     f = frozenset(edge_set)
     if not all(0 <= e < digraph.m for e in f):
         raise ValueError("edge set contains unknown edge ids")
@@ -330,6 +332,8 @@ def min_dijoin(digraph: Digraph, klass: DibondClass) -> frozenset:
     Exact hitting set over the member edge sets, deterministic under
     ascending edge id tie-breaking. The empty class has the empty dijoin.
     """
+    if klass.digraph != digraph:
+        raise PreconditionViolated("class belongs to a different digraph")
     return exact_min_hitting_set([m.edge_set for m in klass.members])
 
 

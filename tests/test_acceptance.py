@@ -17,7 +17,6 @@ from dicuts import (
     DibondClass,
     Dicut,
     Digraph,
-    Multigraph,
     block_cut_tree,
     check_finitary_dijoin,
     condensation,
@@ -363,7 +362,7 @@ def test_criterion_09_konig_machinery(corpus3, random7):
             k = rng.randint(1, max(1, len(vertices) // 2))
             a_set = frozenset(rng.sample(vertices, k))
             b_set = frozenset(rng.sample(vertices, k))
-            hg = menger_hypergraph(Multigraph(vertices, edges), a_set, b_set)
+            hg = menger_hypergraph(Digraph(vertices, edges), a_set, b_set)
             kp = konig_property(hg)
             if kp is not None:
                 pairs_seen += 1

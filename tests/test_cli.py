@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from dicuts import ParseError, VerificationFailed, main, parse_digraph, run, serialize_digraph
+from dicuts import (
+    ParseError,
+    PreconditionViolated,
+    VerificationFailed,
+    main,
+    parse_digraph,
+    run,
+    serialize_digraph,
+)
 from dicuts import solver
 from dicuts.cli import EXIT_ERROR, EXIT_OK, EXIT_REFUTED
 
@@ -99,6 +107,27 @@ class TestUncrossCommand:
     def test_auto_pair(self, diamond_path):
         got = lines_dict(run("uncross", {"input": diamond_path}))
         assert got["nested_after"] == ["true"]
+
+    def test_given_pair_needs_no_class_list(self, diamond_path, tmp_path):
+        dj = tmp_path / "dijoin.txt"
+        dj.write_text("s a\na t\n", encoding="utf-8")
+        fam = tmp_path / "crossing.txt"
+        fam.write_text("a t\nb t\n", encoding="utf-8")
+        # The diamond has four dibonds; listing them would exceed the cap.
+        got = lines_dict(
+            run("uncross", {"input": diamond_path, "dijoin": str(dj), "family": str(fam), "cap": 3})
+        )
+        assert got["nested_after"] == ["true"]
+        assert len(got["family_member"]) == 2
+
+    def test_given_dijoin_missing_a_dicut_is_refused(self, diamond_path, tmp_path):
+        dj = tmp_path / "dijoin.txt"
+        dj.write_text("s a\n", encoding="utf-8")
+        fam = tmp_path / "family.txt"
+        fam.write_text("a t\n", encoding="utf-8")
+        with pytest.raises(PreconditionViolated) as exc:
+            run("uncross", {"input": diamond_path, "dijoin": str(dj), "family": str(fam)})
+        assert str(exc.value) == "dijoin must be a dijoin for the ambient class"
 
     def test_manual_flags_must_come_together(self, diamond_path, tmp_path):
         dj = tmp_path / "dijoin.txt"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 
 from dicuts import (
@@ -12,6 +15,7 @@ from dicuts import (
     decompose_dicut,
     dicut_from_edge_set,
     dicut_from_shore,
+    enumerate_dicuts,
     is_weakly_connected,
     join,
     meet,
@@ -19,7 +23,15 @@ from dicuts import (
     weak_components_within,
 )
 
-from .oracles import brute_dicuts, disconnected_digraphs
+from .oracles import brute_dicuts, disconnected_digraphs, random_weak_digraph
+
+
+def parallel_and_isolated_digraphs(count=300):
+    """Seeded weak digraphs with parallel edges, two in three with isolated vertices."""
+    rng = random.Random(11)
+    for i in range(count):
+        d = random_weak_digraph(rng, max_n=6, max_extra=6)
+        yield Digraph.from_edges(d.edges, isolated=[f"z{j}" for j in range(i % 3)])
 
 
 def path3():
@@ -54,6 +66,19 @@ class TestDigraph:
         with pytest.raises(ValueError):
             Digraph({"a"}, [("a", "b")])
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([("a", "b"), ("x", "x")], "edge 1 is a loop at 'x'"),
+            ([("x", "y")], "edge 0 has undeclared tail 'x'"),
+            ([("a", "y")], "edge 0 has undeclared head 'y'"),
+        ],
+    )
+    def test_edge_errors_name_loop_then_tail_then_head(self, edges, message):
+        with pytest.raises(ValueError) as exc:
+            Digraph({"a", "b"}, edges)
+        assert str(exc.value) == message
+
     def test_parallel_edges_get_distinct_ids(self):
         d = Digraph.from_edges([("a", "b"), ("a", "b")])
         assert d.m == 2
@@ -65,6 +90,16 @@ class TestDigraph:
         assert set(d.out_edges("s")) == {0, 1}
         assert set(d.in_edges("t")) == {2, 3}
         assert {v for v, _ in d.und_neighbors("a")} == {"s", "t"}
+
+    def test_adjacency_matches_a_rebuild_from_the_edges(self):
+        for d in parallel_and_isolated_digraphs():
+            edges = list(enumerate(d.edges))
+            for v in d.vertices:
+                assert d.out_edges(v) == tuple(e for e, (t, _h) in edges if t == v)
+                assert d.in_edges(v) == tuple(e for e, (_t, h) in edges if h == v)
+                assert d.und_neighbors(v) == tuple(
+                    (h if t == v else t, e) for e, (t, h) in edges if v in (t, h)
+                )
 
     def test_equality_and_hash(self):
         assert path3() == path3()
@@ -81,8 +116,30 @@ class TestDicut:
         assert cut.is_dibond
 
     def test_leaving_edge_is_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             Dicut(diamond(), {"a"})
+        assert str(exc.value) == "edge 2 leaves the in shore; not a dicut"
+
+    def test_edge_set_matches_the_entering_edges_of_every_derived_dicut(self):
+        def entering(cut):
+            y = cut.in_shore
+            edges = enumerate(cut.digraph.edges)
+            return frozenset(e for e, (t, h) in edges if h in y and t not in y)
+
+        checked = 0
+        for d in parallel_and_isolated_digraphs():
+            cuts = brute_dicuts(d)
+            derived = list(cuts)
+            for c1, c2 in combinations(cuts, 2):
+                derived += [meet(c1, c2), join(c1, c2)]
+            if is_weakly_connected(d):
+                derived += enumerate_dicuts(d)
+                for cut in cuts:
+                    derived += decompose_dicut(cut)
+            for cut in derived:
+                assert cut.edge_set == entering(cut)
+            checked += len(derived)
+        assert checked > 3000
 
     def test_degenerate_shores_are_empty_dicuts(self):
         d = path3()

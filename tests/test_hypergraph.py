@@ -11,7 +11,6 @@ from dicuts import (
     DibondClass,
     Digraph,
     Hypergraph,
-    Multigraph,
     dibond_hypergraph,
     fin_parameter_check,
     get_family,
@@ -47,20 +46,6 @@ class TestHypergraph:
     def test_hyperedges_must_stay_inside_the_vertices(self):
         with pytest.raises(ValueError):
             Hypergraph(frozenset({"a"}), (frozenset({"a", "b"}),))
-
-
-class TestMultigraph:
-    def test_neighbors_are_sorted_pairs(self):
-        g = Multigraph(["a", "b", "x"], [("a", "x"), ("x", "b"), ("a", "x")])
-        assert g.neighbors("x") == (("a", 0), ("a", 2), ("b", 1))
-
-    def test_loops_are_rejected(self):
-        with pytest.raises(ValueError):
-            Multigraph(["a"], [("a", "a")])
-
-    def test_undeclared_endpoints_are_rejected(self):
-        with pytest.raises(ValueError):
-            Multigraph(["a"], [("a", "b")])
 
 
 class TestKonigProperty:
@@ -180,7 +165,7 @@ class TestDibondHypergraph:
 
 class TestMengerHypergraph:
     def test_two_internally_disjoint_paths_share_their_endpoints(self):
-        g = Multigraph(["a", "b", "x", "y"], [("a", "x"), ("x", "b"), ("a", "y"), ("y", "b")])
+        g = Digraph(["a", "b", "x", "y"], [("a", "x"), ("x", "b"), ("a", "y"), ("y", "b")])
         hg = menger_hypergraph(g, {"a"}, {"b"})
         assert sorted(map(sorted, hg.hyperedges)) == [
             ["a", "b", "x"],
@@ -191,14 +176,14 @@ class TestMengerHypergraph:
         assert len(kp.matching) == 1 and kp.cover == frozenset({"a"})
 
     def test_shared_endpoint_gives_a_singleton_path(self):
-        g = Multigraph(["p", "q"], [("p", "q")])
+        g = Digraph(["p", "q"], [("p", "q")])
         hg = menger_hypergraph(g, {"p"}, {"p", "q"})
         assert sorted(map(sorted, hg.hyperedges)) == [["p"], ["p", "q"]]
         kp = konig_property(hg)
         assert kp is not None and len(kp.matching) == 1
 
     def test_paths_avoid_interior_terminal_vertices(self):
-        g = Multigraph(
+        g = Digraph(
             ["a", "m", "b", "c"],
             [("a", "m"), ("m", "b"), ("b", "c")],
         )
@@ -206,12 +191,12 @@ class TestMengerHypergraph:
         assert sorted(map(sorted, hg.hyperedges)) == [["a", "b", "m"]]
 
     def test_the_cap_counts_distinct_vertex_sets(self):
-        parallel = Multigraph(["a", "b"], [("a", "b"), ("a", "b")])
+        parallel = Digraph(["a", "b"], [("a", "b"), ("a", "b")])
         assert menger_hypergraph(parallel, {"a"}, {"b"}, cap=1).hyperedges == (
             frozenset({"a", "b"}),
         )
         # Four paths from a to b, two of them on {a, x, y, b}.
-        g = Multigraph(
+        g = Digraph(
             ["a", "b", "x", "y"],
             [("a", "x"), ("x", "y"), ("y", "b"), ("a", "y"), ("x", "b")],
         )
@@ -221,10 +206,14 @@ class TestMengerHypergraph:
         with pytest.raises(CapExceeded):
             menger_hypergraph(parallel, {"a"}, {"b"}, cap=0)
 
+    def test_edge_directions_are_ignored(self):
+        g = Digraph(["a", "b", "x"], [("a", "x"), ("b", "x")])
+        assert menger_hypergraph(g, {"a"}, {"b"}).hyperedges == (frozenset({"a", "x", "b"}),)
+
     def test_long_path_is_one_hyperedge(self):
         # The path search once recursed once per path vertex.
         names = [f"v{i}" for i in range(1201)]
-        g = Multigraph(names, list(zip(names, names[1:])))
+        g = Digraph(names, list(zip(names, names[1:])))
         assert menger_hypergraph(g, {"v0"}, {"v1200"}).hyperedges == (frozenset(names),)
 
     def test_matches_the_flow_oracle_on_random_graphs(self):
@@ -234,7 +223,7 @@ class TestMengerHypergraph:
             k = rng.randint(1, max(1, len(vertices) // 2))
             a_set = frozenset(rng.sample(vertices, k))
             b_set = frozenset(rng.sample(vertices, k))
-            g = Multigraph(vertices, edges)
+            g = Digraph(vertices, edges)
             hg = menger_hypergraph(g, a_set, b_set)
             kp = konig_property(hg)
             flow = max_disjoint_path_count(edges, a_set, b_set)

@@ -219,6 +219,28 @@ class TestDibondClass:
         )
         assert klass.corner_closed
 
+    def test_a_class_of_another_digraph_is_refused_everywhere(self):
+        d1 = diamond()
+        k2 = DibondClass.full(Digraph.from_edges([("x", "y"), ("y", "z")]))
+        t_cut = Dicut(d1, {"t"})
+        calls = [
+            lambda: min_dijoin(d1, k2),
+            lambda: max_disjoint_dicuts(d1, k2),
+            lambda: maximal_nested_disjoint_family(d1, k2),
+            lambda: optimal_pair(d1, k2),
+            lambda: nested_optimal_pair(d1, k2),
+            lambda: split_solve_merge(d1, k2),
+            lambda: is_dijoin(d1, {2, 3}, k2),
+            lambda: verify_optimal_pair(
+                d1, k2, OptimalPair(dijoin=frozenset({2}), family=(t_cut,), nested=True)
+            ),
+            lambda: uncross(d1, {2}, [t_cut], klass=k2),
+        ]
+        for call in calls:
+            with pytest.raises(PreconditionViolated) as exc:
+                call()
+            assert str(exc.value) == "class belongs to a different digraph"
+
 
 class TestMinMax:
     def test_diamond_optima(self):
