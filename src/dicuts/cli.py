@@ -436,15 +436,12 @@ def _cmd_hypergraph(args) -> RunReport:
             a_part, b_part = args.menger.split(";")
         except ValueError:
             raise ValueError("--menger expects 'a,b;c,d'") from None
-        digraph_like = []
-        for lineno, tokens in _lines(text):
-            if len(tokens) != 2:
-                raise ParseError(lineno, "expected two endpoint tokens")
-            digraph_like.append((tokens[0], tokens[1]))
-        vertices = {v for e in digraph_like for v in e}
+        graph = parse_digraph(text)
         a_set = frozenset(t for t in a_part.split(",") if t)
         b_set = frozenset(t for t in b_part.split(",") if t)
-        graph = Digraph(vertices | a_set | b_set, digraph_like)
+        unknown = (a_set | b_set) - graph.vertices
+        if unknown:
+            raise ValueError(f"--menger names unknown vertices: {', '.join(sorted(unknown))}")
         hyper = menger_hypergraph(graph, a_set, b_set, args.cap)
         lines.append(("mode", "menger"))
     else:

@@ -33,14 +33,22 @@ keyed by the window check that tests them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from math import prod
 from typing import Callable, Iterable, Optional
 
 from .core import Dicut, Digraph, dicut_from_edge_set, is_weakly_connected, nested
 from .enumeration import DEFAULT_CAP, dibonds_containing_edge
 from .errors import CapExceeded
 from .reduce import contract_to
-from .solver import DibondClass, _meets_every_dibond, _sorted_dibonds, maximal_nested_disjoint_family
+from .solver import (
+    DibondClass,
+    _meets_all,
+    _meets_every_dibond,
+    _picks,
+    _set_key,
+    _sorted_dibonds,
+    maximal_nested_disjoint_family,
+)
 
 
 @dataclass(frozen=True)
@@ -401,38 +409,20 @@ def nested_extension_search(
     to that window.
     """
     edge_set = _named_ids(w, set_name)
-    if not edge_set:
-        return {}
     # A dibond is a candidate for the one named edge it meets, if any.
     candidates: dict = {e: [] for e in edge_set}
     for b in finite_dibonds_in_window(w, cap):
         hit = b.edge_set & edge_set
         if len(hit) == 1:
             candidates[next(iter(hit))].append(b)
-    if not all(candidates.values()):
-        return None
+    # Fewest candidates first, so an edge without any ends the search at once.
     order = sorted(edge_set, key=lambda e: (len(candidates[e]), e))
-    picked: list = []  # the dibond chosen for each edge of order, so far
 
-    def compatible(b: Dicut) -> bool:
-        for c in picked:
-            if b.edge_set & c.edge_set or not nested(b, c):
-                return False
-        return True
+    def compatible(picked: list, b: Dicut) -> bool:
+        return all(not (b.edge_set & c.edge_set) and nested(b, c) for c in picked)
 
-    untried = [iter(candidates[order[0]])]
-    while untried:
-        b = next((d for d in untried[-1] if compatible(d)), None)
-        if b is None:
-            untried.pop()
-            if picked:
-                picked.pop()
-            continue
-        picked.append(b)
-        if len(picked) == len(order):
-            return dict(zip(order, picked))
-        untried.append(iter(candidates[order[len(picked)]]))
-    return None
+    pick = next(_picks([candidates[e] for e in order], compatible), None)
+    return None if pick is None else dict(zip(order, pick))
 
 
 def _window_members(
@@ -470,6 +460,10 @@ def compactness_run(
     n when its restriction to the previous window's edges was itself a
     surviving choice there. The report carries the canonical surviving
     choice, or the first index where all threads died.
+
+    The choices are the picks of solver._picks that meet every class
+    member. choice_cap bounds the product of the family members' edge
+    counts; CapExceeded is raised before the search when it is exceeded.
     """
     if n_max < 1:
         raise ValueError("window index must be at least 1")
@@ -484,17 +478,14 @@ def compactness_run(
         w = window(spec, n)
         klass = _window_members(w, restriction, cap)
         family = maximal_nested_disjoint_family(w.digraph, klass)
-        member_sets = [m.edge_set for m in klass.members]
-        total = 1
-        for b in family:
-            total *= len(b.edge_set)
-        if total > choice_cap:
+        slots = [sorted(b.edge_set) for b in family]
+        if prod(map(len, slots)) > choice_cap:
             raise CapExceeded(choice_cap, "enumerating dijoin choices")
-        choices = []
-        for combo in product(*(sorted(b.edge_set) for b in family)):
-            pick = frozenset(combo)
-            if all(pick & ms for ms in member_sets):
-                choices.append(frozenset(w.edge_provenance[e] for e in pick))
+        member_sets = [m.edge_set for m in klass.members]
+        choices = [
+            frozenset(w.edge_provenance[e] for e in pick)
+            for pick in _picks(slots, _meets_all(slots, member_sets))
+        ]
         if prev_names is None:
             threads = set(choices)
         else:
@@ -513,7 +504,7 @@ def compactness_run(
             unstable_at = n
         prev_names = frozenset(w.name_to_edge)
     consistent = bool(threads)
-    stable = min(threads, key=lambda f: (len(f), tuple(sorted(f)))) if threads else None
+    stable = min(threads, key=_set_key) if threads else None
     return CompactnessReport(
         family=spec.name,
         n_max=n_max,

@@ -14,6 +14,8 @@ property therefore holds exactly when tau = nu, and then every maximum
 matching has a one-per-member cover: a least cover meets each of its nu
 disjoint members and has only nu vertices. So one maximum matching
 decides the property, and no search over maximum matchings is needed.
+The cover is the first pick of one vertex per matching member, in
+lexicographic order (solver._picks), that meets every hyperedge.
 """
 
 from __future__ import annotations
@@ -24,11 +26,7 @@ from typing import Iterable, Optional
 from .core import Digraph
 from .enumeration import DEFAULT_CAP, enumerate_dibonds
 from .errors import CapExceeded
-from .solver import exact_max_set_packing, exact_min_hitting_set
-
-
-def _edge_key(s: frozenset) -> tuple:
-    return (len(s), tuple(sorted(s)))
+from .solver import _meets_all, _picks, _set_key, exact_max_set_packing, exact_min_hitting_set
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,56 +60,6 @@ class KonigPair:
     cover: frozenset
 
 
-def _covering_transversal(members: list, hyperedges: list) -> Optional[frozenset]:
-    """One vertex per member such that every hyperedge is hit, or None.
-
-    Every hyperedge intersects the union of a maximum matching, so a
-    hyperedge can only be hit by choices at the members it meets; the
-    search prunes as soon as a hyperedge has run out of meeting members.
-    """
-    k = len(members)
-    meets = []
-    for h in hyperedges:
-        idx = tuple(i for i, m in enumerate(members) if m & h)
-        if not idx:
-            return None
-        meets.append(idx)
-    last_chance: dict = {}
-    for hi, idx in enumerate(meets):
-        if idx:
-            last_chance.setdefault(idx[-1], []).append(hi)
-    if not k:  # then there are no hyperedges either
-        return frozenset()
-    covered = [False] * len(hyperedges)
-    picked: list = []  # the vertex chosen at each level
-    undo: list = []  # the hyperedges each of those choices newly covered
-    untried = [iter(sorted(members[0]))]
-    while untried:
-        i = len(untried) - 1
-        if len(picked) > i:
-            picked.pop()
-            for hi in undo.pop():
-                covered[hi] = False
-        v = next(untried[i], None)
-        if v is None:
-            untried.pop()
-            continue
-        newly = [hi for hi, h in enumerate(hyperedges) if not covered[hi] and v in h]
-        for hi in newly:
-            covered[hi] = True
-        if any(not covered[hi] for hi in last_chance.get(i, ())):
-            for hi in newly:
-                covered[hi] = False
-            continue
-        picked.append(v)
-        undo.append(newly)
-        if i + 1 < k:
-            untried.append(iter(sorted(members[i + 1])))
-        elif all(covered):
-            return frozenset(picked)
-    return None
-
-
 def konig_property(hypergraph: Hypergraph) -> Optional[KonigPair]:
     """A maximum matching with a one-vertex-per-member cover, or None.
 
@@ -122,14 +70,13 @@ def konig_property(hypergraph: Hypergraph) -> Optional[KonigPair]:
     least cover meets each of the nu disjoint members of every maximum
     matching and has only nu vertices, so it meets each exactly once.
     """
-    edges = sorted(set(hypergraph.hyperedges), key=_edge_key)
-    if not edges:
-        return KonigPair(matching=(), cover=frozenset())
+    edges = sorted(set(hypergraph.hyperedges), key=_set_key)
     members = [edges[i] for i in exact_max_set_packing(edges)]
-    cover = _covering_transversal(members, edges)
+    slots = [sorted(m) for m in members]
+    cover = next(_picks(slots, _meets_all(slots, edges)), None)
     if cover is None:
         return None
-    return KonigPair(matching=tuple(members), cover=cover)
+    return KonigPair(matching=tuple(members), cover=frozenset(cover))
 
 
 def dibond_hypergraph(digraph: Digraph, cap: int = DEFAULT_CAP) -> Hypergraph:
@@ -187,7 +134,7 @@ def menger_hypergraph(graph: Digraph, a_set: Iterable, b_set: Iterable, cap: int
             path.append(w)
             on_path.add(w)
             untried.append(iter(graph.und_neighbors(w)))
-    hyperedges = tuple(sorted(found, key=_edge_key))
+    hyperedges = tuple(sorted(found, key=_set_key))
     vertices: set = set()
     for h in hyperedges:
         vertices |= h
@@ -202,7 +149,7 @@ def fin_parameter_check(hypergraph: Hypergraph) -> bool:
     is a cover. Both hold on every finite hypergraph; the check exists to
     validate the solvers against each other.
     """
-    edges = sorted(set(hypergraph.hyperedges), key=_edge_key)
+    edges = sorted(set(hypergraph.hyperedges), key=_set_key)
     if not edges:
         return True
     matching_size = len(exact_max_set_packing(edges))

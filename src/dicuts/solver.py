@@ -35,13 +35,19 @@ dicut family searches pass the minimum dijoin size, which weak duality
 makes an upper bound: a dijoin meets each member of a disjoint family in
 a different edge. exact_max_set_packing passes none, so that hypergraph
 checks can compare it with the hitting set.
+
+Every pick of one item per member (Koenig covers, nested selections,
+compactness choices) comes from one search, _picks. It fills the members
+in order, each from its items in order, keeps an item only while a test
+passed by the caller accepts it, and yields the picks in lexicographic
+order. _meets_all is the test for picks that must meet every target set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     Digraph,
@@ -65,14 +71,19 @@ from .errors import (
 )
 
 
+def _set_key(s) -> tuple:
+    """The canonical set order: size, then sorted elements."""
+    return (len(s), tuple(sorted(s)))
+
+
 def _member_key(d: Dicut) -> tuple:
-    """The class order: edge count, then sorted edge ids.
+    """The class order: the canonical order of the edge sets.
 
     Distinct nonempty dicuts of a weakly connected digraph have distinct
     edge sets (see core.dicut_from_edge_set), so the key never ties
     between class members or between the members of a disjoint family.
     """
-    return (len(d.edge_set), tuple(sorted(d.edge_set)))
+    return _set_key(d.edge_set)
 
 
 def _sorted_dibonds(digraph: Digraph, cap: int) -> list:
@@ -242,7 +253,7 @@ def exact_min_hitting_set(sets: Iterable[frozenset]) -> frozenset:
     bound is a greedy disjoint sub-packing of the unhit sets. Deterministic
     under ascending element order. Elements must be mutually sortable.
     """
-    todo = sorted(set(sets), key=lambda s: (len(s), tuple(sorted(s))))
+    todo = sorted(set(sets), key=_set_key)
     if not todo:
         return frozenset()
     if any(not s for s in todo):
@@ -324,6 +335,57 @@ def exact_max_set_packing(sets: list) -> list:
     a fixed input order. The search is exhaustive, with no size to stop at.
     """
     return _largest_disjoint(sets)
+
+
+def _picks(slots: list, fits) -> Iterator[list]:
+    """Each pick of one item per slot that `fits` keeps, in lexicographic order.
+
+    Slots are filled in order, each from its items in order. An item joins
+    the pick only when fits(picked, item) holds, picked being the items
+    already chosen for the earlier slots. Each pick is yielded as a new
+    list; with no slots, the one empty pick is yielded and fits is never
+    called.
+    """
+    if not slots:
+        yield []
+        return
+    picked: list = []
+    untried = [iter(slots[0])]
+    while untried:
+        for item in untried[-1]:
+            if fits(picked, item):
+                break
+        else:
+            untried.pop()
+            if picked:
+                picked.pop()
+            continue
+        picked.append(item)
+        if len(picked) == len(slots):
+            yield list(picked)
+            picked.pop()
+        else:
+            untried.append(iter(slots[len(picked)]))
+
+
+def _meets_all(slots: list, targets: Iterable[frozenset]):
+    """A fits test for _picks that keeps the picks meeting every target.
+
+    Each target is checked at the last slot holding one of its elements,
+    since no later pick can meet it. A target that meets no slot fails
+    every pick.
+    """
+    due: list = [[] for _ in slots]
+    for target in targets:
+        meeting = [i for i, slot in enumerate(slots) if not target.isdisjoint(slot)]
+        if not meeting:
+            return lambda picked, item: False
+        due[meeting[-1]].append(target)
+
+    def fits(picked: list, item) -> bool:
+        return all(item in t or not t.isdisjoint(picked) for t in due[len(picked)])
+
+    return fits
 
 
 def min_dijoin(digraph: Digraph, klass: DibondClass) -> frozenset:

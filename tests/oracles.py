@@ -5,15 +5,17 @@ own algorithms: shores are enumerated as raw subsets, connectivity is
 plain BFS, minima are found by exhausting subsets in size order, and
 flows use integral augmenting paths.  A disagreement between an oracle
 and the package therefore always indicts the fast path, never a shared
-helper.  The exceptions are `finitary_by_scan` and
-`nested_extension_by_recursion`, which read the package's own window
-dibonds (checked against `brute_dibonds` in the enumeration tests)
-because brute force cannot reach family windows.
+helper.  The exceptions are `finitary_by_scan`,
+`nested_extension_by_recursion` and `dijoin_choices_by_product`, which
+read the package's own window dibonds (checked against `brute_dibonds` in
+the enumeration tests) because brute force cannot reach family windows;
+the last also takes the package's nested family.
 The set-solver references below are the package's earlier frozenset
 kernels, kept so that the mask kernels can be required to return the
-same answers, tie-breaks included; `konig_by_matching_enumeration`
-likewise keeps the earlier Koenig search, on the package's own
-transversal search, and `dibond_masks_by_rescan` the earlier dibond walk,
+same answers, tie-breaks included; `covering_transversal` keeps the
+earlier Koenig cover search, `konig_by_matching_enumeration` the earlier
+search over all maximum matchings, on that transversal search, and
+`dibond_masks_by_rescan` the earlier dibond walk,
 which searches the whole complement at every set, on the package's own
 walk tables and closures (`_closures` is checked against a plain search
 in the enumeration tests).
@@ -32,11 +34,11 @@ from dicuts import (
     exact_max_set_packing,
     finite_dibonds_in_window,
     is_weakly_connected,
+    maximal_nested_disjoint_family,
     nested,
 )
 from dicuts.core import bit_positions
 from dicuts.enumeration import _closures, _walk_tables
-from dicuts.hypergraph import _covering_transversal
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +172,24 @@ def nested_extension_by_recursion(w, set_name):
         return False
 
     return dict(chosen) if search(0) else None
+
+
+def dijoin_choices_by_product(w, klass):
+    """The dijoin choices of one compactness window, by filtering the product.
+
+    Every pick of one edge from each member of the window's maximal nested
+    disjoint family, in `itertools.product` order, that meets every class
+    member, as a set of symbolic edge names: the filter that
+    `compactness_run` ran before its choices came from the pruned search.
+    """
+    family = maximal_nested_disjoint_family(w.digraph, klass)
+    member_sets = [m.edge_set for m in klass.members]
+    choices = []
+    for combo in itertools.product(*(sorted(b.edge_set) for b in family)):
+        pick = frozenset(combo)
+        if all(pick & ms for ms in member_sets):
+            choices.append(frozenset(w.edge_provenance[e] for e in pick))
+    return choices
 
 
 def dibond_masks_by_rescan(digraph, cap=10**6):
@@ -417,6 +437,60 @@ def largest_disjoint_by_recursion(sets, stop=None, also=None):
     return best
 
 
+def covering_transversal(members, hyperedges):
+    """One vertex per member such that every hyperedge is hit, or None.
+
+    The package's earlier transversal search, kept as the reference for
+    `konig_property`'s cover: levels in member order, vertices in sorted
+    order, with a covered flag per hyperedge undone on backtracking.
+
+    Every hyperedge intersects the union of a maximum matching, so a
+    hyperedge can only be hit by choices at the members it meets; the
+    search prunes as soon as a hyperedge has run out of meeting members.
+    """
+    k = len(members)
+    meets = []
+    for h in hyperedges:
+        idx = tuple(i for i, m in enumerate(members) if m & h)
+        if not idx:
+            return None
+        meets.append(idx)
+    last_chance: dict = {}
+    for hi, idx in enumerate(meets):
+        if idx:
+            last_chance.setdefault(idx[-1], []).append(hi)
+    if not k:  # then there are no hyperedges either
+        return frozenset()
+    covered = [False] * len(hyperedges)
+    picked: list = []  # the vertex chosen at each level
+    undo: list = []  # the hyperedges each of those choices newly covered
+    untried = [iter(sorted(members[0]))]
+    while untried:
+        i = len(untried) - 1
+        if len(picked) > i:
+            picked.pop()
+            for hi in undo.pop():
+                covered[hi] = False
+        v = next(untried[i], None)
+        if v is None:
+            untried.pop()
+            continue
+        newly = [hi for hi, h in enumerate(hyperedges) if not covered[hi] and v in h]
+        for hi in newly:
+            covered[hi] = True
+        if any(not covered[hi] for hi in last_chance.get(i, ())):
+            for hi in newly:
+                covered[hi] = False
+            continue
+        picked.append(v)
+        undo.append(newly)
+        if i + 1 < k:
+            untried.append(iter(sorted(members[i + 1])))
+        elif all(covered):
+            return frozenset(picked)
+    return None
+
+
 def konig_by_matching_enumeration(hypergraph):
     """(matching, cover) the way `konig_property` once searched, or None.
 
@@ -435,7 +509,7 @@ def konig_by_matching_enumeration(hypergraph):
     def extend(i, used, chosen):
         if len(chosen) == size:
             members = [edges[j] for j in chosen]
-            cover = _covering_transversal(members, edges)
+            cover = covering_transversal(members, edges)
             return None if cover is None else (tuple(members), cover)
         if i == len(edges):
             return None

@@ -192,6 +192,29 @@ class TestHypergraphCommand:
         path.write_text("a b\n", encoding="utf-8")
         assert main(["hypergraph", "--input", str(path), "--menger", "a;b;c"]) == EXIT_ERROR
 
+    def test_menger_input_reads_vertex_directives(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("%vertex a\n%vertex b\n", encoding="utf-8")
+        assert main(["hypergraph", "--input", str(path), "--menger", "a;b"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "hyperedges: 0\n" in out
+        assert "%vertex" not in out
+
+    @pytest.mark.parametrize(
+        "text, sides, error",
+        [
+            ("a b\n", "a;q", "ValueError: --menger names unknown vertices: q"),
+            ("a b\n", "p,a;b,q", "ValueError: --menger names unknown vertices: p, q"),
+            ("a b\nb b\n", "a;b", "ParseError: line 2: loops are not allowed"),
+            ("a b c\n", "a;b", "ParseError: line 1: expected TAIL HEAD"),
+        ],
+    )
+    def test_menger_input_errors_are_one_line(self, tmp_path, capsys, text, sides, error):
+        path = tmp_path / "g.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["hypergraph", "--input", str(path), "--menger", sides]) == EXIT_ERROR
+        assert capsys.readouterr().out == f"command: hypergraph\nerror: {error}\n"
+
 
 class TestFamilyCommand:
     def test_supported_claim_exits_zero(self):

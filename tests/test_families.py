@@ -25,9 +25,9 @@ from dicuts import (
     window,
     window_coherent,
 )
-from dicuts import families
+from dicuts import families, solver
 
-from .oracles import finitary_by_scan, nested_extension_by_recursion
+from .oracles import dijoin_choices_by_product, finitary_by_scan, nested_extension_by_recursion
 
 
 class TestRegistry:
@@ -381,6 +381,26 @@ class TestCompactness:
     def test_choice_cap_is_enforced(self):
         with pytest.raises(CapExceeded):
             compactness_run(get_family("zigzag_d1"), 3, choice_cap=3)
+
+    @pytest.mark.parametrize(
+        "family, n_max", [("zigzag_d1", 12), ("grid_d2", 8), ("transitive_tournament", 5)]
+    )
+    def test_choices_match_the_product_filter(self, monkeypatch, family, n_max):
+        picks_per_window = []
+
+        def recording_picks(slots, fits):
+            picks = list(solver._picks(slots, fits))
+            picks_per_window.append(picks)
+            return iter(picks)
+
+        monkeypatch.setattr(families, "_picks", recording_picks)
+        report = compactness_run(get_family(family), n_max)
+        assert len(picks_per_window) == n_max
+        for n, picks, row in zip(range(1, n_max + 1), picks_per_window, report.rows):
+            w = window(get_family(family), n)
+            got = [frozenset(w.edge_provenance[e] for e in pick) for pick in picks]
+            assert got == dijoin_choices_by_product(w, DibondClass.full(w.digraph))
+            assert row.choice_count == len(got)
 
 
 class TestCoherence:

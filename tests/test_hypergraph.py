@@ -12,6 +12,7 @@ from dicuts import (
     Digraph,
     Hypergraph,
     dibond_hypergraph,
+    exact_max_set_packing,
     fin_parameter_check,
     get_family,
     konig_property,
@@ -20,8 +21,10 @@ from dicuts import (
     min_dijoin,
     window,
 )
+from dicuts.cli import _random_digraph
 
 from .oracles import (
+    covering_transversal,
     konig_by_matching_enumeration,
     max_disjoint_path_count,
     random_multigraph_edges,
@@ -128,6 +131,49 @@ class TestKonigAgainstMatchingEnumeration:
     def test_window_dibond_hypergraphs(self, family, n):
         hg = dibond_hypergraph(window(get_family(family), n).digraph)
         assert _same_as_matching_enumeration(hg)
+
+
+def _same_as_covering_transversal(hg):
+    edges = sorted(set(hg.hyperedges), key=lambda h: (len(h), tuple(sorted(h))))
+    members = [edges[i] for i in exact_max_set_packing(edges)]
+    want = covering_transversal(members, edges)
+    kp = konig_property(hg)
+    if want is None:
+        assert kp is None
+    else:
+        assert kp is not None and kp.matching == tuple(members) and kp.cover == want
+    return kp is not None
+
+
+class TestKonigCoverAgainstTransversal:
+    """The first pick meeting every hyperedge is the earlier transversal search's cover."""
+
+    def test_seeded_random_hypergraphs(self):
+        rng = random.Random(97)
+        verdicts = set()
+        for _ in range(2000):
+            universe = [f"x{i}" for i in range(rng.randint(2, 8))]
+            hyperedges = []
+            for _ in range(rng.randint(0, 8)):
+                size = 2 if rng.random() < 0.5 else rng.randint(1, len(universe))
+                hyperedges.append(frozenset(rng.sample(universe, size)))
+            verdicts.add(_same_as_covering_transversal(Hypergraph.from_edges(hyperedges)))
+        assert verdicts == {True, False}
+
+    def test_selftest_dibond_hypergraphs(self):
+        # Every digraph that `selftest --seed 0..7` draws, in both of its suites.
+        for seed in range(8):
+            rng = random.Random(seed)
+            for _ in range(65):
+                assert _same_as_covering_transversal(dibond_hypergraph(_random_digraph(rng)))
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [("zigzag_d1", n) for n in range(1, 13)] + [("grid_d2", n) for n in range(1, 8)],
+    )
+    def test_window_dibond_hypergraphs(self, family, n):
+        hg = dibond_hypergraph(window(get_family(family), n).digraph)
+        assert _same_as_covering_transversal(hg)
 
 
 class TestDibondHypergraph:

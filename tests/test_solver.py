@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -35,7 +35,14 @@ from dicuts import (
 )
 from dicuts import solver
 from dicuts.core import bit_positions
-from dicuts.solver import _first_crossing, _greedy_cover, _largest_disjoint, _rows
+from dicuts.solver import (
+    _first_crossing,
+    _greedy_cover,
+    _largest_disjoint,
+    _meets_all,
+    _picks,
+    _rows,
+)
 
 from .oracles import (
     brute_dicuts,
@@ -141,6 +148,53 @@ def random_set_system(rng, universe, empties):
 
 
 ELEMENTS = {"int": list(range(9)), "str": [f"v{i}" for i in range(9)]}
+
+
+class TestPicks:
+    def test_no_slots_yield_one_empty_pick(self):
+        def never(picked, item):
+            raise AssertionError("fits called without a slot")
+
+        assert list(_picks([], never)) == [[]]
+
+    def test_an_accepting_test_yields_the_product_in_order(self):
+        slots = [[3, 1], [], [2]]
+        assert list(_picks(slots, lambda picked, item: True)) == []
+        slots = [[3, 1], [5], [2, 4, 0]]
+        assert list(_picks(slots, lambda picked, item: True)) == [
+            list(combo) for combo in product(*slots)
+        ]
+
+    def test_fits_sees_the_items_picked_for_the_earlier_slots(self):
+        slots = [["a", "b"], ["a", "b", "c"], ["b", "c"]]
+        got = list(_picks(slots, lambda picked, item: item not in picked))
+        assert got == [list(c) for c in product(*slots) if len(set(c)) == 3]
+
+    def test_a_target_meeting_no_slot_yields_nothing(self):
+        slots = [[1, 2], [3]]
+        assert list(_picks(slots, _meets_all(slots, [frozenset({1, 4})]))) == [[1, 3]]
+        assert list(_picks(slots, _meets_all(slots, [frozenset({1, 4}), frozenset({9})]))) == []
+
+    def test_meets_all_matches_the_product_filter(self):
+        rng = random.Random(41)
+        outcomes = set()
+        for _ in range(400):
+            universe = range(rng.randint(2, 9))
+            slots = [
+                sorted(rng.sample(universe, rng.randint(1, min(3, len(universe)))))
+                for _ in range(rng.randint(1, 4))
+            ]
+            targets = [
+                frozenset(rng.sample(universe, rng.randint(1, len(universe))))
+                for _ in range(rng.randint(0, 5))
+            ]
+            got = list(_picks(slots, _meets_all(slots, targets)))
+            want = [
+                list(c) for c in product(*slots) if all(t & frozenset(c) for t in targets)
+            ]
+            assert got == want
+            outcomes.add(min(len(want), 2))
+        assert outcomes == {0, 1, 2}
 
 
 class TestMaskKernels:
