@@ -4,6 +4,8 @@ Input digraphs use a plain edge list: one edge per line as `TAIL HEAD`,
 arbitrary non-whitespace tokens as vertex names, `#` starting a comment,
 duplicate lines creating parallel edges. Directive lines start with `%`;
 the only known directive is `%vertex NAME`, declaring an isolated vertex.
+A hypergraph file is read the same way, with each other line one
+hyperedge of vertex names.
 
 Reports are deterministic `key: value` lines. Exit codes: 0 for success,
 2 when a family check refutes a registered claim, 1 for errors.
@@ -22,6 +24,7 @@ from typing import Optional
 from .core import (
     Dicut,
     Digraph,
+    bit_positions,
     decompose_dicut,
     dicut_from_shore,
 )
@@ -72,17 +75,23 @@ def _lines(text: str):
             yield lineno, tokens
 
 
+def _declared_vertex(lineno: int, tokens: list) -> str:
+    """The vertex that a `%vertex NAME` directive line declares; any
+    other directive is refused."""
+    if tokens[0] != "%vertex":
+        raise ParseError(lineno, f"unknown directive {tokens[0]!r}")
+    if len(tokens) != 2:
+        raise ParseError(lineno, "expected %vertex NAME")
+    return tokens[1]
+
+
 def parse_digraph(text: str) -> Digraph:
     """Parse the edge-list format; vertices appear in first-use order."""
     edges = []
     isolated = []
     for lineno, tokens in _lines(text):
         if tokens[0].startswith("%"):
-            if tokens[0] != "%vertex":
-                raise ParseError(lineno, f"unknown directive {tokens[0]!r}")
-            if len(tokens) != 2:
-                raise ParseError(lineno, "expected %vertex NAME")
-            isolated.append(tokens[1])
+            isolated.append(_declared_vertex(lineno, tokens))
             continue
         if len(tokens) != 2:
             raise ParseError(lineno, "expected TAIL HEAD")
@@ -146,7 +155,8 @@ def _shore_label(shore) -> str:
 
 
 def _cut_label(labels: list, cut: Dicut) -> str:
-    return f"in_shore={_shore_label(cut.in_shore)} edges={_edge_set_label(labels, cut.edge_set)}"
+    edges = _edge_set_label(labels, bit_positions(cut.edge_mask))
+    return f"in_shore={_shore_label(cut.in_shore)} edges={edges}"
 
 
 def _read_text(path: str) -> str:
@@ -445,7 +455,13 @@ def _cmd_hypergraph(args) -> RunReport:
         hyper = menger_hypergraph(graph, a_set, b_set, args.cap)
         lines.append(("mode", "menger"))
     else:
-        hyper = Hypergraph.from_edges(frozenset(tokens) for _lineno, tokens in _lines(text))
+        hyperedges, declared = [], []
+        for lineno, tokens in _lines(text):
+            if tokens[0].startswith("%"):
+                declared.append(_declared_vertex(lineno, tokens))
+            else:
+                hyperedges.append(tokens)
+        hyper = Hypergraph.from_edges(hyperedges, vertices=declared)
         lines.append(("mode", "hyperedges"))
     lines.append(("vertices", str(len(hyper.vertices))))
     lines.append(("hyperedges", str(len(hyper.hyperedges))))
@@ -505,8 +521,10 @@ def _cmd_selftest(args) -> RunReport:
             raise RuntimeError("selftest: dibond enumeration mismatch")
         for d in fast:
             parts = decompose_dicut(d)
-            union = frozenset().union(*(p.edge_set for p in parts)) if parts else frozenset()
-            if union != d.edge_set:
+            union = 0
+            for p in parts:
+                union |= p.edge_mask
+            if union != d.edge_mask:
                 raise RuntimeError("selftest: decomposition does not cover the dicut")
         checks += 1
     lines.append(("suite_enumeration", f"ok ({checks} digraphs)"))

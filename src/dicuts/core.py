@@ -10,14 +10,18 @@ order; the edge id is the index into that order, so ids are dense ints
 
 All values are treated as immutable once constructed, and every operation
 is a pure function of its inputs. A digraph builds its out, in and
-undirected adjacency when it is constructed, and a dicut its edge set, so
-lookups never build tables. Iteration orders follow sorted vertex ids
-and ascending edge ids throughout, so results are deterministic.
+undirected adjacency when it is constructed, and a dicut its edge mask,
+an int with bit e set for each edge e of the cut; the edge set is derived
+on first read. So lookups never build tables, and a search that reads
+only masks never builds an edge set. Iteration orders follow sorted
+vertex ids and ascending edge ids throughout, so results are
+deterministic.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import Hashable, Iterable, Optional
 
 from .errors import PreconditionViolated
@@ -114,6 +118,14 @@ def bit_positions(mask: int) -> list:
     return positions
 
 
+def _edge_mask(digraph: Digraph, edge_ids: frozenset) -> int:
+    """The mask, bit e for edge e, of the digraph's edges whose ids lie in
+    `edge_ids`. Values that are no edge id of the digraph are left out,
+    never shifted by, so a caller can still refuse them with its own
+    error."""
+    return sum(1 << e for e in digraph.edge_ids() if e in edge_ids)
+
+
 def _component_labels(
     digraph: Digraph, within: Optional[frozenset] = None, removed: frozenset = frozenset()
 ) -> dict:
@@ -172,10 +184,11 @@ def _leaving_edge(digraph: Digraph, shore: frozenset) -> Optional[EdgeId]:
 class Dicut:
     """A directed cut: no edge leaves the in shore.
 
-    Stored canonically by the in shore Y; the edge set is derived as the set
-    of edges entering Y. Degenerate shores (empty or the whole vertex set)
-    are permitted so that meets and joins always have a value; such a dicut
-    has an empty edge set and is reported by `is_empty`.
+    Stored canonically by the in shore Y; the edges entering Y are kept as
+    edge_mask, bit e for edge e, and edge_set is derived from the mask on
+    first read. Degenerate shores (empty or the whole vertex set) are
+    permitted so that meets and joins always have a value; such a dicut
+    has no edges and is reported by `is_empty`.
     """
 
     def __init__(self, digraph: Digraph, in_shore: Iterable[Vertex]):
@@ -187,8 +200,8 @@ class Dicut:
             raise ValueError(f"edge {e} leaves the in shore; not a dicut")
         self.digraph = digraph
         self.in_shore = in_shore
-        self.edge_set: frozenset = frozenset(
-            e for v in in_shore for e in digraph.in_edges(v) if digraph.tail(e) not in in_shore
+        self.edge_mask = sum(
+            1 << e for v in in_shore for e in digraph.in_edges(v) if digraph.tail(e) not in in_shore
         )
         self._is_dibond: Optional[bool] = None
 
@@ -197,17 +210,22 @@ class Dicut:
         cls,
         digraph: Digraph,
         in_shore: frozenset,
-        edge_set: frozenset,
+        edge_mask: int,
         is_dibond: Optional[bool] = None,
     ) -> "Dicut":
         """A dicut whose caller has already checked that no edge leaves the
-        in shore, with its edge set and, when given, its dibond status."""
+        in shore, with its edge mask and, when given, its dibond status."""
         cut = cls.__new__(cls)
         cut.digraph = digraph
         cut.in_shore = in_shore
-        cut.edge_set = edge_set
+        cut.edge_mask = edge_mask
         cut._is_dibond = is_dibond
         return cut
+
+    @cached_property
+    def edge_set(self) -> frozenset:
+        """The ids of the edges entering the in shore."""
+        return frozenset(bit_positions(self.edge_mask))
 
     @property
     def out_shore(self) -> frozenset:
@@ -215,7 +233,7 @@ class Dicut:
 
     @property
     def is_empty(self) -> bool:
-        return len(self.edge_set) == 0
+        return not self.edge_mask
 
     @property
     def is_dibond(self) -> bool:
@@ -241,7 +259,7 @@ class Dicut:
         return hash(self.in_shore)
 
     def __repr__(self) -> str:
-        return f"Dicut(in_shore={sorted(self.in_shore)!r}, edges={sorted(self.edge_set)!r})"
+        return f"Dicut(in_shore={sorted(self.in_shore)!r}, edges={bit_positions(self.edge_mask)!r})"
 
 
 def dicut_from_shore(digraph: Digraph, in_shore: Iterable[Vertex]) -> Optional[Dicut]:
@@ -289,7 +307,7 @@ def dicut_from_edge_set(digraph: Digraph, edge_set: Iterable[EdgeId]) -> Optiona
     if not y or y == digraph.vertices or _leaving_edge(digraph, y) is not None:
         return None
     cut = Dicut(digraph, y)
-    if cut.edge_set != b:
+    if cut.edge_mask != sum(1 << e for e in b):
         return None
     return cut
 
@@ -367,6 +385,7 @@ def decompose_dicut(dicut: Dicut) -> list:
         if any(part.is_empty for part in split):
             raise PreconditionViolated("dibonds need a weakly connected digraph")
         stack.extend(split)
-    parts.sort(key=lambda d: tuple(sorted(d.edge_set)))
+    # The parts are disjoint, so their lowest edges already order them.
+    parts.sort(key=lambda d: d.edge_mask & -d.edge_mask)
     return parts
 

@@ -30,11 +30,12 @@ the parent's reach stops once it has joined those neighbours up again
 
 For a shore Y with tail mask T and head mask H, the edges entering Y are
 H & ~T and the edges leaving it T & ~H, so each emitted cut gets its
-edge set, and the dicut check that no edge leaves its in shore, in a few
+edge mask, and the dicut check that no edge leaves its in shore, in a few
 int operations; a failed check raises an internal error. One helper sorts
 the emitted (vertex mask, edge mask) pairs by shore size, then sorted
-shore, and builds each Dicut once. Every walk uses an explicit stack.
-Every enumeration takes a cap and raises CapExceeded as soon as the
+shore, and builds each Dicut once, keeping the edge mask as it is: no
+edge set is built until someone reads it. Every walk uses an explicit
+stack. Every enumeration takes a cap and raises CapExceeded as soon as the
 result count would pass it; a capped call never returns a truncated list.
 """
 
@@ -215,7 +216,7 @@ def _build(digraph: Digraph, order: list, found: list, is_dibond: Optional[bool]
             # bin() lists the bits high to low; reversed and mapped to
             # bytes 0 and 1 they select the shore from `order` in C.
             frozenset(compress(order, bin(vertex_mask)[:1:-1].encode().translate(_BITS))),
-            frozenset(bit_positions(edge_mask)),
+            edge_mask,
             is_dibond,
         )
         for vertex_mask, edge_mask in found
@@ -394,7 +395,7 @@ def enumerate_dibonds(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     mask minus the head mask, and the dicut check, that no edge leaves the
     in shore, is the head mask minus the tail mask being empty: a few int
     operations per dibond, with no pass over its vertices. Each Dicut is
-    built once, from these masks, with its edge set and dibond status
+    built once, from these masks, with its edge mask and dibond status
     filled in. Raises CapExceeded when the dibond count would pass the
     cap, and PreconditionViolated when the digraph is not weakly connected,
     where no nonempty dicut has two weakly connected shores: a search over

@@ -36,7 +36,15 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Callable, Iterable, Optional
 
-from .core import Dicut, Digraph, dicut_from_edge_set, is_weakly_connected, nested
+from .core import (
+    Dicut,
+    Digraph,
+    _edge_mask,
+    bit_positions,
+    dicut_from_edge_set,
+    is_weakly_connected,
+    nested,
+)
 from .enumeration import DEFAULT_CAP, dibonds_containing_edge
 from .errors import CapExceeded
 from .reduce import contract_to
@@ -392,8 +400,9 @@ def check_finitary_dijoin(
     edge_set = _named_ids(w, set_name)
     if _meets_every_dibond(w.digraph, edge_set):
         return True, None
+    named = _edge_mask(w.digraph, edge_set)
     for b in finite_dibonds_in_window(w, cap):
-        if not (b.edge_set & edge_set):
+        if not b.edge_mask & named:
             return False, b
     raise RuntimeError("internal error: D/F is not strongly connected but no dibond is missed")
 
@@ -409,17 +418,18 @@ def nested_extension_search(
     to that window.
     """
     edge_set = _named_ids(w, set_name)
+    named = _edge_mask(w.digraph, edge_set)
     # A dibond is a candidate for the one named edge it meets, if any.
     candidates: dict = {e: [] for e in edge_set}
     for b in finite_dibonds_in_window(w, cap):
-        hit = b.edge_set & edge_set
-        if len(hit) == 1:
-            candidates[next(iter(hit))].append(b)
+        hit = b.edge_mask & named
+        if hit and not hit & (hit - 1):
+            candidates[hit.bit_length() - 1].append(b)
     # Fewest candidates first, so an edge without any ends the search at once.
     order = sorted(edge_set, key=lambda e: (len(candidates[e]), e))
 
     def compatible(picked: list, b: Dicut) -> bool:
-        return all(not (b.edge_set & c.edge_set) and nested(b, c) for c in picked)
+        return all(not b.edge_mask & c.edge_mask and nested(b, c) for c in picked)
 
     pick = next(_picks([candidates[e] for e in order], compatible), None)
     return None if pick is None else dict(zip(order, pick))
@@ -478,7 +488,7 @@ def compactness_run(
         w = window(spec, n)
         klass = _window_members(w, restriction, cap)
         family = maximal_nested_disjoint_family(w.digraph, klass)
-        slots = [sorted(b.edge_set) for b in family]
+        slots = [bit_positions(b.edge_mask) for b in family]
         if prod(map(len, slots)) > choice_cap:
             raise CapExceeded(choice_cap, "enumerating dijoin choices")
         member_sets = [m.edge_set for m in klass.members]

@@ -18,6 +18,7 @@ from .core import (
     Digraph,
     Dicut,
     _component_labels,
+    _edge_mask,
     dicut_from_edge_set,
 )
 from .errors import PreconditionViolated, VerificationFailed
@@ -250,11 +251,12 @@ def split_solve_merge(digraph: Digraph, klass: DibondClass) -> Optional[OptimalP
     if klass.digraph != digraph:
         raise PreconditionViolated("class belongs to a different digraph")
     tree = block_cut_tree(digraph)
+    block_masks = [_edge_mask(digraph, block) for block in tree.blocks]
     by_block: dict = {}
     for member in klass.members:
         home = None
-        for i, block in enumerate(tree.blocks):
-            if member.edge_set <= block:
+        for i, block in enumerate(block_masks):
+            if not member.edge_mask & ~block:
                 home = i
                 break
         if home is None:

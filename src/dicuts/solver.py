@@ -9,14 +9,20 @@ branch and bound searches intended for desk-scale instances, and every
 produced pair is re-checked by an independent verifier rather than trusted
 by construction.
 
-Both searches map their elements once to bit positions, in ascending
-sorted order, and work on int masks, so every tie-break and branch order
-is that of the sorted elements. Both keep their path on an explicit
-stack, so no input size reaches the recursion limit.
+Both searches work on int masks, and every tie-break and branch order is
+that of the lowest bit position. On the class path the masks are the
+members' edge masks as the dibond walk made them, bit e for edge e, with
+no conversion. The public set functions, exact_min_hitting_set and
+exact_max_set_packing, map their elements once to bits in _rows, bit i
+for the i-th smallest element, and call the same searches. Either map is
+monotone in the element order, so both give the picks that sorted
+elements would. Both searches keep their path on an explicit stack, so
+no input size reaches the recursion limit.
 
 The hitting set search branches over the elements of the first unhit set:
-the sets are sorted by size, then elements, and stay in that order as
-they are filtered, so that set is a smallest one.
+the sets come sorted by size, then elements (the class order on the
+class path), and stay in that order as they are filtered, so that set
+is a smallest one.
 
 Every largest disjoint family (set packings, dicut packings, nested
 families) comes from one search. Each level picks the next member from a
@@ -24,17 +30,19 @@ candidate list in ascending index order, and the level below keeps only
 the later candidates compatible with it. A level is pruned when the
 family so far plus a greedy cover of its candidates cannot beat the
 incumbent: each member of a disjoint family contains a different cover
-element. The cover is computed only when the incumbent is larger than
-the family so far (on a first dive they are equal, and the bound cannot
-prune) and the family plus all its candidates would beat it. The
-candidate loop stops once the family plus the candidates left cannot
-beat the incumbent, before the next level's candidates are built. Each
-check drops only branches that the cover bound would drop, so the answer
-and its tie-breaks are those of the plain search. The search also stops once the family reaches a given size. The
-dicut family searches pass the minimum dijoin size, which weak duality
-makes an upper bound: a dijoin meets each member of a disjoint family in
-a different edge. exact_max_set_packing passes none, so that hypergraph
-checks can compare it with the hitting set.
+element. The bit lists the greedy cover counts with are built once per
+search, at its first bound. The cover is computed only when the
+incumbent is larger than the family so far (on a first dive they are
+equal, and the bound cannot prune) and the family plus all its
+candidates would beat it. The candidate loop stops once the family plus
+the candidates left cannot beat the incumbent, before the next level's
+candidates are built. Each check drops only branches that the cover
+bound would drop, so the answer and its tie-breaks are those of the
+plain search. The search also stops once the family reaches a given
+size. The dicut family searches pass the minimum dijoin size, which
+weak duality makes an upper bound: a dijoin meets each member of a
+disjoint family in a different edge. exact_max_set_packing passes none,
+so that hypergraph checks can compare it with the hitting set.
 
 Every pick of one item per member (Koenig covers, nested selections,
 compactness choices) comes from one search, _picks. It fills the members
@@ -53,6 +61,7 @@ from .core import (
     Digraph,
     Dicut,
     _component_labels,
+    _edge_mask,
     _leaving_edge,
     bit_positions,
     decompose_dicut,
@@ -77,13 +86,19 @@ def _set_key(s) -> tuple:
 
 
 def _member_key(d: Dicut) -> tuple:
-    """The class order: the canonical order of the edge sets.
+    """The class order: the canonical order of the edge sets, read off the edge mask.
 
-    Distinct nonempty dicuts of a weakly connected digraph have distinct
-    edge sets (see core.dicut_from_edge_set), so the key never ties
-    between class members or between the members of a disjoint family.
+    Of two edge sets of one size, the one holding the least edge where
+    they differ comes first in sorted-tuple order. The mask's binary
+    digits written lowest bit first, padded to m digits, form a number
+    whose leading digit is edge 0, so that set has the larger number,
+    and the key negates it. Distinct nonempty dicuts of a weakly
+    connected digraph have distinct edge sets (see
+    core.dicut_from_edge_set), so the key never ties between class
+    members or between the members of a disjoint family.
     """
-    return _set_key(d.edge_set)
+    mask = d.edge_mask
+    return (mask.bit_count(), -int(bin(mask)[:1:-1].ljust(d.digraph.m, "0"), 2))
 
 
 def _sorted_dibonds(digraph: Digraph, cap: int) -> list:
@@ -103,7 +118,7 @@ class DibondClass:
     """
 
     digraph: Digraph
-    members: tuple
+    members: tuple  # distinct dibonds in class order (_member_key)
     corner_closed: bool
 
     @staticmethod
@@ -162,6 +177,14 @@ def _is_corner_closed(members: list) -> bool:
     )
 
 
+def _meets_members(klass: DibondClass, f: int) -> tuple:
+    """(True, None) if the edge mask meets every class member, else (False, first missed member)."""
+    for member in klass.members:
+        if not member.edge_mask & f:
+            return (False, member)
+    return (True, None)
+
+
 def is_dijoin(digraph: Digraph, edge_set: Iterable[int], klass: DibondClass) -> tuple:
     """(True, None) if the edge set meets every class member, else (False, first missed member)."""
     if klass.digraph != digraph:
@@ -169,10 +192,7 @@ def is_dijoin(digraph: Digraph, edge_set: Iterable[int], klass: DibondClass) -> 
     f = frozenset(edge_set)
     if not all(0 <= e < digraph.m for e in f):
         raise ValueError("edge set contains unknown edge ids")
-    for member in klass.members:
-        if not (member.edge_set & f):
-            return (False, member)
-    return (True, None)
+    return _meets_members(klass, _edge_mask(digraph, f))
 
 
 def _meets_every_dibond(digraph: Digraph, f: frozenset) -> bool:
@@ -199,19 +219,20 @@ def _meets_every_dibond(digraph: Digraph, f: frozenset) -> bool:
 
 
 def _rows(sets: list) -> tuple:
-    """Each set as (int mask, list of bit positions), bit i standing for
-    the i-th smallest element; and the elements."""
+    """Each set as an int mask, bit i standing for the i-th smallest
+    element; and the elements."""
     elements = sorted(set().union(*sets))
     index = {e: i for i, e in enumerate(elements)}
-    rows = []
-    for s in sets:
-        positions = [index[e] for e in s]
-        rows.append((sum(1 << p for p in positions), positions))
-    return rows, elements
+    return [sum(1 << index[e] for e in s) for s in sets], elements
+
+
+def _with_positions(masks: list) -> list:
+    """Each mask as the (mask, ascending bit positions) row _greedy_cover counts with."""
+    return [(m, bit_positions(m)) for m in masks]
 
 
 def _greedy_cover(rows: list) -> int:
-    """A greedy cover of nonempty sets given as _rows, as a mask.
+    """A greedy cover of nonempty masks given as _with_positions rows, as a mask.
 
     Each pick is the lowest position among those in the most uncovered
     sets. The counts are taken once and lowered by the sets each pick
@@ -246,22 +267,18 @@ def _packing_lower_bound(masks: list) -> int:
     return count
 
 
-def exact_min_hitting_set(sets: Iterable[frozenset]) -> frozenset:
-    """A minimum set of elements meeting every given set, by exact branch and bound.
+def _min_hitting_mask(masks: list) -> int:
+    """A least mask meeting every given mask, by exact branch and bound.
 
-    Branches over the elements of a smallest currently unhit set; the lower
-    bound is a greedy disjoint sub-packing of the unhit sets. Deterministic
-    under ascending element order. Elements must be mutually sortable.
+    The masks must be distinct and in canonical set order. Branches over
+    the bits of the first unhit mask, lowest first; the lower bound is a
+    greedy disjoint sub-packing of the unhit masks, and the first
+    incumbent a greedy cover.
     """
-    todo = sorted(set(sets), key=_set_key)
-    if not todo:
-        return frozenset()
-    if any(not s for s in todo):
+    if not all(masks):
         raise ValueError("cannot hit an empty set")
-    rows, elements = _rows(todo)
-    best = _greedy_cover(rows)
-    masks = [m for m, _positions in rows]
-    # Each entry is (chosen mask, its size, unhit masks in `todo` order).
+    best = _greedy_cover(_with_positions(masks))
+    # Each entry is (chosen mask, its size, unhit masks in the given order).
     # Filtering keeps that order, so the first unhit set is the smallest.
     stack: list = [(0, 0, masks)]
     while stack:
@@ -277,19 +294,31 @@ def exact_min_hitting_set(sets: Iterable[frozenset]) -> frozenset:
             (chosen | 1 << p, size + 1, [m for m in uncovered if not m >> p & 1])
             for p in reversed(bit_positions(uncovered[0]))
         )
-    return frozenset(elements[p] for p in bit_positions(best))
+    return best
 
 
-def _largest_disjoint(sets: list, stop: Optional[int] = None, also=None) -> list:
-    """Indices of the lexicographically first largest pairwise-disjoint subfamily.
+def exact_min_hitting_set(sets: Iterable[frozenset]) -> frozenset:
+    """A minimum set of elements meeting every given set, by exact branch and bound.
+
+    Branches over the elements of a smallest currently unhit set; the lower
+    bound is a greedy disjoint sub-packing of the unhit sets. Deterministic
+    under ascending element order. Elements must be mutually sortable.
+    """
+    masks, elements = _rows(sorted(set(sets), key=_set_key))
+    return frozenset(elements[p] for p in bit_positions(_min_hitting_mask(masks)))
+
+
+def _largest_disjoint(masks: list, stop: Optional[int] = None, also=None) -> list:
+    """Indices of the lexicographically first largest pairwise-disjoint subfamily of the masks.
 
     Pairs of indices must also pass also(i, j), when given. The search ends
     early once the family reaches `stop` members; see the module docstring.
     """
-    rows, _elements = _rows(sets)
-    masks = [m for m, _positions in rows]
+    rows: list = []
 
     def cover_bound(cands: list) -> int:
+        if not rows:
+            rows.extend(_with_positions(masks))
         nonempty = [rows[j] for j in cands if masks[j]]
         return _greedy_cover(nonempty).bit_count() + len(cands) - len(nonempty)
 
@@ -298,7 +327,7 @@ def _largest_disjoint(sets: list, stop: Optional[int] = None, also=None) -> list
     # (candidates, next position) of each level above the current one; the
     # current level's position is 0 exactly when the level was just entered.
     levels: list = []
-    cands, pos = list(range(len(sets))), 0
+    cands, pos = list(range(len(masks))), 0
     while True:
         if pos == 0:
             if len(chosen) > len(best):
@@ -334,7 +363,7 @@ def exact_max_set_packing(sets: list) -> list:
     maximum subfamily as an ascending index list, so it is deterministic for
     a fixed input order. The search is exhaustive, with no size to stop at.
     """
-    return _largest_disjoint(sets)
+    return _largest_disjoint(_rows(sets)[0])
 
 
 def _picks(slots: list, fits) -> Iterator[list]:
@@ -391,19 +420,19 @@ def _meets_all(slots: list, targets: Iterable[frozenset]):
 def min_dijoin(digraph: Digraph, klass: DibondClass) -> frozenset:
     """A minimum edge set meeting every class member.
 
-    Exact hitting set over the member edge sets, deterministic under
+    Exact hitting set over the member edge masks, deterministic under
     ascending edge id tie-breaking. The empty class has the empty dijoin.
     """
     if klass.digraph != digraph:
         raise PreconditionViolated("class belongs to a different digraph")
-    return exact_min_hitting_set([m.edge_set for m in klass.members])
+    return frozenset(bit_positions(_min_hitting_mask([m.edge_mask for m in klass.members])))
 
 
 def _disjoint_members(klass: DibondClass, stop: Optional[int] = None, also=None) -> list:
     """The class members _largest_disjoint picks; `also` tests two members."""
     members = klass.members
     test = None if also is None else (lambda i, j: also(members[i], members[j]))
-    picked = _largest_disjoint([m.edge_set for m in members], stop, test)
+    picked = _largest_disjoint([m.edge_mask for m in members], stop, test)
     return sorted((members[i] for i in picked), key=_member_key)
 
 
@@ -418,11 +447,11 @@ def max_disjoint_dicuts(digraph: Digraph, klass: DibondClass) -> list:
 
 
 def _pairwise_disjoint(family: Iterable[Dicut]) -> bool:
-    seen: set = set()
+    seen = 0
     for member in family:
-        if member.edge_set & seen:
+        if member.edge_mask & seen:
             return False
-        seen |= member.edge_set
+        seen |= member.edge_mask
     return True
 
 
@@ -460,10 +489,13 @@ def verify_optimal_pair(digraph: Digraph, klass: DibondClass, pair: OptimalPair)
     ok, _missed = is_dijoin(digraph, pair.dijoin, klass)
     if not ok:
         raise VerificationFailed("dijoin misses a class member")
-    union = frozenset(e for member in pair.family for e in member.edge_set)
-    if not pair.dijoin <= union:
+    f = _edge_mask(digraph, pair.dijoin)
+    union = 0
+    for member in pair.family:
+        union |= member.edge_mask
+    if f & ~union:
         raise VerificationFailed("dijoin is not contained in the family union")
-    if any(len(pair.dijoin & member.edge_set) != 1 for member in pair.family):
+    if any((f & member.edge_mask).bit_count() != 1 for member in pair.family):
         raise VerificationFailed("dijoin does not meet each family member exactly once")
     if pair.nested and not _pairwise_nested(list(pair.family)):
         raise VerificationFailed("family members are not pairwise nested")
@@ -518,7 +550,9 @@ def uncross(
             raise PreconditionViolated("family member belongs to a different digraph")
     if not _pairwise_disjoint(fam):
         raise PreconditionViolated("family members must be pairwise edge-disjoint")
-    if any(len(f & member.edge_set) != 1 for member in fam):
+    # Values that are no edge ids meet no member; the dijoin check below refuses them.
+    f_mask = _edge_mask(digraph, f)
+    if any((f_mask & member.edge_mask).bit_count() != 1 for member in fam):
         raise PreconditionViolated("dijoin must meet each family member exactly once")
     if klass is None:
         ok = _meets_every_dibond(digraph, f)
@@ -538,18 +572,15 @@ def uncross(
             raise RuntimeError("internal error: uncrossing failed to terminate")
         i, j = pair
         lo, hi = meet(fam[i], fam[j]), join(fam[i], fam[j])
-        if len(f & lo.edge_set) != 1 or len(f & hi.edge_set) != 1:
+        if (f_mask & lo.edge_mask).bit_count() != 1 or (f_mask & hi.edge_mask).bit_count() != 1:
             raise PreconditionViolated("dijoin does not meet a corner dicut exactly once")
         fam[i], fam[j] = lo, hi
 
     if refine_to_dibonds:
         refined = []
         for member in fam:
-            (edge,) = tuple(f & member.edge_set)
-            part = next(
-                p for p in decompose_dicut(member) if edge in p.edge_set
-            )
-            refined.append(part)
+            edge = f_mask & member.edge_mask
+            refined.append(next(p for p in decompose_dicut(member) if p.edge_mask & edge))
         if not _pairwise_nested(refined):
             raise VerificationFailed("refined dibonds are not pairwise nested")
         fam = refined
@@ -640,8 +671,10 @@ def maximal_nested_disjoint_family(digraph: Digraph, klass: DibondClass) -> list
         raise NotCornerClosed()
     family = _disjoint_members(klass, len(min_dijoin(digraph, klass)), nested)
     if family:
-        union = frozenset(e for member in family for e in member.edge_set)
-        ok, _missed = is_dijoin(digraph, union, klass)
+        union = 0
+        for member in family:
+            union |= member.edge_mask
+        ok, _missed = _meets_members(klass, union)
         if not ok:
             raise VerificationFailed(
                 "union of the maximal nested disjoint family is not a dijoin"

@@ -129,6 +129,26 @@ class TestUncrossCommand:
             run("uncross", {"input": diamond_path, "dijoin": str(dj), "family": str(fam)})
         assert str(exc.value) == "dijoin must be a dijoin for the ambient class"
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("s a\na t\nx y\n", "ParseError: line 3: no unused edge x->y in the digraph"),
+            ("s a\ns a\n", "ParseError: line 2: no unused edge s->a in the digraph"),
+            ("s\n", "ParseError: line 1: expected TAIL HEAD"),
+        ],
+    )
+    def test_given_dijoin_names_only_edges_of_the_input(
+        self, diamond_path, tmp_path, capsys, text, error
+    ):
+        # Dijoin lines name edges, so no id outside the digraph reaches uncross.
+        dj = tmp_path / "dijoin.txt"
+        dj.write_text(text, encoding="utf-8")
+        fam = tmp_path / "crossing.txt"
+        fam.write_text("a t\nb t\n", encoding="utf-8")
+        argv = ["uncross", "--input", diamond_path, "--dijoin", str(dj), "--family", str(fam)]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().out == f"command: uncross\nerror: {error}\n"
+
     def test_manual_flags_must_come_together(self, diamond_path, tmp_path):
         dj = tmp_path / "dijoin.txt"
         dj.write_text("s->a\n", encoding="utf-8")
@@ -191,6 +211,30 @@ class TestHypergraphCommand:
         path = tmp_path / "g.txt"
         path.write_text("a b\n", encoding="utf-8")
         assert main(["hypergraph", "--input", str(path), "--menger", "a;b;c"]) == EXIT_ERROR
+
+    def test_hyperedge_input_reads_vertex_directives(self, tmp_path, capsys):
+        path = tmp_path / "hg.txt"
+        path.write_text("%vertex a\na b\n%vertex z\n", encoding="utf-8")
+        assert main(["hypergraph", "--input", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "vertices: 3\n" in out
+        assert "hyperedges: 1\n" in out
+        assert "matching_member: {a, b}\n" in out
+        assert "%vertex" not in out
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("a b\n%x a\n", "ParseError: line 2: unknown directive '%x'"),
+            ("%vertex\n", "ParseError: line 1: expected %vertex NAME"),
+            ("%vertex a b\n", "ParseError: line 1: expected %vertex NAME"),
+        ],
+    )
+    def test_hyperedge_input_directive_errors_are_one_line(self, tmp_path, capsys, text, error):
+        path = tmp_path / "hg.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["hypergraph", "--input", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().out == f"command: hypergraph\nerror: {error}\n"
 
     def test_menger_input_reads_vertex_directives(self, tmp_path, capsys):
         path = tmp_path / "g.txt"

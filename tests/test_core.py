@@ -11,17 +11,24 @@ from dicuts import (
     Dicut,
     Digraph,
     PreconditionViolated,
+    contract_to,
     crossing,
     decompose_dicut,
+    dibonds_containing_edge,
     dicut_from_edge_set,
     dicut_from_shore,
+    enumerate_dibonds,
     enumerate_dicuts,
+    get_family,
     is_weakly_connected,
     join,
     meet,
     nested,
     weak_components_within,
+    window,
 )
+
+from dicuts.core import bit_positions
 
 from .oracles import brute_dicuts, disconnected_digraphs, random_weak_digraph
 
@@ -174,6 +181,65 @@ class TestDicut:
         assert dicut_from_edge_set(d, ()) is None
         with pytest.raises(ValueError):
             dicut_from_edge_set(d, {99})
+
+
+def dicuts_made_every_way(d, rng):
+    """Dicuts of d from every constructor and operation that makes one.
+
+    Small digraphs take every dicut shore by brute force; larger ones (at
+    least 12 vertices) take the shores of their dibonds.
+    """
+    connected = is_weakly_connected(d)
+    cuts = brute_dicuts(d) if d.n < 12 else enumerate_dibonds(d)
+    yield from cuts
+    for cut in cuts:
+        yield Dicut(d, cut.in_shore)
+        yield dicut_from_shore(d, cut.in_shore)
+        if connected and cut.edge_mask:
+            yield dicut_from_edge_set(d, bit_positions(cut.edge_mask))
+    sample = list(combinations(cuts, 2))
+    for c1, c2 in rng.sample(sample, min(len(sample), 60)):
+        for corner in (meet(c1, c2), join(c1, c2)):
+            yield corner
+            if connected and corner.edge_mask:
+                yield from decompose_dicut(corner)
+    if connected:
+        yield from enumerate_dicuts(d) if d.n < 12 else ()
+        yield from enumerate_dibonds(d)
+        for e in d.edge_ids():
+            yield from dibonds_containing_edge(d, e)
+        kept = [e for e in d.edge_ids() if rng.random() < 0.5]
+        quotient = contract_to(d, kept).quotient
+        yield from enumerate_dicuts(quotient)
+        yield from enumerate_dibonds(quotient)
+
+
+class TestEdgeMask:
+    """A dicut's edge mask is its edge set, bit e for edge e, however the dicut was made."""
+
+    def check(self, digraphs, rng):
+        checked = 0
+        for d in digraphs:
+            for cut in dicuts_made_every_way(d, rng):
+                y = cut.in_shore
+                edges = enumerate(cut.digraph.edges)
+                entering = [e for e, (t, h) in edges if h in y and t not in y]
+                # The mask is read before the edge set is first derived from it.
+                assert cut.edge_mask == sum(1 << e for e in entering)
+                assert cut.edge_mask == sum(1 << e for e in cut.edge_set)
+                checked += 1
+        return checked
+
+    def test_seeded_digraphs_with_parallel_edges(self):
+        assert self.check(parallel_and_isolated_digraphs(), random.Random(5)) > 10000
+
+    @pytest.mark.parametrize(
+        "name, nmax", [("grid_d2", 7), ("zigzag_d1", 12)]
+    )
+    def test_family_windows(self, name, nmax):
+        spec = get_family(name)
+        windows = (window(spec, n).digraph for n in range(1, nmax + 1))
+        assert self.check(windows, random.Random(name)) > 1000
 
 
 class TestNestedAndCorners:

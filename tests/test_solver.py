@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -40,8 +42,11 @@ from dicuts.solver import (
     _greedy_cover,
     _largest_disjoint,
     _meets_all,
+    _member_key,
     _picks,
     _rows,
+    _set_key,
+    _with_positions,
 )
 
 from .oracles import (
@@ -55,6 +60,11 @@ from .oracles import (
     random_dag,
     random_weak_digraph,
 )
+
+_CORPUS_PATH = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+_spec = importlib.util.spec_from_file_location("bench_corpus", _CORPUS_PATH)
+bench_corpus = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_corpus)
 
 
 def diamond():
@@ -88,6 +98,15 @@ class TestExactSetSolvers:
 
     def test_hitting_set_of_nothing_is_empty(self):
         assert exact_min_hitting_set([]) == frozenset()
+
+    def test_an_empty_set_cannot_be_hit(self):
+        # Without the check the greedy cover would never cover the empty set.
+        with pytest.raises(ValueError, match="cannot hit an empty set"):
+            exact_min_hitting_set([frozenset(), frozenset({1})])
+        d = diamond()
+        klass = DibondClass(d, (Dicut(d, {"t"}), Dicut(d, d.vertices)), corner_closed=False)
+        with pytest.raises(ValueError, match="cannot hit an empty set"):
+            min_dijoin(d, klass)
 
     def test_packing_on_a_chain_of_overlaps(self):
         sets = [frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4})]
@@ -207,8 +226,10 @@ class TestMaskKernels:
             sets = random_set_system(rng, ELEMENTS[kind], empties=False)
             if not sets:
                 continue
-            rows, elements = _rows(sets)
-            cover = frozenset(elements[p] for p in bit_positions(_greedy_cover(rows)))
+            masks, elements = _rows(sets)
+            cover = frozenset(
+                elements[p] for p in bit_positions(_greedy_cover(_with_positions(masks)))
+            )
             assert cover == greedy_cover_by_recount(sets)
 
     @pytest.mark.parametrize("kind", sorted(ELEMENTS))
@@ -224,27 +245,72 @@ class TestMaskKernels:
         for _ in range(300):
             sets = random_set_system(rng, ELEMENTS[kind], empties=True)
             stop = rng.choice([None, 1, 2, 3])
-            assert _largest_disjoint(sets, stop) == largest_disjoint_by_recursion(sets, stop)
+            masks, _elements = _rows(sets)
+            assert _largest_disjoint(masks, stop) == largest_disjoint_by_recursion(sets, stop)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_nested_families_on_grid_windows_match_the_recursion(self, n):
         d = window(get_family("grid_d2"), n).digraph
         klass = DibondClass.full(d)
         members = klass.members
+        masks = [m.edge_mask for m in members]
         sets = [m.edge_set for m in members]
 
         def also(i, j):
             return nested(members[i], members[j])
 
         for stop in (len(min_dijoin(d, klass)), None):
-            assert _largest_disjoint(sets, stop, also) == largest_disjoint_by_recursion(
+            assert _largest_disjoint(masks, stop, also) == largest_disjoint_by_recursion(
                 sets, stop, also
+            )
+
+    def test_min_dijoin_on_edge_id_bits_matches_the_set_hitting_set(self):
+        # min_dijoin hands the members' edge masks, bit e for edge e, to the
+        # search; exact_min_hitting_set maps the edges of the sets to bits
+        # 0, 1, ... in ascending order. Both maps are monotone, so the
+        # branch orders and tie-breaks, and hence the dijoins, must agree.
+        refused = []
+        for name, edges, isolated in bench_corpus.solve_corpus(1):
+            d = Digraph.from_edges(edges, isolated=isolated)
+            try:
+                klass = DibondClass.full(d)
+            except PreconditionViolated:
+                refused.append(name)
+                continue
+            assert min_dijoin(d, klass) == exact_min_hitting_set(
+                [m.edge_set for m in klass.members]
+            ), name
+        assert refused == ["repro-isolated"]
+
+    def test_class_order_read_off_the_masks_is_the_set_order(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            d = random_weak_digraph(rng, max_n=7, max_extra=12)
+            cuts = [c for c in brute_dicuts(d) if c.edge_mask]
+            rng.shuffle(cuts)
+            assert sorted(cuts, key=_member_key) == sorted(
+                cuts, key=lambda c: _set_key(c.edge_set)
             )
 
     def test_packing_of_1500_disjoint_singletons(self):
         # Far deeper than the recursion limit, so the search must keep its path on a stack.
         sets = [frozenset({i}) for i in range(1500)]
         assert exact_max_set_packing(sets) == list(range(1500))
+
+
+class TestMaskPath:
+    def test_solving_the_full_class_derives_no_member_edge_set(self):
+        # The solvers and the verifier read only edge masks; an edge set is
+        # derived on first read, so none exists beyond the family.
+        d = window(get_family("zigzag_d1"), 30).digraph
+        klass = DibondClass.full(d)
+        pair = nested_optimal_pair(d, klass)
+        assert pair is not None and len(pair.family) == 30
+        family = {m.in_shore for m in pair.family}
+        derived = [
+            m for m in klass.members if "edge_set" in vars(m) and m.in_shore not in family
+        ]
+        assert len(klass) > 400 and derived == []
 
 
 class TestDibondClass:
@@ -516,6 +582,55 @@ class TestDualityGap:
             optimal_pair(d, klass)
         assert info.value.min_dijoin_size == 2
         assert info.value.max_packing_size == 1
+
+
+# What each check raises for a value that is no edge id of the diamond
+# (edges 0..3): the id check's own error, never one from shifting by it.
+BAD_EDGE_IDS = [
+    (-1, ValueError, "edge set contains unknown edge ids"),
+    (4, ValueError, "edge set contains unknown edge ids"),
+    ("x", TypeError, "'<=' not supported between instances of 'int' and 'str'"),
+]
+
+
+class TestBadEdgeIds:
+    @staticmethod
+    def checks(f):
+        d = diamond()
+        klass = DibondClass.full(d)
+        nested_family = (Dicut(d, {"t"}), Dicut(d, {"a", "b", "t"}))
+        crossing_family = [Dicut(d, {"a", "t"}), Dicut(d, {"b", "t"})]
+        return {
+            "is_dijoin": lambda: is_dijoin(d, f, klass),
+            "verify_optimal_pair": lambda: verify_optimal_pair(
+                d, klass, OptimalPair(frozenset(f), nested_family, True)
+            ),
+            "uncross": lambda: uncross(d, f, crossing_family),
+            "uncross with a class": lambda: uncross(d, f, crossing_family, klass=klass),
+            "uncross to dibonds": lambda: uncross(
+                d, f, crossing_family, klass=klass, refine_to_dibonds=True
+            ),
+        }
+
+    @pytest.mark.parametrize("bad, error, message", BAD_EDGE_IDS)
+    def test_a_dijoin_with_a_bad_id_is_refused_by_the_id_check(self, bad, error, message):
+        for name, check in self.checks({0, 2, bad}).items():
+            with pytest.raises(Exception) as info:
+                check()
+            assert (type(info.value), str(info.value)) == (error, message), name
+
+    @pytest.mark.parametrize("bad, error, message", BAD_EDGE_IDS)
+    def test_a_bad_id_alone_meets_no_member(self, bad, error, message):
+        # uncross checks the exactly-once counts before the dijoin itself,
+        # and a value that is no edge id meets no family member.
+        for name, check in self.checks({bad}).items():
+            with pytest.raises(Exception) as info:
+                check()
+            if name.startswith("uncross"):
+                assert type(info.value) is PreconditionViolated, name
+                assert str(info.value) == "dijoin must meet each family member exactly once"
+            else:
+                assert (type(info.value), str(info.value)) == (error, message), name
 
 
 class TestUncross:
