@@ -252,7 +252,7 @@ def split_solve_merge(digraph: Digraph, klass: DibondClass) -> Optional[OptimalP
         raise PreconditionViolated("class belongs to a different digraph")
     tree = block_cut_tree(digraph)
     block_masks = [_edge_mask(digraph, block) for block in tree.blocks]
-    by_block: dict = {}
+    by_block: dict = {}  # each block's members, kept in class order
     for member in klass.members:
         home = None
         for i, block in enumerate(block_masks):
@@ -267,7 +267,7 @@ def split_solve_merge(digraph: Digraph, klass: DibondClass) -> Optional[OptimalP
     for i in sorted(by_block):
         sub = DibondClass(
             digraph=digraph,
-            members=tuple(sorted(by_block[i], key=_member_key)),
+            members=tuple(by_block[i]),
             corner_closed=klass.corner_closed,
         )
         pair = nested_optimal_pair(digraph, sub)

@@ -19,10 +19,14 @@ monotone in the element order, so both give the picks that sorted
 elements would. Both searches keep their path on an explicit stack, so
 no input size reaches the recursion limit.
 
-The hitting set search branches over the elements of the first unhit set:
-the sets come sorted by size, then elements (the class order on the
-class path), and stay in that order as they are filtered, so that set
-is a smallest one.
+The hitting set search runs on the transposed table of its masks,
+_columns: entry p is an int with bit i set when set i holds element p.
+A node's unhit sets are one int, so each branch is one AND with a
+column's complement, and the greedy cover and the disjoint-packing
+bound count and clear whole columns. The search branches over the
+elements of the first unhit set: the sets come sorted by size, then
+elements (the class order on the class path), so the lowest unhit bit
+is a smallest set.
 
 Every largest disjoint family (set packings, dicut packings, nested
 families) comes from one search. Each level picks the next member from a
@@ -30,8 +34,8 @@ candidate list in ascending index order, and the level below keeps only
 the later candidates compatible with it. A level is pruned when the
 family so far plus a greedy cover of its candidates cannot beat the
 incumbent: each member of a disjoint family contains a different cover
-element. The bit lists the greedy cover counts with are built once per
-search, at its first bound. The cover is computed only when the
+element. The cover is the hitting set's greedy cover, on a column table
+built once per search, at its first bound. It is computed only when the
 incumbent is larger than the family so far (on a first dive they are
 equal, and the bound cannot prune) and the family plus all its
 candidates would beat it. The candidate loop stops once the family plus
@@ -54,7 +58,9 @@ order. _meets_all is the test for picks that must meet every target set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable, Iterator, Optional
 
 from .core import (
@@ -226,73 +232,77 @@ def _rows(sets: list) -> tuple:
     return [sum(1 << index[e] for e in s) for s in sets], elements
 
 
-def _with_positions(masks: list) -> list:
-    """Each mask as the (mask, ascending bit positions) row _greedy_cover counts with."""
-    return [(m, bit_positions(m)) for m in masks]
+def _columns(masks: list) -> list:
+    """The transposed table of the masks: entry p has bit i set when masks[i] has bit p.
+
+    The masks are written, last first, as rows of binary digits of one
+    width in one string, so the digits of bit p form a strided slice of
+    it; no Python loop runs over single bits.
+    """
+    width = max(masks, default=0).bit_length()
+    table = "".join([format(m, f"0{width}b") for m in reversed(masks)])
+    return [int(table[width - 1 - p::width], 2) for p in range(width)]
 
 
-def _greedy_cover(rows: list) -> int:
-    """A greedy cover of nonempty masks given as _with_positions rows, as a mask.
+def _greedy_cover(cols: list, live: int) -> int:
+    """A greedy cover, as a mask of positions, of the nonempty masks whose
+    bits are set in `live`, given by their _columns table.
 
     Each pick is the lowest position among those in the most uncovered
-    sets. The counts are taken once and lowered by the sets each pick
-    covers.
+    masks; a position stops being counted once it is in none of them.
     """
-    counts = [0] * max((m.bit_length() for m, _positions in rows), default=0)
-    for _m, positions in rows:
-        for p in positions:
-            counts[p] += 1
     cover = 0
-    while rows:
-        pick = 1 << counts.index(max(counts))
-        cover |= pick
-        uncovered = []
-        for row in rows:
-            if row[0] & pick:
-                for p in row[1]:
-                    counts[p] -= 1
-            else:
-                uncovered.append(row)
-        rows = uncovered
+    positions = range(len(cols))
+    while live:
+        counts = [(cols[p] & live).bit_count() for p in positions]
+        pick = positions[counts.index(max(counts))]
+        cover |= 1 << pick
+        live &= ~cols[pick]
+        positions = [p for p, count in zip(positions, counts) if count]
     return cover
-
-
-def _packing_lower_bound(masks: list) -> int:
-    used = 0
-    count = 0
-    for m in masks:
-        if not m & used:
-            used |= m
-            count += 1
-    return count
 
 
 def _min_hitting_mask(masks: list) -> int:
     """A least mask meeting every given mask, by exact branch and bound.
 
-    The masks must be distinct and in canonical set order. Branches over
-    the bits of the first unhit mask, lowest first; the lower bound is a
-    greedy disjoint sub-packing of the unhit masks, and the first
-    incumbent a greedy cover.
+    The masks must be distinct and in canonical set order. The search runs
+    on their _columns table: a node holds its chosen mask, its size and
+    `live`, bit i set while mask i is unhit, and the branch on position p
+    keeps live & ~cols[p]. It branches over the bits of the first unhit
+    mask, lowest first. The lower bound is a greedy disjoint sub-packing
+    of the unhit masks: each pick, the lowest live mask, clears its
+    conflict row, the OR of its columns, cached on first use. The first
+    incumbent is a greedy cover.
     """
     if not all(masks):
         raise ValueError("cannot hit an empty set")
-    best = _greedy_cover(_with_positions(masks))
-    # Each entry is (chosen mask, its size, unhit masks in the given order).
-    # Filtering keeps that order, so the first unhit set is the smallest.
-    stack: list = [(0, 0, masks)]
+    cols = _columns(masks)
+    conflicts = [0] * len(masks)
+    everything = (1 << len(masks)) - 1
+    best = _greedy_cover(cols, everything)
+    stack: list = [(0, 0, everything)]
     while stack:
-        chosen, size, uncovered = stack.pop()
-        if not uncovered:
+        chosen, size, live = stack.pop()
+        if not live:
             if size < best.bit_count():
                 best = chosen
             continue
-        if size + _packing_lower_bound(uncovered) >= best.bit_count():
+        # The greedy packing stops counting once it is large enough to prune.
+        need = best.bit_count() - size
+        rest, packed = live, 0
+        while rest and packed < need:
+            i = (rest & -rest).bit_length() - 1
+            row = conflicts[i]
+            if not row:
+                row = conflicts[i] = reduce(or_, [cols[p] for p in bit_positions(masks[i])])
+            rest &= ~row
+            packed += 1
+        if packed >= need:
             continue
         # Pushed in reverse, so the lowest element's branch is searched first.
+        first = masks[(live & -live).bit_length() - 1]
         stack.extend(
-            (chosen | 1 << p, size + 1, [m for m in uncovered if not m >> p & 1])
-            for p in reversed(bit_positions(uncovered[0]))
+            (chosen | 1 << p, size + 1, live & ~cols[p]) for p in reversed(bit_positions(first))
         )
     return best
 
@@ -308,19 +318,26 @@ def exact_min_hitting_set(sets: Iterable[frozenset]) -> frozenset:
     return frozenset(elements[p] for p in bit_positions(_min_hitting_mask(masks)))
 
 
+def _cover_bound(cols: list, masks: list, cands: list) -> int:
+    """An upper bound on the members a disjoint family can take from the
+    candidate indices: a greedy cover of the nonempty ones, plus each
+    empty one once."""
+    live = sum(1 << j for j in cands if masks[j])
+    return _greedy_cover(cols, live).bit_count() + len(cands) - live.bit_count()
+
+
 def _largest_disjoint(masks: list, stop: Optional[int] = None, also=None) -> list:
     """Indices of the lexicographically first largest pairwise-disjoint subfamily of the masks.
 
     Pairs of indices must also pass also(i, j), when given. The search ends
     early once the family reaches `stop` members; see the module docstring.
     """
-    rows: list = []
+    cols: list = []
 
     def cover_bound(cands: list) -> int:
-        if not rows:
-            rows.extend(_with_positions(masks))
-        nonempty = [rows[j] for j in cands if masks[j]]
-        return _greedy_cover(nonempty).bit_count() + len(cands) - len(nonempty)
+        if not cols:
+            cols.extend(_columns(masks))
+        return _cover_bound(cols, masks, cands)
 
     best: list = []
     chosen: list = []
@@ -432,8 +449,8 @@ def _disjoint_members(klass: DibondClass, stop: Optional[int] = None, also=None)
     """The class members _largest_disjoint picks; `also` tests two members."""
     members = klass.members
     test = None if also is None else (lambda i, j: also(members[i], members[j]))
-    picked = _largest_disjoint([m.edge_mask for m in members], stop, test)
-    return sorted((members[i] for i in picked), key=_member_key)
+    # The picks ascend, so the members come in class order.
+    return [members[i] for i in _largest_disjoint([m.edge_mask for m in members], stop, test)]
 
 
 def max_disjoint_dicuts(digraph: Digraph, klass: DibondClass) -> list:

@@ -12,8 +12,10 @@ the enumeration tests) because brute force cannot reach family windows;
 the last also takes the package's nested family.
 The set-solver references below are the package's earlier frozenset
 kernels, kept so that the mask kernels can be required to return the
-same answers, tie-breaks included; `covering_transversal` keeps the
-earlier Koenig cover search, `konig_by_matching_enumeration` the earlier
+same answers, tie-breaks included; `min_hitting_mask_by_rows` keeps the
+earlier row-form mask search, the reference for the column-table one;
+`covering_transversal` keeps the earlier Koenig cover search,
+`konig_by_matching_enumeration` the earlier
 search over all maximum matchings, on that transversal search, and
 `dibond_masks_by_rescan` the earlier dibond walk,
 which searches the whole complement at every set, on the package's own
@@ -400,6 +402,62 @@ def min_hitting_set_by_recursion(sets):
             chosen.discard(e)
 
     search(set(), todo)
+    return best
+
+
+def min_hitting_mask_by_rows(masks):
+    """The package's earlier row-form minimum hitting set of nonempty int masks.
+
+    Kept as the reference for the column-table search: each node holds
+    the list of unhit masks in the given order and filters it per branch;
+    the greedy cover counts from a bit list per mask, and the lower bound
+    is a greedy disjoint sub-packing of the unhit masks.
+    """
+    if not all(masks):
+        raise ValueError("cannot hit an empty set")
+
+    def greedy_cover(rows):
+        counts = [0] * max((m.bit_length() for m, _positions in rows), default=0)
+        for _m, positions in rows:
+            for p in positions:
+                counts[p] += 1
+        cover = 0
+        while rows:
+            pick = 1 << counts.index(max(counts))
+            cover |= pick
+            uncovered = []
+            for row in rows:
+                if row[0] & pick:
+                    for p in row[1]:
+                        counts[p] -= 1
+                else:
+                    uncovered.append(row)
+            rows = uncovered
+        return cover
+
+    def packing_lower_bound(unhit):
+        used = 0
+        count = 0
+        for m in unhit:
+            if not m & used:
+                used |= m
+                count += 1
+        return count
+
+    best = greedy_cover([(m, bit_positions(m)) for m in masks])
+    stack = [(0, 0, masks)]
+    while stack:
+        chosen, size, uncovered = stack.pop()
+        if not uncovered:
+            if size < best.bit_count():
+                best = chosen
+            continue
+        if size + packing_lower_bound(uncovered) >= best.bit_count():
+            continue
+        stack.extend(
+            (chosen | 1 << p, size + 1, [m for m in uncovered if not m >> p & 1])
+            for p in reversed(bit_positions(uncovered[0]))
+        )
     return best
 
 

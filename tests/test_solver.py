@@ -38,15 +38,17 @@ from dicuts import (
 from dicuts import solver
 from dicuts.core import bit_positions
 from dicuts.solver import (
+    _columns,
+    _cover_bound,
     _first_crossing,
     _greedy_cover,
     _largest_disjoint,
     _meets_all,
     _member_key,
+    _min_hitting_mask,
     _picks,
     _rows,
     _set_key,
-    _with_positions,
 )
 
 from .oracles import (
@@ -56,6 +58,7 @@ from .oracles import (
     greedy_cover_by_recount,
     largest_disjoint_by_recursion,
     meets_every_dicut,
+    min_hitting_mask_by_rows,
     min_hitting_set_by_recursion,
     random_dag,
     random_weak_digraph,
@@ -227,9 +230,8 @@ class TestMaskKernels:
             if not sets:
                 continue
             masks, elements = _rows(sets)
-            cover = frozenset(
-                elements[p] for p in bit_positions(_greedy_cover(_with_positions(masks)))
-            )
+            cover_mask = _greedy_cover(_columns(masks), (1 << len(masks)) - 1)
+            cover = frozenset(elements[p] for p in bit_positions(cover_mask))
             assert cover == greedy_cover_by_recount(sets)
 
     @pytest.mark.parametrize("kind", sorted(ELEMENTS))
@@ -296,6 +298,89 @@ class TestMaskKernels:
         # Far deeper than the recursion limit, so the search must keep its path on a stack.
         sets = [frozenset({i}) for i in range(1500)]
         assert exact_max_set_packing(sets) == list(range(1500))
+
+
+class TestColumnTable:
+    """The column-table hitting set returns exactly the mask the row-form search does."""
+
+    @staticmethod
+    def class_masks(d):
+        return [m.edge_mask for m in DibondClass.full(d).members]
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_every_full_class_of_the_solve_corpus(self, seed):
+        solved = 0
+        for name, edges, isolated in bench_corpus.solve_corpus(seed):
+            d = Digraph.from_edges(edges, isolated=isolated)
+            if name == "repro-isolated":
+                continue
+            masks = self.class_masks(d)
+            assert _min_hitting_mask(masks) == min_hitting_mask_by_rows(masks), name
+            solved += 1
+        assert solved > 250
+
+    @pytest.mark.parametrize(
+        "name, n", [("zigzag_d1", 60)] + [("grid_d2", n) for n in range(1, 11)]
+    )
+    def test_family_windows(self, name, n):
+        masks = self.class_masks(window(get_family(name), n).digraph)
+        assert _min_hitting_mask(masks) == min_hitting_mask_by_rows(masks)
+
+    @pytest.mark.parametrize("kind", sorted(ELEMENTS))
+    def test_random_mask_systems_with_tied_counts(self, kind):
+        # The raw masks keep their duplicates and their drawn order; the
+        # search does not need the canonical order to agree with the rows.
+        rng = random.Random(f"columns:{kind}")
+        for _ in range(150):
+            sets = random_set_system(rng, ELEMENTS[kind], empties=False)
+            for masks in (_rows(sets)[0], _rows(sorted(set(sets), key=_set_key))[0]):
+                assert _min_hitting_mask(masks) == min_hitting_mask_by_rows(masks)
+
+    def test_the_table_is_the_transpose(self):
+        masks = [0b101, 0, 0b110, 1 << 70]
+        cols = _columns(masks)
+        assert len(cols) == 71
+        assert [c for c in cols if c] == [0b0001, 0b0100, 0b0101, 0b1000]
+        assert _columns([]) == [] and _columns([0, 0]) == []
+
+    def test_no_masks_need_no_bits(self):
+        assert _min_hitting_mask([]) == 0
+
+    def test_an_empty_mask_is_refused_before_the_table(self, monkeypatch):
+        def no_table(masks):
+            raise AssertionError("table built for an unhittable mask")
+
+        monkeypatch.setattr(solver, "_columns", no_table)
+        with pytest.raises(ValueError, match="^cannot hit an empty set$"):
+            _min_hitting_mask([0b1, 0, 0b10])
+
+    def test_masks_with_only_high_bits(self):
+        high = [1 << 200, 1 << 201 | 1 << 200, 1 << 202 | 1 << 201, 1 << 203]
+        assert _min_hitting_mask(high) == 1 << 200 | 1 << 201 | 1 << 203
+        assert _min_hitting_mask(high) == min_hitting_mask_by_rows(high)
+
+    def test_hitting_set_of_1500_disjoint_singletons(self):
+        sets = [frozenset({i}) for i in range(1500)]
+        assert exact_min_hitting_set(sets) == frozenset(range(1500))
+
+    def test_cover_bound_counts_each_empty_candidate_once(self):
+        masks = [0b11, 0b01, 0b10, 0, 0]
+        cols = _columns(masks)
+        assert _cover_bound(cols, masks, [2, 3, 4]) == 3
+        assert _cover_bound(cols, masks, [0, 1, 2, 3]) == 3
+        assert _cover_bound(cols, masks, [3, 4]) == 2
+        assert _cover_bound(_columns([0, 0]), [0, 0], [0, 1]) == 2
+        # Leaving the empty candidates 3 and 4 out of the bound would prune
+        # the branch that finds the family [1, 2, 3, 4].
+        assert _largest_disjoint(masks) == [1, 2, 3, 4]
+        rng = random.Random("bound")
+        for _ in range(300):
+            sets = random_set_system(rng, ELEMENTS["int"], empties=True)
+            masks = _rows(sets)[0]
+            cands = sorted(rng.sample(range(len(sets)), rng.randint(0, len(sets))))
+            nonempty = [sets[j] for j in cands if sets[j]]
+            expected = len(greedy_cover_by_recount(nonempty)) + len(cands) - len(nonempty)
+            assert _cover_bound(_columns(masks), masks, cands) == expected
 
 
 class TestMaskPath:
