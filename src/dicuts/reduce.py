@@ -22,13 +22,7 @@ from .core import (
     dicut_from_edge_set,
 )
 from .errors import PreconditionViolated, VerificationFailed
-from .solver import (
-    DibondClass,
-    OptimalPair,
-    _member_key,
-    nested_optimal_pair,
-    verify_optimal_pair,
-)
+from .solver import DibondClass, OptimalPair, nested_optimal_pair, verify_optimal_pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,9 +236,13 @@ def split_solve_merge(digraph: Digraph, klass: DibondClass) -> Optional[OptimalP
     block; each sub-class is solved for a nested optimal pair on the full
     digraph and the pieces are concatenated. Members in different blocks
     are automatically disjoint and nested, which the final verification
-    re-checks rather than assumes. Each block's sub-class is corner-closed
-    when the class is, since the corners of two dibonds of one block have
-    their edges in that block. Returns None exactly when nested_optimal_pair
+    re-checks rather than assumes. Each block's sub-class keeps the class
+    order and inherits corner_closed instead of checking every pair of
+    members again. A corner-closed class gives corner-closed sub-classes,
+    since the corners of two dibonds of one block have their edges in that
+    block. A sub-class of any other class reads False even when it is
+    closed itself; that only skips the defect check there, since a closed
+    sub-class has no gap. Returns None exactly when nested_optimal_pair
     does on some block: a genuine duality gap, or no nested pair of the
     dijoin's size, both possible only when the class is not corner-closed.
     """
@@ -265,19 +263,13 @@ def split_solve_merge(digraph: Digraph, klass: DibondClass) -> Optional[OptimalP
     dijoin: set = set()
     family: list = []
     for i in sorted(by_block):
-        sub = DibondClass(
-            digraph=digraph,
-            members=tuple(by_block[i]),
-            corner_closed=klass.corner_closed,
-        )
+        sub = DibondClass._known(digraph, tuple(by_block[i]), klass.corner_closed)
         pair = nested_optimal_pair(digraph, sub)
         if pair is None:
             return None
         dijoin |= pair.dijoin
         family.extend(pair.family)
-    merged = OptimalPair(
-        dijoin=frozenset(dijoin), family=tuple(sorted(family, key=_member_key)), nested=True
-    )
+    merged = OptimalPair(dijoin=frozenset(dijoin), family=family, nested=True)
     verify_optimal_pair(digraph, klass, merged)
     return merged
 
@@ -327,12 +319,7 @@ def quotient_lift(
             if e not in qm.edge_provenance:
                 raise ValueError("dijoin contains unknown quotient edge ids")
         new_dijoin = frozenset(qm.edge_provenance[e] for e in pair.dijoin)
-        new_family = tuple(
-            sorted(
-                (Dicut(digraph, _lift_in_shore(qm, member.in_shore)) for member in pair.family),
-                key=_member_key,
-            )
-        )
+        new_family = [Dicut(digraph, _lift_in_shore(qm, member.in_shore)) for member in pair.family]
         klass = DibondClass.from_members(digraph, generators)
         target = digraph
     else:
@@ -341,15 +328,9 @@ def quotient_lift(
             if e not in inverse:
                 raise VerificationFailed("dijoin edge does not survive in the quotient")
         new_dijoin = frozenset(inverse[e] for e in pair.dijoin)
-        new_family = tuple(
-            sorted(
-                (
-                    Dicut(qm.quotient, _project_in_shore(qm, member.in_shore))
-                    for member in pair.family
-                ),
-                key=_member_key,
-            )
-        )
+        new_family = [
+            Dicut(qm.quotient, _project_in_shore(qm, member.in_shore)) for member in pair.family
+        ]
         projected_generators = [
             Dicut(qm.quotient, _project_in_shore(qm, g.in_shore)) for g in generators
         ]

@@ -112,30 +112,26 @@ def _sorted_dibonds(digraph: Digraph, cap: int) -> list:
     return sorted(enumerate_dibonds(digraph, cap), key=_member_key)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DibondClass:
     """A finite set of dibonds of one digraph, with its corner-closure status.
 
-    corner_closed means: for every pair of members, the decompositions of
-    their meet and join (when nonempty) consist of members again. On such a
-    class the minimum dijoin size equals the maximum number of disjoint
-    members, by the crossing-family form of Lucchesi-Younger (Edmonds and
-    Giles 1977), so the solvers treat a gap there as a defect.
+    The constructor refuses a member of another digraph or one that is no
+    dibond (ValueError), drops members whose in-shore repeats an earlier
+    one, puts the rest in class order (_member_key) and decides
+    corner_closed itself, so no caller can set it. corner_closed means: for
+    every pair of members, the decompositions of their meet and join (when
+    nonempty) consist of members again. On such a class the minimum dijoin
+    size equals the maximum number of disjoint members, by the
+    crossing-family form of Lucchesi-Younger (Edmonds and Giles 1977), so
+    the solvers treat a gap there as a defect. A class is immutable.
     """
 
     digraph: Digraph
     members: tuple  # distinct dibonds in class order (_member_key)
     corner_closed: bool
 
-    @staticmethod
-    def full(digraph: Digraph, cap: int = DEFAULT_CAP) -> "DibondClass":
-        """The class of all dibonds; corner-closed by construction."""
-        members = tuple(_sorted_dibonds(digraph, cap))
-        return DibondClass(digraph=digraph, members=members, corner_closed=True)
-
-    @staticmethod
-    def from_members(digraph: Digraph, members: Iterable[Dicut]) -> "DibondClass":
-        """A user class; validates every member is a dibond and computes closure status."""
+    def __init__(self, digraph: Digraph, members: Iterable[Dicut]):
         seen = set()
         unique = []
         for member in members:
@@ -147,9 +143,28 @@ class DibondClass:
                 seen.add(member.in_shore)
                 unique.append(member)
         unique.sort(key=_member_key)
-        return DibondClass(
+        # Frozen: the fields are written past the dataclass's __setattr__.
+        vars(self).update(
             digraph=digraph, members=tuple(unique), corner_closed=_is_corner_closed(unique)
         )
+
+    @classmethod
+    def _known(cls, digraph: Digraph, members: tuple, corner_closed: bool) -> "DibondClass":
+        """A class whose builder already knows its members are distinct
+        dibonds of the digraph in class order, and its closure status."""
+        klass = cls.__new__(cls)
+        vars(klass).update(digraph=digraph, members=members, corner_closed=corner_closed)
+        return klass
+
+    @staticmethod
+    def full(digraph: Digraph, cap: int = DEFAULT_CAP) -> "DibondClass":
+        """The class of all dibonds; corner-closed by construction."""
+        return DibondClass._known(digraph, tuple(_sorted_dibonds(digraph, cap)), True)
+
+    @staticmethod
+    def from_members(digraph: Digraph, members: Iterable[Dicut]) -> "DibondClass":
+        """The class of the given dibonds: the same as DibondClass(digraph, members)."""
+        return DibondClass(digraph, members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -159,12 +174,16 @@ class DibondClass:
 class OptimalPair:
     """A dijoin F and a disjoint dicut family of equal size.
 
-    nested records whether the family is pairwise nested.
+    The family is kept in class order (_member_key), whatever order it is
+    given in. nested records whether the family is pairwise nested.
     """
 
     dijoin: frozenset
     family: tuple
     nested: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "family", tuple(sorted(self.family, key=_member_key)))
 
 
 def _corner_parts(a: Dicut, b: Dicut):
@@ -265,7 +284,9 @@ def _greedy_cover(cols: list, live: int) -> int:
 def _min_hitting_mask(masks: list) -> int:
     """A least mask meeting every given mask, by exact branch and bound.
 
-    The masks must be distinct and in canonical set order. The search runs
+    The masks must be distinct and in canonical set order. A class's member
+    masks always are: DibondClass keeps its members distinct and in class
+    order, the canonical order of their edge sets. The search runs
     on their _columns table: a node holds its chosen mask, its size and
     `live`, bit i set while mask i is unhit, and the branch on position p
     keeps live & ~cols[p]. It branches over the bits of the first unhit
@@ -437,7 +458,8 @@ def _meets_all(slots: list, targets: Iterable[frozenset]):
 def min_dijoin(digraph: Digraph, klass: DibondClass) -> frozenset:
     """A minimum edge set meeting every class member.
 
-    Exact hitting set over the member edge masks, deterministic under
+    Exact hitting set over the member edge masks, which the class holds
+    distinct and in class order, as the search needs; deterministic under
     ascending edge id tie-breaking. The empty class has the empty dijoin.
     """
     if klass.digraph != digraph:
@@ -627,9 +649,7 @@ def nested_optimal_pair(digraph: Digraph, klass: DibondClass) -> Optional[Optima
         fam = _disjoint_members(klass, len(pair.dijoin), nested)
         if len(fam) < len(pair.dijoin):
             return None
-    nested_pair = OptimalPair(
-        dijoin=pair.dijoin, family=tuple(sorted(fam, key=_member_key)), nested=True
-    )
+    nested_pair = OptimalPair(dijoin=pair.dijoin, family=fam, nested=True)
     verify_optimal_pair(digraph, klass, nested_pair)
     return nested_pair
 
@@ -639,40 +659,30 @@ def corner_closure(
 ) -> DibondClass:
     """The least superset of the seed closed under decomposed meets and joins.
 
-    Fixpoint iteration: for every pair of current members, the nonempty
-    meet and join are decomposed into dibonds and any new ones join the
-    class. Raises CapExceeded when the member count would pass the cap.
+    The seed becomes a class through DibondClass(digraph, seed), which
+    refuses a member of another digraph or one that is no dibond
+    (ValueError); a seed that class finds corner-closed is its own closure.
+    Otherwise a fixpoint iteration: for every pair of current members, the
+    nonempty meet and join are decomposed into dibonds and any new ones
+    join the class. Raises CapExceeded when the member count passes the cap.
     """
-    seed_members = seed.members if isinstance(seed, DibondClass) else seed
-    members: list = []
-    shores: set = set()
-
-    def add(member: Dicut) -> None:
-        if member.digraph != digraph:
-            raise ValueError("seed member belongs to a different digraph")
-        if not member.is_dibond:
-            raise ValueError(f"seed member {member!r} is not a dibond")
-        if member.in_shore in shores:
-            return
-        if len(members) >= cap:
-            raise CapExceeded(cap, "computing a corner closure")
-        shores.add(member.in_shore)
-        members.append(member)
-
-    for member in sorted(seed_members, key=_member_key):
-        add(member)
-    pair_queue = list(combinations(range(len(members)), 2))
+    start = DibondClass(digraph, seed.members if isinstance(seed, DibondClass) else seed)
+    members = list(start.members)
+    shores = {member.in_shore for member in members}
+    pair_queue = [] if start.corner_closed else list(combinations(range(len(members)), 2))
     head = 0
-    while head < len(pair_queue):
+    while head < len(pair_queue) and len(members) <= cap:
         i, j = pair_queue[head]
         head += 1
         for part in _corner_parts(members[i], members[j]):
             if part.in_shore not in shores:
-                add(part)
+                shores.add(part.in_shore)
+                members.append(part)
                 new_idx = len(members) - 1
                 pair_queue.extend((idx, new_idx) for idx in range(new_idx))
-    final = sorted(members, key=_member_key)
-    return DibondClass(digraph=digraph, members=tuple(final), corner_closed=True)
+    if len(members) > cap:
+        raise CapExceeded(cap, "computing a corner closure")
+    return DibondClass._known(digraph, tuple(sorted(members, key=_member_key)), True)
 
 
 def maximal_nested_disjoint_family(digraph: Digraph, klass: DibondClass) -> list:

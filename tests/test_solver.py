@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from dicuts import (
+    CapExceeded,
     DibondClass,
     Dicut,
     Digraph,
@@ -106,10 +107,10 @@ class TestExactSetSolvers:
         # Without the check the greedy cover would never cover the empty set.
         with pytest.raises(ValueError, match="cannot hit an empty set"):
             exact_min_hitting_set([frozenset(), frozenset({1})])
+        # A class refuses the edgeless member, so min_dijoin never gets an empty mask.
         d = diamond()
-        klass = DibondClass(d, (Dicut(d, {"t"}), Dicut(d, d.vertices)), corner_closed=False)
-        with pytest.raises(ValueError, match="cannot hit an empty set"):
-            min_dijoin(d, klass)
+        with pytest.raises(ValueError, match="is not a dibond"):
+            DibondClass(d, (Dicut(d, {"t"}), Dicut(d, d.vertices)))
 
     def test_packing_on_a_chain_of_overlaps(self):
         sets = [frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4})]
@@ -423,6 +424,53 @@ class TestDibondClass:
             ],
         )
         assert klass.corner_closed
+
+    def test_corner_closed_is_worked_out_not_passed(self):
+        # A class built with the flag forced on raised DualityGapDetected
+        # from all three solvers on this genuine gap.
+        d, klass = gap_instance()
+        rebuilt = DibondClass(d, klass.members)
+        assert not rebuilt.corner_closed
+        assert optimal_pair(d, rebuilt) is None
+        assert nested_optimal_pair(d, rebuilt) is None
+        assert split_solve_merge(d, rebuilt) is None
+        with pytest.raises(TypeError):
+            DibondClass(d, klass.members, corner_closed=True)
+
+    def test_a_member_of_another_digraph_is_refused(self):
+        # A diamond class holding these members once gave the dijoin
+        # {s->a, s->b}, which misses the dicut {a->t, b->t}.
+        other = DibondClass.full(Digraph.from_edges([("x", "y"), ("y", "z")]))
+        with pytest.raises(ValueError, match="^class member belongs to a different digraph$"):
+            DibondClass(diamond(), other.members)
+
+    def test_members_come_in_class_order_whatever_order_they_are_given_in(self):
+        # Members handed in reversed once gave a packing in reversed order.
+        d = Digraph.from_edges(
+            [
+                ("v1", "v0"),
+                ("v2", "v0"),
+                ("v3", "v0"),
+                ("v1", "v4"),
+                ("v5", "v3"),
+                ("v4", "v0"),
+                ("v4", "v1"),
+                ("v0", "v1"),
+            ]
+        )
+        full = DibondClass.full(d)
+        rebuilt = DibondClass(d, reversed(full.members))
+        assert rebuilt.members == full.members and rebuilt.corner_closed
+        family = max_disjoint_dicuts(d, full)
+        assert len(family) == 3 and max_disjoint_dicuts(d, rebuilt) == family
+
+    def test_a_pair_keeps_its_family_in_class_order(self):
+        d = diamond()
+        klass = DibondClass.full(d)
+        pair = optimal_pair(d, klass)
+        flipped = OptimalPair(pair.dijoin, tuple(reversed(pair.family)), pair.nested)
+        assert len(pair.family) == 2 and flipped.family == pair.family
+        verify_optimal_pair(d, klass, flipped)
 
     def test_a_class_of_another_digraph_is_refused_everywhere(self):
         d1 = diamond()
@@ -791,6 +839,21 @@ class TestCornerClosure:
         closed = corner_closure(d, seed)
         assert closed.corner_closed
         assert len(closed) == 4
+
+    def test_seed_is_checked_and_the_cap_counts_the_closure(self):
+        d = diamond()
+        seed = [Dicut(d, {"a", "t"}), Dicut(d, {"b", "t"})]
+        assert len(corner_closure(d, seed, cap=4)) == 4
+        for cap in (1, 3):
+            with pytest.raises(CapExceeded):
+                corner_closure(d, seed, cap=cap)
+        with pytest.raises(CapExceeded):
+            corner_closure(d, DibondClass.full(d), cap=3)
+        with pytest.raises(ValueError, match="is not a dibond"):
+            corner_closure(d, seed + [Dicut(d, set())])
+        other = Digraph.from_edges([("x", "y")])
+        with pytest.raises(ValueError, match="belongs to a different digraph"):
+            corner_closure(d, [Dicut(other, {"y"})])
 
     def test_closure_is_a_fixpoint(self):
         d = diamond()
