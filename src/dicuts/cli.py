@@ -24,6 +24,7 @@ from typing import Optional
 from .core import (
     Dicut,
     Digraph,
+    _mask_vertices,
     bit_positions,
     decompose_dicut,
     dicut_from_shore,
@@ -155,8 +156,11 @@ def _shore_label(shore) -> str:
 
 
 def _cut_label(labels: list, cut: Dicut) -> str:
+    # Read off the masks, so listing a cut builds neither of its sets. The
+    # mask lists the shore largest first; the label lists it ascending.
+    shore = ", ".join([str(v) for v in _mask_vertices(cut.digraph, cut.shore_mask)][::-1])
     edges = _edge_set_label(labels, bit_positions(cut.edge_mask))
-    return f"in_shore={_shore_label(cut.in_shore)} edges={edges}"
+    return f"in_shore={{{shore}}} edges={edges}"
 
 
 def _read_text(path: str) -> str:
@@ -513,10 +517,10 @@ def _cmd_selftest(args) -> RunReport:
         digraph = _random_digraph(rng)
         brute = _brute_dicuts(digraph)
         fast = enumerate_dicuts(digraph, args.cap)
-        if {d.in_shore for d in brute} != {d.in_shore for d in fast}:
+        if {d.shore_mask for d in brute} != {d.shore_mask for d in fast}:
             raise RuntimeError("selftest: dicut enumeration mismatch")
-        brute_bonds = {d.in_shore for d in brute if d.is_dibond}
-        fast_bonds = {d.in_shore for d in enumerate_dibonds(digraph, args.cap)}
+        brute_bonds = {d.shore_mask for d in brute if d.is_dibond}
+        fast_bonds = {d.shore_mask for d in enumerate_dibonds(digraph, args.cap)}
         if brute_bonds != fast_bonds:
             raise RuntimeError("selftest: dibond enumeration mismatch")
         for d in fast:

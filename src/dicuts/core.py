@@ -10,24 +10,32 @@ order; the edge id is the index into that order, so ids are dense ints
 
 All values are treated as immutable once constructed, and every operation
 is a pure function of its inputs. A digraph builds its out, in and
-undirected adjacency when it is constructed, and a dicut its edge mask,
-an int with bit e set for each edge e of the cut; the edge set is derived
-on first read. So lookups never build tables, and a search that reads
-only masks never builds an edge set. Iteration orders follow sorted
-vertex ids and ascending edge ids throughout, so results are
-deterministic.
+undirected adjacency when it is constructed, and its vertex order, the
+vertices sorted descending: bit j of a vertex mask stands for the j-th
+largest vertex, so ids that cannot be sorted raise TypeError when the
+digraph is built. A dicut stores two int masks, shore_mask over the
+vertices of its in shore and edge_mask with bit e set for each edge e of
+the cut, and derives the in-shore set and the edge set from them on
+first read. So lookups never
+build tables, and a search that reads only masks (equality, nestedness,
+the solvers) never builds a set; meet and join combine the inputs' masks
+and build only the corner's shore. Iteration orders follow sorted vertex
+ids and ascending edge ids throughout, so results are deterministic.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from typing import Hashable, Iterable, Optional
+from itertools import compress
+from typing import Hashable, Iterable, Iterator, Optional
 
 from .errors import PreconditionViolated
 
 Vertex = Hashable
 EdgeId = int
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class Digraph:
@@ -53,6 +61,12 @@ class Digraph:
         self._out = {v: tuple(es) for v, es in out.items()}
         self._in = {v: tuple(es) for v, es in inc.items()}
         self._und = {v: tuple(ps) for v, ps in und.items()}
+        try:
+            self.vertex_order: tuple = tuple(sorted(self.vertices, reverse=True))
+        except TypeError as exc:
+            raise TypeError("vertex ids must be mutually sortable") from exc
+        # Vertex -> j, its bit in vertex masks: bit j is vertex_order[j].
+        self.vertex_bit: dict = dict(zip(self.vertex_order, range(len(self.vertex_order))))
         self._hash: Optional[int] = None
 
     @classmethod
@@ -118,6 +132,19 @@ def bit_positions(mask: int) -> list:
     return positions
 
 
+def _vertex_mask(digraph: Digraph, vertices: Iterable[Vertex]) -> int:
+    """The vertex mask, bit vertex_bit[v] for each v, of vertices of the digraph."""
+    bit = digraph.vertex_bit
+    return sum(1 << bit[v] for v in vertices)
+
+
+def _mask_vertices(digraph: Digraph, mask: int) -> Iterator[Vertex]:
+    """The vertices of a vertex mask, largest first."""
+    # bin() lists the bits high to low; reversed and mapped to bytes 0 and
+    # 1 they select the vertices from the vertex order in C.
+    return compress(digraph.vertex_order, bin(mask)[:1:-1].encode().translate(_BITS))
+
+
 def _edge_mask(digraph: Digraph, edge_ids: frozenset) -> int:
     """The mask, bit e for edge e, of the digraph's edges whose ids lie in
     `edge_ids`. Values that are no edge id of the digraph are left out,
@@ -172,55 +199,69 @@ def is_weakly_connected(digraph: Digraph) -> bool:
     return len(set(_component_labels(digraph).values())) <= 1
 
 
-def _leaving_edge(digraph: Digraph, shore: frozenset) -> Optional[EdgeId]:
-    """Some edge from the shore to its complement, or None when no edge leaves it."""
+def _cut_edges(digraph: Digraph, shore: frozenset) -> tuple:
+    """The edge masks of the edges entering, and of those leaving, the shore."""
+    edges = digraph.edges
+    entering = leaving = 0
     for v in shore:
+        for e in digraph.in_edges(v):
+            if edges[e][0] not in shore:
+                entering |= 1 << e
         for e in digraph.out_edges(v):
-            if digraph.head(e) not in shore:
-                return e
-    return None
+            if edges[e][1] not in shore:
+                leaving |= 1 << e
+    return entering, leaving
 
 
 class Dicut:
     """A directed cut: no edge leaves the in shore.
 
-    Stored canonically by the in shore Y; the edges entering Y are kept as
-    edge_mask, bit e for edge e, and edge_set is derived from the mask on
-    first read. Degenerate shores (empty or the whole vertex set) are
-    permitted so that meets and joins always have a value; such a dicut
-    has no edges and is reported by `is_empty`.
+    Stored canonically by the in shore Y, as shore_mask, the vertex mask of
+    Y (bit j for the digraph's vertex_order[j]), with the edges entering Y
+    as edge_mask, bit e for edge e. The in_shore and edge_set sets are
+    derived from the masks on first read, and equality, hashing, nested,
+    meet and join read only the masks. Degenerate shores (empty or the
+    whole vertex set) are permitted so that meets and joins always have a
+    value; such a dicut has no edges and is reported by `is_empty`.
     """
 
     def __init__(self, digraph: Digraph, in_shore: Iterable[Vertex]):
         in_shore = frozenset(in_shore)
         if not in_shore <= digraph.vertices:
             raise ValueError("in shore contains undeclared vertices")
-        e = _leaving_edge(digraph, in_shore)
-        if e is not None:
+        entering, leaving = _cut_edges(digraph, in_shore)
+        if leaving:
+            e = (leaving & -leaving).bit_length() - 1
             raise ValueError(f"edge {e} leaves the in shore; not a dicut")
         self.digraph = digraph
+        self.shore_mask = _vertex_mask(digraph, in_shore)
+        self.edge_mask = entering
+        # The set is at hand, so it is kept rather than derived again.
         self.in_shore = in_shore
-        self.edge_mask = sum(
-            1 << e for v in in_shore for e in digraph.in_edges(v) if digraph.tail(e) not in in_shore
-        )
         self._is_dibond: Optional[bool] = None
 
     @classmethod
     def _known(
         cls,
         digraph: Digraph,
-        in_shore: frozenset,
+        shore_mask: int,
         edge_mask: int,
         is_dibond: Optional[bool] = None,
     ) -> "Dicut":
         """A dicut whose caller has already checked that no edge leaves the
-        in shore, with its edge mask and, when given, its dibond status."""
+        in shore with this vertex mask, with its edge mask and, when given,
+        its dibond status."""
         cut = cls.__new__(cls)
         cut.digraph = digraph
-        cut.in_shore = in_shore
+        cut.shore_mask = shore_mask
         cut.edge_mask = edge_mask
         cut._is_dibond = is_dibond
         return cut
+
+    @cached_property
+    def in_shore(self) -> frozenset:
+        """The vertices of the in shore."""
+        return frozenset(_mask_vertices(self.digraph, self.shore_mask))
 
     @cached_property
     def edge_set(self) -> frozenset:
@@ -253,10 +294,10 @@ class Dicut:
             return True
         if not isinstance(other, Dicut):
             return NotImplemented
-        return self.in_shore == other.in_shore and self.digraph == other.digraph
+        return self.shore_mask == other.shore_mask and self.digraph == other.digraph
 
     def __hash__(self) -> int:
-        return hash(self.in_shore)
+        return hash(self.shore_mask)
 
     def __repr__(self) -> str:
         return f"Dicut(in_shore={sorted(self.in_shore)!r}, edges={bit_positions(self.edge_mask)!r})"
@@ -272,9 +313,8 @@ def dicut_from_shore(digraph: Digraph, in_shore: Iterable[Vertex]) -> Optional[D
         raise ValueError("in shore contains undeclared vertices")
     if not y or y == digraph.vertices:
         raise ValueError("in shore must be a nonempty proper vertex subset")
-    if _leaving_edge(digraph, y) is not None:
-        return None
-    return Dicut(digraph, y)
+    entering, leaving = _cut_edges(digraph, y)
+    return None if leaving else Dicut._known(digraph, _vertex_mask(digraph, y), entering)
 
 
 def dicut_from_edge_set(digraph: Digraph, edge_set: Iterable[EdgeId]) -> Optional[Dicut]:
@@ -304,12 +344,12 @@ def dicut_from_edge_set(digraph: Digraph, edge_set: Iterable[EdgeId]) -> Optiona
     if any(comp not in label for comp in set(comp_of.values())):
         return None
     y = frozenset(v for v in digraph.vertices if label[comp_of[v]] == "in")
-    if not y or y == digraph.vertices or _leaving_edge(digraph, y) is not None:
+    if not y or y == digraph.vertices:
         return None
-    cut = Dicut(digraph, y)
-    if cut.edge_mask != sum(1 << e for e in b):
+    entering, leaving = _cut_edges(digraph, y)
+    if leaving or entering != sum(1 << e for e in b):
         return None
-    return cut
+    return Dicut._known(digraph, _vertex_mask(digraph, y), entering)
 
 
 def nested(c1: Dicut, c2: Dicut) -> bool:
@@ -320,13 +360,9 @@ def nested(c1: Dicut, c2: Dicut) -> bool:
     """
     if c1.digraph != c2.digraph:
         raise ValueError("dicuts are over different digraphs")
-    y1, y2 = c1.in_shore, c2.in_shore
-    if y1 <= y2 or y2 <= y1:
-        return True
-    inter = len(y1 & y2)
-    if inter == 0:
-        return True
-    return len(y1) + len(y2) - inter == c1.digraph.n
+    a, b = c1.shore_mask, c2.shore_mask
+    i = a & b
+    return i == a or i == b or not i or (a | b).bit_count() == c1.digraph.n
 
 
 def crossing(c1: Dicut, c2: Dicut) -> bool:
@@ -341,7 +377,7 @@ def meet(b1: Dicut, b2: Dicut) -> Dicut:
     """
     if b1.digraph != b2.digraph:
         raise ValueError("dicuts are over different digraphs")
-    return Dicut(b1.digraph, b1.in_shore & b2.in_shore)
+    return Dicut(b1.digraph, _mask_vertices(b1.digraph, b1.shore_mask & b2.shore_mask))
 
 
 def join(b1: Dicut, b2: Dicut) -> Dicut:
@@ -352,7 +388,7 @@ def join(b1: Dicut, b2: Dicut) -> Dicut:
     """
     if b1.digraph != b2.digraph:
         raise ValueError("dicuts are over different digraphs")
-    return Dicut(b1.digraph, b1.in_shore | b2.in_shore)
+    return Dicut(b1.digraph, _mask_vertices(b1.digraph, b1.shore_mask | b2.shore_mask))
 
 
 def decompose_dicut(dicut: Dicut) -> list:

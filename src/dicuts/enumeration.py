@@ -33,23 +33,22 @@ H & ~T and the edges leaving it T & ~H, so each emitted cut gets its
 edge mask, and the dicut check that no edge leaves its in shore, in a few
 int operations; a failed check raises an internal error. One helper sorts
 the emitted (vertex mask, edge mask) pairs by shore size, then sorted
-shore, and builds each Dicut once, keeping the edge mask as it is: no
-edge set is built until someone reads it. Every walk uses an explicit
-stack. Every enumeration takes a cap and raises CapExceeded as soon as the
-result count would pass it; a capped call never returns a truncated list.
+shore, and builds each Dicut once, keeping both masks as they are: no
+shore set or edge set is built until someone reads it. Every walk uses
+an explicit stack. Every enumeration takes a cap and raises CapExceeded
+as soon as the result count would pass it; a capped call never returns
+a truncated list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Optional
 
 from .core import Digraph, Dicut, EdgeId, bit_positions
 from .errors import CapExceeded, PreconditionViolated
 
 DEFAULT_CAP = 1_000_000
-_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +77,7 @@ def condensation(digraph: Digraph) -> Condensation:
     stack: list = []
     sccs: list = []
     counter = 0
-    for root in sorted(digraph.vertices):
+    for root in reversed(digraph.vertex_order):
         if root in index:
             continue
         work = [(root, 0)]
@@ -137,10 +136,10 @@ def condensation(digraph: Digraph) -> Condensation:
 
 def _walk_tables(digraph: Digraph) -> Optional[tuple]:
     """The condensation's masks that both walks start from, described in
-    the module docstring: succ, pred and und per component, the vertices
-    in descending order, then verts, tails and heads per component. None
-    when there is at most one strong component, before any vertex or edge
-    mask is built: no walk then has anything to emit.
+    the module docstring: succ, pred, und, verts, tails and heads per
+    component, verts over the digraph's vertex_order. None when there is
+    at most one strong component, before any vertex or edge mask is built:
+    no walk then has anything to emit.
     """
     cond = condensation(digraph)
     comps = cond.components
@@ -154,17 +153,16 @@ def _walk_tables(digraph: Digraph) -> Optional[tuple]:
         succ[index[a]] |= 1 << index[b]
         pred[index[b]] |= 1 << index[a]
     und = [s | p for s, p in zip(succ, pred)]
-    order = sorted(digraph.vertices, reverse=True)
     comp_of = {v: index[c] for v, c in cond.scc_of.items()}
     verts = [0] * k
     tails = [0] * k
     heads = [0] * k
-    for j, v in enumerate(order):
+    for j, v in enumerate(digraph.vertex_order):
         verts[comp_of[v]] |= 1 << j
     for e, (t, h) in enumerate(digraph.edges):
         tails[comp_of[t]] |= 1 << e
         heads[comp_of[h]] |= 1 << e
-    return succ, pred, und, order, verts, tails, heads
+    return succ, pred, und, verts, tails, heads
 
 
 def _closures(step: list, tables: tuple) -> list:
@@ -201,26 +199,16 @@ def _check_dicut(leaving: int) -> None:
         raise RuntimeError("internal error: an edge leaves an enumerated in shore")
 
 
-def _build(digraph: Digraph, order: list, found: list, is_dibond: Optional[bool] = None) -> list:
+def _build(digraph: Digraph, found: list, is_dibond: Optional[bool] = None) -> list:
     """The dicuts given as (in shore vertex mask, edge mask) pairs, sorted by
     shore size, then sorted shore.
 
-    Vertex bit j is order[j], the j-th largest vertex, so the least vertex
-    where two shores of one size differ lies in the one with the larger
-    mask: that shore comes first in sorted-tuple order.
+    Vertex bit j is the j-th largest vertex, so the least vertex where two
+    shores of one size differ lies in the one with the larger mask: that
+    shore comes first in sorted-tuple order.
     """
     found.sort(key=lambda item: (item[0].bit_count(), -item[0]))
-    return [
-        Dicut._known(
-            digraph,
-            # bin() lists the bits high to low; reversed and mapped to
-            # bytes 0 and 1 they select the shore from `order` in C.
-            frozenset(compress(order, bin(vertex_mask)[:1:-1].encode().translate(_BITS))),
-            edge_mask,
-            is_dibond,
-        )
-        for vertex_mask, edge_mask in found
-    ]
+    return [Dicut._known(digraph, shore, edges, is_dibond) for shore, edges in found]
 
 
 def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
@@ -234,7 +222,7 @@ def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     tables = _walk_tables(digraph)
     if tables is None:
         return []
-    succ, pred, _und, order, verts, tails, heads = tables
+    succ, pred, _und, verts, tails, heads = tables
     k = len(succ)
     desc = _closures(succ, (verts, tails, heads))
     anc = [closure[0] for closure in _closures(pred, ())]
@@ -261,7 +249,7 @@ def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
             stack.append((i + 1, ins | down, outs, vs | dv, ts | dt, hs | dh))
         if not anc[i] & ins:
             stack.append((i + 1, ins, outs | anc[i], vs, ts, hs))
-    return _build(digraph, order, found)
+    return _build(digraph, found)
 
 
 def _neighbours(und: list, mask: int) -> int:
@@ -290,13 +278,12 @@ def _reach_within(und: list, subset: int, start: int, stop: int) -> int:
 
 
 def _dibond_masks(digraph: Digraph, cap: int) -> tuple:
-    """The dibond walk of enumerate_dibonds: the vertices in descending
-    order, and each dibond as an (in shore vertex mask, edge mask) pair,
-    in walk order."""
+    """The dibond walk of enumerate_dibonds: each dibond as an (in shore
+    vertex mask, edge mask) pair, in walk order."""
     tables = _walk_tables(digraph)
     if tables is None:
-        return [], []
-    _succ, pred, und, order, verts, tails, heads = tables
+        return []
+    _succ, pred, und, verts, tails, heads = tables
     k = len(und)
     full = (1 << k) - 1
     # Strong components are connected, so the component graph is weakly
@@ -304,7 +291,7 @@ def _dibond_masks(digraph: Digraph, cap: int) -> tuple:
     if _reach_within(und, full, 1, full) != full:
         raise PreconditionViolated("dibonds need a weakly connected digraph")
     anc = _closures(pred, (und, verts, tails, heads))
-    all_vertices = (1 << len(order)) - 1
+    all_vertices = (1 << digraph.n) - 1
     found: list = []
 
     for idx in range(k):
@@ -353,7 +340,7 @@ def _dibond_masks(digraph: Digraph, cap: int) -> tuple:
                          nbrs | un, vs | uv, ts | ut, hs | uh)
                     )
                 blocked |= 1 << u
-    return order, found
+    return found
 
 
 def enumerate_dibonds(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
@@ -403,8 +390,7 @@ def enumerate_dibonds(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     A digraph with at most one strong component, the empty one included,
     is connected and has no dibond.
     """
-    order, found = _dibond_masks(digraph, cap)
-    return _build(digraph, order, found, True)
+    return _build(digraph, _dibond_masks(digraph, cap), True)
 
 
 def dibonds_containing_edge(digraph: Digraph, e: EdgeId, cap: int = DEFAULT_CAP) -> list:
@@ -415,5 +401,5 @@ def dibonds_containing_edge(digraph: Digraph, e: EdgeId, cap: int = DEFAULT_CAP)
     """
     if not 0 <= e < digraph.m:
         raise ValueError(f"unknown edge id {e}")
-    order, found = _dibond_masks(digraph, cap)
-    return _build(digraph, order, [item for item in found if item[1] >> e & 1], True)
+    found = _dibond_masks(digraph, cap)
+    return _build(digraph, [item for item in found if item[1] >> e & 1], True)

@@ -83,7 +83,7 @@ def equivalence_classes(digraph: Digraph, cuts: Iterable[Dicut]) -> QuotientMap:
             raise ValueError("cut belongs to a different digraph")
     shores = [cut.in_shore for cut in cuts]
     by_signature: dict = {}
-    for v in sorted(digraph.vertices):
+    for v in reversed(digraph.vertex_order):
         sig = tuple(v in y for y in shores)
         by_signature.setdefault(sig, []).append(v)
     class_of = {}
@@ -165,7 +165,7 @@ def block_cut_tree(digraph: Digraph) -> BlockTree:
     edge_stack: list = []
     raw_blocks: list = []
     counter = 0
-    for root in sorted(digraph.vertices)[:1]:
+    for root in digraph.vertex_order[-1:]:
         disc[root] = low[root] = counter
         counter += 1
         frames = [(root, None, iter(sorted(digraph.und_neighbors(root))))]

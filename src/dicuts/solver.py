@@ -67,8 +67,9 @@ from .core import (
     Digraph,
     Dicut,
     _component_labels,
+    _cut_edges,
     _edge_mask,
-    _leaving_edge,
+    _mask_vertices,
     bit_positions,
     decompose_dicut,
     is_weakly_connected,
@@ -112,6 +113,23 @@ def _sorted_dibonds(digraph: Digraph, cap: int) -> list:
     return sorted(enumerate_dibonds(digraph, cap), key=_member_key)
 
 
+def _class_members(digraph: Digraph, members: Iterable[Dicut]) -> list:
+    """The members, checked to be dibonds of the digraph (ValueError
+    otherwise), without repeated in-shores, in class order."""
+    seen = set()
+    unique = []
+    for member in members:
+        if member.digraph != digraph:
+            raise ValueError("class member belongs to a different digraph")
+        if not member.is_dibond:
+            raise ValueError(f"class member {member!r} is not a dibond")
+        if member.shore_mask not in seen:
+            seen.add(member.shore_mask)
+            unique.append(member)
+    unique.sort(key=_member_key)
+    return unique
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class DibondClass:
     """A finite set of dibonds of one digraph, with its corner-closure status.
@@ -132,17 +150,7 @@ class DibondClass:
     corner_closed: bool
 
     def __init__(self, digraph: Digraph, members: Iterable[Dicut]):
-        seen = set()
-        unique = []
-        for member in members:
-            if member.digraph != digraph:
-                raise ValueError("class member belongs to a different digraph")
-            if not member.is_dibond:
-                raise ValueError(f"class member {member!r} is not a dibond")
-            if member.in_shore not in seen:
-                seen.add(member.in_shore)
-                unique.append(member)
-        unique.sort(key=_member_key)
+        unique = _class_members(digraph, members)
         # Frozen: the fields are written past the dataclass's __setattr__.
         vars(self).update(
             digraph=digraph, members=tuple(unique), corner_closed=_is_corner_closed(unique)
@@ -194,9 +202,9 @@ def _corner_parts(a: Dicut, b: Dicut):
 
 
 def _is_corner_closed(members: list) -> bool:
-    member_shores = {m.in_shore for m in members}
+    member_shores = {m.shore_mask for m in members}
     return all(
-        part.in_shore in member_shores
+        part.shore_mask in member_shores
         for a, b in combinations(members, 2)
         for part in _corner_parts(a, b)
     )
@@ -511,16 +519,19 @@ def verify_optimal_pair(digraph: Digraph, klass: DibondClass, pair: OptimalPair)
     """Independently re-check the optimal pair conditions; raise VerificationFailed otherwise.
 
     Checks, in order: every family member is a nonempty dicut of the
-    digraph; the members are pairwise edge-disjoint; the dijoin meets every
-    class member; the dijoin lies inside the family union; the dijoin meets
-    each family member exactly once; and, when the pair claims it, the
-    family is pairwise nested.
+    digraph, its edges exactly those entering its in shore; the members
+    are pairwise edge-disjoint; the dijoin meets every class member; the
+    dijoin lies inside the family union; the dijoin meets each family
+    member exactly once; and, when the pair claims it, the family is
+    pairwise nested.
     """
     for member in pair.family:
+        # A throwaway shore set: reading in_shore would keep one per member.
+        shore = frozenset(_mask_vertices(digraph, member.shore_mask))
         if (
             member.digraph != digraph
             or member.is_empty
-            or _leaving_edge(digraph, member.in_shore) is not None
+            or _cut_edges(digraph, shore) != (member.edge_mask, 0)
         ):
             raise VerificationFailed("family member is not a nonempty dicut of the digraph")
     if not _pairwise_disjoint(pair.family):
@@ -659,24 +670,24 @@ def corner_closure(
 ) -> DibondClass:
     """The least superset of the seed closed under decomposed meets and joins.
 
-    The seed becomes a class through DibondClass(digraph, seed), which
-    refuses a member of another digraph or one that is no dibond
-    (ValueError); a seed that class finds corner-closed is its own closure.
-    Otherwise a fixpoint iteration: for every pair of current members, the
-    nonempty meet and join are decomposed into dibonds and any new ones
-    join the class. Raises CapExceeded when the member count passes the cap.
+    The seed is checked as DibondClass checks its members, which refuses a
+    member of another digraph or one that is no dibond (ValueError). Then a
+    fixpoint iteration: for every pair of current members, the nonempty
+    meet and join are decomposed into dibonds and any new ones join the
+    class. Its pass over the seed's pairs is the corner-closure check, so a
+    corner-closed seed costs what the check costs, and no pair is met
+    twice. Raises CapExceeded when the member count passes the cap.
     """
-    start = DibondClass(digraph, seed.members if isinstance(seed, DibondClass) else seed)
-    members = list(start.members)
-    shores = {member.in_shore for member in members}
-    pair_queue = [] if start.corner_closed else list(combinations(range(len(members)), 2))
+    members = _class_members(digraph, seed.members if isinstance(seed, DibondClass) else seed)
+    shores = {member.shore_mask for member in members}
+    pair_queue = list(combinations(range(len(members)), 2))
     head = 0
     while head < len(pair_queue) and len(members) <= cap:
         i, j = pair_queue[head]
         head += 1
         for part in _corner_parts(members[i], members[j]):
-            if part.in_shore not in shores:
-                shores.add(part.in_shore)
+            if part.shore_mask not in shores:
+                shores.add(part.shore_mask)
                 members.append(part)
                 new_idx = len(members) - 1
                 pair_queue.extend((idx, new_idx) for idx in range(new_idx))

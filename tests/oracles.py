@@ -20,7 +20,10 @@ search over all maximum matchings, on that transversal search, and
 `dibond_masks_by_rescan` the earlier dibond walk,
 which searches the whole complement at every set, on the package's own
 walk tables and closures (`_closures` is checked against a plain search
-in the enumeration tests).
+in the enumeration tests). `nested_by_shores` is the earlier frozenset
+test of nestedness, the reference for the one on shore masks, and
+`corner_closure_by_passes` closes a seed by whole passes over every pair,
+on the package's meet, join and split.
 """
 
 from __future__ import annotations
@@ -33,10 +36,13 @@ from dicuts import (
     CapExceeded,
     Dicut,
     Digraph,
+    decompose_dicut,
     exact_max_set_packing,
     finite_dibonds_in_window,
     is_weakly_connected,
+    join,
     maximal_nested_disjoint_family,
+    meet,
     nested,
 )
 from dicuts.core import bit_positions
@@ -206,12 +212,12 @@ def dibond_masks_by_rescan(digraph, cap=10**6):
         raise ValueError("dibonds need a weakly connected digraph")
     tables = _walk_tables(digraph)
     if tables is None:
-        return [], []
-    _succ, pred, und, order, verts, tails, heads = tables
+        return []
+    _succ, pred, und, verts, tails, heads = tables
     k = len(und)
     anc = _closures(pred, (und, verts, tails, heads))
     full = (1 << k) - 1
-    all_vertices = (1 << len(order)) - 1
+    all_vertices = (1 << digraph.n) - 1
     found = []
 
     def reach_within(subset, start):
@@ -249,7 +255,7 @@ def dibond_masks_by_rescan(digraph, cap=10**6):
                 if not need & blocked:
                     stack.append((blocked, s | need, nbrs | un, vs | uv, ts | ut, hs | uh))
                 blocked |= 1 << u
-    return order, found
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +311,37 @@ def brute_dibond_partitions(digraph, edge_set, bonds=None):
 
     extend(frozenset(edge_set), [])
     return results
+
+
+def nested_by_shores(c1, c2):
+    """The frozenset test that `core.nested` replaced: some shore of one
+    dicut lies inside some shore of the other."""
+    if c1.digraph != c2.digraph:
+        raise ValueError("dicuts are over different digraphs")
+    y1, y2 = c1.in_shore, c2.in_shore
+    if y1 <= y2 or y2 <= y1:
+        return True
+    inter = len(y1 & y2)
+    if inter == 0:
+        return True
+    return len(y1) + len(y2) - inter == c1.digraph.n
+
+
+def corner_closure_by_passes(seed):
+    """The seed's closure under split meets and joins, by whole passes over
+    every pair until one adds nothing, in the canonical edge set order."""
+    members = {cut.in_shore: cut for cut in seed}
+    while True:
+        new = {}
+        for a, b in itertools.combinations(list(members.values()), 2):
+            for corner in (meet(a, b), join(a, b)):
+                if corner.edge_set:
+                    for part in decompose_dicut(corner):
+                        if part.in_shore not in members:
+                            new[part.in_shore] = part
+        if not new:
+            return sorted(members.values(), key=lambda c: (len(c.edge_set), sorted(c.edge_set)))
+        members.update(new)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dicuts import (
     run,
     serialize_digraph,
 )
-from dicuts import solver
+from dicuts import cli, enumerate_dicuts, solver
 from dicuts.cli import EXIT_ERROR, EXIT_OK, EXIT_REFUTED
 
 
@@ -101,6 +101,17 @@ class TestReports:
         path.write_text("a b\na b\n", encoding="utf-8")
         got = lines_dict(run("enumerate", {"input": str(path), "kind": "dicuts"}))
         assert got["member"] == ["in_shore={b} edges={a->b#0, a->b#1}"]
+
+    def test_cut_labels_read_the_shore_mask(self):
+        # A label lists the shore ascending, read off the mask, and leaves
+        # no shore set behind on the cut it lists.
+        d = parse_digraph("v10 v2\nv2 v9\nv10 x\nx v9\nv2 x\n")
+        labels = cli._edge_labels(d)
+        for cut in enumerate_dicuts(d):
+            text = cli._cut_label(labels, cut)
+            assert "in_shore" not in vars(cut)
+            edges = ", ".join(labels[e] for e in sorted(cut.edge_set))
+            assert text == f"in_shore={{{', '.join(sorted(cut.in_shore))}}} edges={{{edges}}}"
 
 
 class TestUncrossCommand:

@@ -30,7 +30,7 @@ from dicuts import (
 
 from dicuts.core import bit_positions
 
-from .oracles import brute_dicuts, disconnected_digraphs, random_weak_digraph
+from .oracles import brute_dicuts, disconnected_digraphs, nested_by_shores, random_weak_digraph
 
 
 def parallel_and_isolated_digraphs(count=300):
@@ -107,6 +107,20 @@ class TestDigraph:
                 assert d.und_neighbors(v) == tuple(
                     (h if t == v else t, e) for e, (t, h) in edges if v in (t, h)
                 )
+
+    def test_vertex_order_is_descending_and_bits_index_it(self):
+        for d in parallel_and_isolated_digraphs():
+            assert d.vertex_order == tuple(sorted(d.vertices, reverse=True))
+            assert {v: d.vertex_order[j] for v, j in d.vertex_bit.items()} == {
+                v: v for v in d.vertices
+            }
+
+    def test_unsortable_vertex_ids_are_refused_at_construction(self):
+        # Vertex masks number the vertices in sorted order, so the digraph
+        # sorts them when it is built; ids that cannot be compared fail
+        # there, not at the first enumeration.
+        with pytest.raises(TypeError, match="vertex ids must be mutually sortable"):
+            Digraph.from_edges([(1, "a")])
 
     def test_equality_and_hash(self):
         assert path3() == path3()
@@ -240,6 +254,77 @@ class TestEdgeMask:
         spec = get_family(name)
         windows = (window(spec, n).digraph for n in range(1, nmax + 1))
         assert self.check(windows, random.Random(name)) > 1000
+
+
+class TestShoreMask:
+    """A dicut's shore mask is its in shore, bit j for the j-th largest
+    vertex, however the dicut was made."""
+
+    def check(self, digraphs, rng):
+        checked = 0
+        for d in digraphs:
+            for cut in dicuts_made_every_way(d, rng):
+                # The mask is read before the shore set is first derived from it.
+                mask = cut.shore_mask
+                y = cut.in_shore
+                order = sorted(cut.digraph.vertices, reverse=True)
+                assert mask == sum(1 << j for j, v in enumerate(order) if v in y)
+                edges = list(enumerate(cut.digraph.edges))
+                assert not any(t in y and h not in y for _e, (t, h) in edges)
+                assert cut.edge_mask == sum(1 << e for e, (t, h) in edges if h in y and t not in y)
+                checked += 1
+        return checked
+
+    def test_seeded_digraphs_with_parallel_edges(self):
+        assert self.check(parallel_and_isolated_digraphs(), random.Random(5)) > 10000
+
+    @pytest.mark.parametrize(
+        "name, nmax", [("grid_d2", 7), ("zigzag_d1", 12)]
+    )
+    def test_family_windows(self, name, nmax):
+        spec = get_family(name)
+        windows = (window(spec, n).digraph for n in range(1, nmax + 1))
+        assert self.check(windows, random.Random(name)) > 1000
+
+    def test_the_walks_build_no_shore_set(self):
+        d = window(get_family("zigzag_d1"), 8).digraph
+        cuts = enumerate_dicuts(d) + enumerate_dibonds(d) + dibonds_containing_edge(d, 0)
+        assert len(cuts) > 100 and not any("in_shore" in vars(cut) for cut in cuts)
+
+    def test_nested_agrees_with_the_frozenset_test(self):
+        pairs = 0
+        digraphs = list(parallel_and_isolated_digraphs())
+        for name, nmax in (("grid_d2", 7), ("zigzag_d1", 12)):
+            digraphs += [window(get_family(name), n).digraph for n in range(1, nmax + 1)]
+        for d in digraphs:
+            if d.n < 12:
+                cuts = brute_dicuts(d) + [Dicut(d, ()), Dicut(d, d.vertices)]
+            else:
+                cuts = enumerate_dibonds(d)
+            for c1, c2 in combinations(cuts, 2):
+                assert nested(c1, c2) is nested_by_shores(c1, c2)
+                assert nested(c2, c1) is nested_by_shores(c1, c2)
+                pairs += 1
+        assert pairs > 50000
+
+    def test_a_constructed_dicut_equals_and_hashes_like_the_walks(self):
+        compared = 0
+        for d in parallel_and_isolated_digraphs():
+            walk = {cut: cut for cut in enumerate_dicuts(d)}
+            for cut in brute_dicuts(d):
+                if not cut.edge_mask:
+                    continue
+                # The lookup goes by hash and then equality.
+                twin = walk.pop(cut)
+                assert twin is not cut and twin == cut and hash(twin) == hash(cut)
+                assert twin.in_shore == cut.in_shore
+                compared += 1
+            assert not walk
+            if is_weakly_connected(d):
+                for bond in enumerate_dibonds(d):
+                    built = Dicut(d, set(bond.in_shore))
+                    assert built == bond and hash(built) == hash(bond)
+        assert compared > 1500
 
 
 class TestNestedAndCorners:

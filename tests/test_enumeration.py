@@ -269,14 +269,14 @@ class TestMaskBuiltMembers:
         walk_tables = enumeration._walk_tables
 
         def with_phantom_edge(digraph):
-            succ, pred, und, order, verts, tails, heads = walk_tables(digraph)
+            succ, pred, und, verts, tails, heads = walk_tables(digraph)
 
             def comp(v):
-                return next(i for i, m in enumerate(verts) if m >> order.index(v) & 1)
+                return next(i for i, m in enumerate(verts) if m >> digraph.vertex_bit[v] & 1)
 
             tails[comp("t")] |= 1 << digraph.m
             heads[comp("s")] |= 1 << digraph.m
-            return succ, pred, und, order, verts, tails, heads
+            return succ, pred, und, verts, tails, heads
 
         monkeypatch.setattr(enumeration, "_walk_tables", with_phantom_edge)
         for enumerate_cuts in (enumerate_dicuts, enumerate_dibonds):

@@ -56,6 +56,7 @@ from .oracles import (
     brute_dicuts,
     brute_max_packing,
     brute_min_dijoin,
+    corner_closure_by_passes,
     greedy_cover_by_recount,
     largest_disjoint_by_recursion,
     meets_every_dicut,
@@ -396,6 +397,18 @@ class TestMaskPath:
         derived = [
             m for m in klass.members if "edge_set" in vars(m) and m.in_shore not in family
         ]
+        assert len(klass) > 400 and derived == []
+
+    def test_solving_the_full_class_derives_no_member_shore(self):
+        # Equality, nestedness and the verifier read only shore masks; a
+        # shore set is derived on first read, so none exists beyond the
+        # family.
+        d = window(get_family("zigzag_d1"), 30).digraph
+        klass = DibondClass.full(d)
+        pair = nested_optimal_pair(d, klass)
+        assert pair is not None and len(pair.family) == 30
+        family = {id(m) for m in pair.family}
+        derived = [m for m in klass.members if "in_shore" in vars(m) and id(m) not in family]
         assert len(klass) > 400 and derived == []
 
 
@@ -863,6 +876,32 @@ class TestCornerClosure:
             m.in_shore for m in closed.members
         }
 
+
+    def test_no_pair_of_members_is_met_twice(self, monkeypatch):
+        # The pass over the seed's pairs is the closure check itself, so a
+        # closure of k members meets each of its k(k-1)/2 pairs once; a
+        # separate check before the fixpoint loop met the seed's pairs again.
+        d = window(get_family("grid_d2"), 3).digraph
+        bonds = enumerate_dibonds(d)
+        seeds = [random.Random(i).sample(bonds, 6) for i in range(20)]
+        counts = []
+        meet = solver.meet
+
+        def counted(a, b):
+            counts[-1] += 1
+            return meet(a, b)
+
+        monkeypatch.setattr(solver, "meet", counted)
+        closures = []
+        for seed in seeds:
+            counts.append(0)
+            closures.append(corner_closure(d, seed))
+        monkeypatch.undo()
+        for seed, closed, count in zip(seeds, closures, counts):
+            expected = corner_closure_by_passes(seed)
+            assert [m.shore_mask for m in closed.members] == [m.shore_mask for m in expected]
+            assert count == len(closed) * (len(closed) - 1) // 2
+        assert sum(counts) <= 460
 
     def test_min_equals_max_on_closures_of_random_seeds(self):
         # The rule that a gap raises on every corner-closed class rests on
