@@ -9,23 +9,24 @@ order; the edge id is the index into that order, so ids are dense ints
 0..m-1 and stable. Parallel edges are distinct ids; loops are rejected.
 
 All values are treated as immutable once constructed, and every operation
-is a pure function of its inputs. A digraph builds its out, in and
+is a pure function of its inputs. A digraph builds its out and
 undirected adjacency when it is constructed, and its vertex order, the
 vertices sorted descending: bit j of a vertex mask stands for the j-th
 largest vertex, so ids that cannot be sorted raise TypeError when the
 digraph is built. A dicut stores two int masks, shore_mask over the
 vertices of its in shore and edge_mask with bit e set for each edge e of
 the cut, and derives the in-shore set and the edge set from them on
-first read. So lookups never
-build tables, and a search that reads only masks (equality, nestedness,
-the solvers) never builds a set; meet and join combine the inputs' masks
-and build only the corner's shore. Iteration orders follow sorted vertex
-ids and ascending edge ids throughout, so results are deterministic.
+first read, so a search that reads only masks (equality, nestedness,
+the solvers) never builds a set. Every connectivity test is one search,
+_reach_within, over vertex masks and a table of neighbour masks that a
+digraph builds on its first search, and every cut check is _cut_masks,
+so meet, join and the split of a dicut build no shore set either.
+Iteration orders follow sorted vertex ids and ascending edge ids
+throughout, so results are deterministic.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from itertools import compress
 from typing import Hashable, Iterable, Iterator, Optional
@@ -45,7 +46,6 @@ class Digraph:
         self.vertices: frozenset = frozenset(vertices)
         self.edges: tuple = tuple((t, h) for (t, h) in edges)
         out: dict = {v: [] for v in self.vertices}
-        inc: dict = {v: [] for v in self.vertices}
         und: dict = {v: [] for v in self.vertices}
         for e, (t, h) in enumerate(self.edges):
             if t == h:
@@ -55,11 +55,9 @@ class Digraph:
             if h not in self.vertices:
                 raise ValueError(f"edge {e} has undeclared head {h!r}")
             out[t].append(e)
-            inc[h].append(e)
             und[t].append((h, e))
             und[h].append((t, e))
         self._out = {v: tuple(es) for v, es in out.items()}
-        self._in = {v: tuple(es) for v, es in inc.items()}
         self._und = {v: tuple(ps) for v, ps in und.items()}
         try:
             self.vertex_order: tuple = tuple(sorted(self.vertices, reverse=True))
@@ -68,6 +66,7 @@ class Digraph:
         # Vertex -> j, its bit in vertex masks: bit j is vertex_order[j].
         self.vertex_bit: dict = dict(zip(self.vertex_order, range(len(self.vertex_order))))
         self._hash: Optional[int] = None
+        self._nbrs: Optional[list] = None
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple], isolated: Iterable[Vertex] = ()) -> "Digraph":
@@ -99,12 +98,18 @@ class Digraph:
     def out_edges(self, v: Vertex) -> tuple:
         return self._out[v]
 
-    def in_edges(self, v: Vertex) -> tuple:
-        return self._in[v]
-
     def und_neighbors(self, v: Vertex) -> tuple:
         """Pairs (other endpoint, edge id) over all incident edges, ignoring direction."""
         return self._und[v]
+
+    @property
+    def neighbour_masks(self) -> list:
+        """Per vertex bit j, the mask of the neighbours of vertex_order[j], built on first read."""
+        # Not a cached_property: on CPython 3.11 an attribute first set after
+        # __init__ slows every later attribute read, condensation's included.
+        if self._nbrs is None:
+            self._nbrs = _neighbour_masks(self)
+        return self._nbrs
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -153,42 +158,53 @@ def _edge_mask(digraph: Digraph, edge_ids: frozenset) -> int:
     return sum(1 << e for e in digraph.edge_ids() if e in edge_ids)
 
 
-def _component_labels(
-    digraph: Digraph, within: Optional[frozenset] = None, removed: frozenset = frozenset()
-) -> dict:
-    """Vertex -> least vertex of its weak component, for the vertices of `within`.
+def _neighbour_masks(digraph: Digraph, removed: frozenset = frozenset()) -> list:
+    """Per vertex bit j, the vertex mask of the undirected neighbours of
+    vertex_order[j] along the edges whose ids are not in `removed`."""
+    bit = digraph.vertex_bit
+    nbrs = [0] * digraph.n
+    for e, (t, h) in enumerate(digraph.edges):
+        if e not in removed:
+            i, j = bit[t], bit[h]
+            nbrs[i] |= 1 << j
+            nbrs[j] |= 1 << i
+    return nbrs
 
-    The components are those of the subdigraph induced on `within` (every
-    vertex when None) without the `removed` edges. Seeds are taken in
-    sorted order, so the labels, in insertion order, list the components
-    in ascending order of their least vertex.
+
+def _neighbours(nbrs: list, mask: int) -> int:
+    """The union of the table entries of the bits in `mask`."""
+    step = 0
+    while mask:
+        low = mask & -mask
+        step |= nbrs[low.bit_length() - 1]
+        mask ^= low
+    return step
+
+
+def _reach_within(nbrs: list, subset: int, start: int, stop: int) -> int:
+    """The bits of `subset` joined to the `start` bits by a path of table steps inside it.
+
+    The search returns all of `subset` once it has seen every bit of
+    `stop`: the caller passes a stop set that every component of `subset`
+    touches, so one search reaching all of it has joined them all. With
+    `subset` itself as the stop set this is a plain search.
     """
-    vertices = digraph.vertices if within is None else within
-    label: dict = {}
-    for v in sorted(vertices):
-        if v in label:
-            continue
-        label[v] = v
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w, e in digraph.und_neighbors(u):
-                if w not in label and w in vertices and e not in removed:
-                    label[w] = v
-                    queue.append(w)
-    return label
+    seen = frontier = start
+    while frontier and stop & ~seen:
+        frontier = _neighbours(nbrs, frontier) & subset & ~seen
+        seen |= frontier
+    return seen if stop & ~seen else subset
 
 
-def weak_components_within(digraph: Digraph, subset: frozenset) -> list:
-    """Weak components of the induced subdigraph on `subset`, each a frozenset.
-
-    Deterministic: components are discovered from sorted seeds and returned
-    in that discovery order.
-    """
-    comps: dict = {}
-    for v, c in _component_labels(digraph, subset).items():
-        comps.setdefault(c, []).append(v)
-    return [frozenset(comp) for comp in comps.values()]
+def _components(nbrs: list, mask: int) -> list:
+    """The components of the vertex mask under the table, as masks, the least vertex's first."""
+    comps = []
+    while mask:
+        # The highest bit stands for the least vertex.
+        comp = _reach_within(nbrs, mask, 1 << (mask.bit_length() - 1), mask)
+        comps.append(comp)
+        mask ^= comp
+    return comps
 
 
 def is_weakly_connected(digraph: Digraph) -> bool:
@@ -196,21 +212,32 @@ def is_weakly_connected(digraph: Digraph) -> bool:
 
     The empty digraph and a single vertex both count as connected.
     """
-    return len(set(_component_labels(digraph).values())) <= 1
+    return len(_components(digraph.neighbour_masks, (1 << digraph.n) - 1)) <= 1
 
 
-def _cut_edges(digraph: Digraph, shore: frozenset) -> tuple:
-    """The edge masks of the edges entering, and of those leaving, the shore."""
-    edges = digraph.edges
+def _cut_masks(digraph: Digraph, shore_mask: int) -> tuple:
+    """The edge masks of the edges entering, and of those leaving, the
+    in shore with this vertex mask."""
+    bit = digraph.vertex_bit
     entering = leaving = 0
-    for v in shore:
-        for e in digraph.in_edges(v):
-            if edges[e][0] not in shore:
+    for e, (t, h) in enumerate(digraph.edges):
+        inside = shore_mask >> bit[h] & 1
+        if inside != shore_mask >> bit[t] & 1:
+            if inside:
                 entering |= 1 << e
-        for e in digraph.out_edges(v):
-            if edges[e][1] not in shore:
+            else:
                 leaving |= 1 << e
     return entering, leaving
+
+
+def _entering(digraph: Digraph, shore_mask: int) -> int:
+    """The edge mask of the edges entering the in shore with this vertex
+    mask; ValueError, naming the lowest edge, when one leaves it."""
+    entering, leaving = _cut_masks(digraph, shore_mask)
+    if leaving:
+        e = (leaving & -leaving).bit_length() - 1
+        raise ValueError(f"edge {e} leaves the in shore; not a dicut")
+    return entering
 
 
 class Dicut:
@@ -229,13 +256,9 @@ class Dicut:
         in_shore = frozenset(in_shore)
         if not in_shore <= digraph.vertices:
             raise ValueError("in shore contains undeclared vertices")
-        entering, leaving = _cut_edges(digraph, in_shore)
-        if leaving:
-            e = (leaving & -leaving).bit_length() - 1
-            raise ValueError(f"edge {e} leaves the in shore; not a dicut")
         self.digraph = digraph
         self.shore_mask = _vertex_mask(digraph, in_shore)
-        self.edge_mask = entering
+        self.edge_mask = _entering(digraph, self.shore_mask)
         # The set is at hand, so it is kept rather than derived again.
         self.in_shore = in_shore
         self._is_dibond: Optional[bool] = None
@@ -281,11 +304,13 @@ class Dicut:
         """True iff the dicut is nonempty and both shores induce weakly connected subdigraphs.
 
         No edge leaves the in shore, so the digraph minus the cut edges is
-        the two induced shores side by side: exactly two weak components.
+        the two induced shores side by side.
         """
         if self._is_dibond is None:
+            nbrs = self.digraph.neighbour_masks
+            out_shore = ((1 << self.digraph.n) - 1) ^ self.shore_mask
             self._is_dibond = not self.is_empty and (
-                len(set(_component_labels(self.digraph, removed=self.edge_set).values())) == 2
+                len(_components(nbrs, self.shore_mask)) == 1 == len(_components(nbrs, out_shore))
             )
         return self._is_dibond
 
@@ -313,43 +338,36 @@ def dicut_from_shore(digraph: Digraph, in_shore: Iterable[Vertex]) -> Optional[D
         raise ValueError("in shore contains undeclared vertices")
     if not y or y == digraph.vertices:
         raise ValueError("in shore must be a nonempty proper vertex subset")
-    entering, leaving = _cut_edges(digraph, y)
-    return None if leaving else Dicut._known(digraph, _vertex_mask(digraph, y), entering)
+    shore_mask = _vertex_mask(digraph, y)
+    entering, leaving = _cut_masks(digraph, shore_mask)
+    return None if leaving else Dicut._known(digraph, shore_mask, entering)
 
 
 def dicut_from_edge_set(digraph: Digraph, edge_set: Iterable[EdgeId]) -> Optional[Dicut]:
     """Reconstruct the dicut whose edge set is exactly `edge_set`, if one exists.
 
-    On a weakly connected digraph a dicut is determined by its edge set: the
-    weak components of the digraph minus the edge set are each forced onto
-    one shore by the cut edges incident to them. Returns None when the
-    labelling is inconsistent or the candidate shores fail the dicut checks.
+    On a weakly connected digraph a dicut is determined by its edge set:
+    its in shore is the union of the weak components of the digraph minus
+    the edge set that hold a head of it. Returns None when one of those
+    components also holds a tail, or when some component holds neither.
     """
     b = frozenset(edge_set)
     if not b:
         return None
     if not all(0 <= e < digraph.m for e in b):
         raise ValueError("edge set contains unknown edge ids")
-    comp_of = _component_labels(digraph, removed=b)
-    label: dict = {}
+    bit = digraph.vertex_bit
+    heads = tails = 0
     for e in b:
-        t_comp = comp_of[digraph.tail(e)]
-        h_comp = comp_of[digraph.head(e)]
-        if t_comp == h_comp:
-            return None
-        if label.get(t_comp, "out") != "out" or label.get(h_comp, "in") != "in":
-            return None
-        label[t_comp] = "out"
-        label[h_comp] = "in"
-    if any(comp not in label for comp in set(comp_of.values())):
+        t, h = digraph.edges[e]
+        tails |= 1 << bit[t]
+        heads |= 1 << bit[h]
+    comps = _components(_neighbour_masks(digraph, b), (1 << digraph.n) - 1)
+    y = sum(comp for comp in comps if comp & heads)
+    if y & tails or not all(comp & (heads | tails) for comp in comps):
         return None
-    y = frozenset(v for v in digraph.vertices if label[comp_of[v]] == "in")
-    if not y or y == digraph.vertices:
-        return None
-    entering, leaving = _cut_edges(digraph, y)
-    if leaving or entering != sum(1 << e for e in b):
-        return None
-    return Dicut._known(digraph, _vertex_mask(digraph, y), entering)
+    # Each edge of b enters y and every other edge lies in a component: the mask is b's.
+    return Dicut._known(digraph, y, _entering(digraph, y))
 
 
 def nested(c1: Dicut, c2: Dicut) -> bool:
@@ -377,7 +395,8 @@ def meet(b1: Dicut, b2: Dicut) -> Dicut:
     """
     if b1.digraph != b2.digraph:
         raise ValueError("dicuts are over different digraphs")
-    return Dicut(b1.digraph, _mask_vertices(b1.digraph, b1.shore_mask & b2.shore_mask))
+    shore = b1.shore_mask & b2.shore_mask
+    return Dicut._known(b1.digraph, shore, _entering(b1.digraph, shore))
 
 
 def join(b1: Dicut, b2: Dicut) -> Dicut:
@@ -388,7 +407,8 @@ def join(b1: Dicut, b2: Dicut) -> Dicut:
     """
     if b1.digraph != b2.digraph:
         raise ValueError("dicuts are over different digraphs")
-    return Dicut(b1.digraph, _mask_vertices(b1.digraph, b1.shore_mask | b2.shore_mask))
+    shore = b1.shore_mask | b2.shore_mask
+    return Dicut._known(b1.digraph, shore, _entering(b1.digraph, shore))
 
 
 def decompose_dicut(dicut: Dicut) -> list:
@@ -405,19 +425,20 @@ def decompose_dicut(dicut: Dicut) -> list:
     if dicut.is_empty:
         raise ValueError("cannot decompose an empty dicut")
     digraph = dicut.digraph
+    nbrs = digraph.neighbour_masks
+    full = (1 << digraph.n) - 1
     parts = []
     stack = [dicut]
     while stack:
         cur = stack.pop()
-        in_comps = weak_components_within(digraph, cur.in_shore)
-        if len(in_comps) > 1:
-            split = [Dicut(digraph, comp) for comp in in_comps]
-        else:
-            out_comps = weak_components_within(digraph, cur.out_shore)
+        shores = _components(nbrs, cur.shore_mask)
+        if len(shores) == 1:
+            out_comps = _components(nbrs, full ^ cur.shore_mask)
             if len(out_comps) == 1:
                 parts.append(cur)
                 continue
-            split = [Dicut(digraph, digraph.vertices - comp) for comp in out_comps]
+            shores = [full ^ comp for comp in out_comps]
+        split = [Dicut._known(digraph, y, _entering(digraph, y)) for y in shores]
         if any(part.is_empty for part in split):
             raise PreconditionViolated("dibonds need a weakly connected digraph")
         stack.extend(split)

@@ -19,7 +19,8 @@ each mask over it. Every set of components is a mask, bit i for the i-th
 component, so every branch order is that of the component ids. Strong
 components are connected, so the component graph is weakly connected
 exactly when the digraph is, and the dibond walk checks that with one
-mask search.
+mask search. The search is core's _reach_within, the one every
+connectivity test runs, here on the table of component neighbours.
 
 A set's reach, the weak component of its complement that holds its
 start, is found from its parent's: removing a closure from a connected
@@ -45,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Digraph, Dicut, EdgeId, bit_positions
+from .core import Digraph, Dicut, EdgeId, _neighbours, _reach_within, bit_positions
 from .errors import CapExceeded, PreconditionViolated
 
 DEFAULT_CAP = 1_000_000
@@ -250,31 +251,6 @@ def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
         if not anc[i] & ins:
             stack.append((i + 1, ins, outs | anc[i], vs, ts, hs))
     return _build(digraph, found)
-
-
-def _neighbours(und: list, mask: int) -> int:
-    """The union of the undirected neighbours of the components in `mask`."""
-    step = 0
-    while mask:
-        low = mask & -mask
-        step |= und[low.bit_length() - 1]
-        mask ^= low
-    return step
-
-
-def _reach_within(und: list, subset: int, start: int, stop: int) -> int:
-    """The components of `subset` joined to the `start` bit by an undirected path inside it.
-
-    The search returns all of `subset` once it has seen every component
-    of `stop`: the caller passes a stop set that every weak component of
-    `subset` touches, so one search reaching all of it has joined them
-    all. With `subset` itself as the stop set this is a plain search.
-    """
-    seen = frontier = start
-    while frontier and stop & ~seen:
-        frontier = _neighbours(und, frontier) & subset & ~seen
-        seen |= frontier
-    return seen if stop & ~seen else subset
 
 
 def _dibond_masks(digraph: Digraph, cap: int) -> tuple:

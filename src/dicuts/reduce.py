@@ -17,8 +17,10 @@ from typing import Iterable, Optional
 from .core import (
     Digraph,
     Dicut,
-    _component_labels,
+    _components,
     _edge_mask,
+    _neighbour_masks,
+    bit_positions,
     dicut_from_edge_set,
 )
 from .errors import PreconditionViolated, VerificationFailed
@@ -105,7 +107,14 @@ def contract_to(digraph: Digraph, edge_ids: Iterable[int]) -> QuotientMap:
     kept = frozenset(edge_ids)
     if not all(0 <= e < digraph.m for e in kept):
         raise ValueError("edge set contains unknown edge ids")
-    qm = _quotient_from_classes(digraph, _component_labels(digraph, removed=kept), generators=())
+    order = digraph.vertex_order
+    class_of = {}
+    for comp in _components(_neighbour_masks(digraph, kept), (1 << digraph.n) - 1):
+        # The highest bit stands for the least vertex, the class id.
+        least = order[comp.bit_length() - 1]
+        for j in bit_positions(comp):
+            class_of[order[j]] = least
+    qm = _quotient_from_classes(digraph, class_of, generators=())
     if set(qm.edge_provenance.values()) - kept:
         raise RuntimeError("internal error: contraction kept an edge outside the target set")
     return qm
@@ -275,24 +284,14 @@ def split_solve_merge(digraph: Digraph, klass: DibondClass) -> Optional[OptimalP
 
 
 def _lift_in_shore(qm: QuotientMap, q_in_shore: frozenset) -> frozenset:
-    members = qm.classes()
-    lifted: set = set()
-    for cid in q_in_shore:
-        lifted.update(members[cid])
-    return frozenset(lifted)
+    return frozenset(v for v, c in qm.class_of.items() if c in q_in_shore)
 
 
 def _project_in_shore(qm: QuotientMap, in_shore: frozenset) -> frozenset:
-    projected = set()
-    for cid, members in qm.classes().items():
-        inside = sum(1 for v in members if v in in_shore)
-        if inside == len(members):
-            projected.add(cid)
-        elif inside != 0:
-            raise VerificationFailed(
-                "family member in-shore is not a union of quotient classes"
-            )
-    return frozenset(projected)
+    touched = frozenset(c for v, c in qm.class_of.items() if v in in_shore)
+    if any(c in touched for v, c in qm.class_of.items() if v not in in_shore):
+        raise VerificationFailed("family member in-shore is not a union of quotient classes")
+    return touched
 
 
 def quotient_lift(

@@ -66,10 +66,9 @@ from typing import Iterable, Iterator, Optional
 from .core import (
     Digraph,
     Dicut,
-    _component_labels,
-    _cut_edges,
+    _cut_masks,
     _edge_mask,
-    _mask_vertices,
+    _reach_within,
     bit_positions,
     decompose_dicut,
     is_weakly_connected,
@@ -77,7 +76,7 @@ from .core import (
     meet,
     nested,
 )
-from .enumeration import DEFAULT_CAP, condensation, enumerate_dibonds
+from .enumeration import DEFAULT_CAP, enumerate_dibonds
 from .errors import (
     CapExceeded,
     DualityGapDetected,
@@ -233,17 +232,25 @@ def _meets_every_dibond(digraph: Digraph, f: frozenset) -> bool:
 
     On a weakly connected digraph D, F meets every dicut exactly when D/F
     is strongly connected (Schrijver, Combinatorial Optimization, ch. 55),
-    and every dicut is a disjoint union of dibonds. The vertices of D/F are
-    the weak components of the edges of F alone. A strongly connected D/F
-    makes D weakly connected, so only a negative answer checks D, refusing
-    one that is not weakly connected, as enumeration does.
+    and every dicut is a disjoint union of dibonds. D/F is strongly
+    connected exactly when D plus the reverse of each edge of F is, so F
+    passes when one vertex reaches, and is reached from, every vertex of
+    D plus reversed F. A strongly connected D plus reversed F makes D
+    weakly connected, so only a negative answer checks D, refusing one
+    that is not weakly connected, as enumeration does.
     """
-    label = _component_labels(digraph, removed=frozenset(digraph.edge_ids()).difference(f))
-    contracted = Digraph(
-        set(label.values()),
-        [(label[t], label[h]) for t, h in digraph.edges if label[t] != label[h]],
-    )
-    strong = len(condensation(contracted).components) <= 1
+    bit = digraph.vertex_bit
+    succ = [0] * digraph.n
+    pred = [0] * digraph.n
+    for e, (t, h) in enumerate(digraph.edges):
+        i, j = bit[t], bit[h]
+        succ[i] |= 1 << j
+        pred[j] |= 1 << i
+        if e in f:
+            succ[j] |= 1 << i
+            pred[i] |= 1 << j
+    full = (1 << digraph.n) - 1
+    strong = all(_reach_within(step, full, full & 1, full) == full for step in (succ, pred))
     if not strong and not is_weakly_connected(digraph):
         raise PreconditionViolated("dibonds need a weakly connected digraph")
     if not all(0 <= e < digraph.m for e in f):
@@ -526,12 +533,10 @@ def verify_optimal_pair(digraph: Digraph, klass: DibondClass, pair: OptimalPair)
     pairwise nested.
     """
     for member in pair.family:
-        # A throwaway shore set: reading in_shore would keep one per member.
-        shore = frozenset(_mask_vertices(digraph, member.shore_mask))
         if (
             member.digraph != digraph
             or member.is_empty
-            or _cut_edges(digraph, shore) != (member.edge_mask, 0)
+            or _cut_masks(digraph, member.shore_mask) != (member.edge_mask, 0)
         ):
             raise VerificationFailed("family member is not a nonempty dicut of the digraph")
     if not _pairwise_disjoint(pair.family):

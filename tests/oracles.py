@@ -23,7 +23,13 @@ walk tables and closures (`_closures` is checked against a plain search
 in the enumeration tests). `nested_by_shores` is the earlier frozenset
 test of nestedness, the reference for the one on shore masks, and
 `corner_closure_by_passes` closes a seed by whole passes over every pair,
-on the package's meet, join and split.
+on the package's meet, join and split. `component_labels` is the
+package's earlier set-based search, kept unchanged as the reference for
+the vertex-mask one, and the references built on it below are the
+earlier set versions of weak connectivity, dibonds, dicut
+reconstruction and the split of a dicut; `meets_every_dibond_by_contraction`
+is the earlier D/F test, which contracts F into a new digraph and
+counts its strong components with the package's condensation.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ from dicuts import (
     CapExceeded,
     Dicut,
     Digraph,
+    PreconditionViolated,
+    condensation,
     decompose_dicut,
     exact_max_set_packing,
     finite_dibonds_in_window,
@@ -76,6 +84,117 @@ def connected_subset(digraph, vertices):
                 seen.add(w)
                 queue.append(w)
     return seen == vertices
+
+
+def component_labels(digraph, within=None, removed=frozenset()):
+    """Vertex -> least vertex of its weak component, for the vertices of `within`.
+
+    The components are those of the subdigraph induced on `within` (every
+    vertex when None) without the `removed` edges. Seeds are taken in
+    sorted order, so the labels, in insertion order, list the components
+    in ascending order of their least vertex.
+    """
+    vertices = digraph.vertices if within is None else within
+    label: dict = {}
+    for v in sorted(vertices):
+        if v in label:
+            continue
+        label[v] = v
+        queue = deque([v])
+        while queue:
+            u = queue.popleft()
+            for w, e in digraph.und_neighbors(u):
+                if w not in label and w in vertices and e not in removed:
+                    label[w] = v
+                    queue.append(w)
+    return label
+
+
+def weakly_connected_by_labels(digraph):
+    return len(set(component_labels(digraph).values())) <= 1
+
+
+def dibond_by_labels(cut):
+    """A nonempty dicut whose removal leaves exactly two weak components."""
+    labels = component_labels(cut.digraph, removed=cut.edge_set)
+    return bool(cut.edge_set) and len(set(labels.values())) == 2
+
+
+def entering_and_leaving(digraph, shore):
+    """The ids of the edges entering, and of those leaving, a vertex set."""
+    edges = list(enumerate(digraph.edges))
+    return (
+        frozenset(e for e, (t, h) in edges if h in shore and t not in shore),
+        frozenset(e for e, (t, h) in edges if t in shore and h not in shore),
+    )
+
+
+def dicut_from_edge_set_by_labels(digraph, edge_set):
+    """The in shore of the dicut with exactly these edges, or None: each
+    weak component of the digraph minus them goes to the shore its cut
+    edges force it onto."""
+    b = frozenset(edge_set)
+    if not b:
+        return None
+    comp_of = component_labels(digraph, removed=b)
+    label = {}
+    for e in b:
+        t_comp, h_comp = comp_of[digraph.tail(e)], comp_of[digraph.head(e)]
+        if t_comp == h_comp:
+            return None
+        if label.get(t_comp, "out") != "out" or label.get(h_comp, "in") != "in":
+            return None
+        label[t_comp] = "out"
+        label[h_comp] = "in"
+    if any(comp not in label for comp in set(comp_of.values())):
+        return None
+    y = frozenset(v for v in digraph.vertices if label[comp_of[v]] == "in")
+    if not y or y == digraph.vertices:
+        return None
+    return y if entering_and_leaving(digraph, y) == (b, frozenset()) else None
+
+
+def decompose_by_labels(dicut):
+    """The in shores of the dibonds a nonempty dicut splits into, sorted by
+    their edges, splitting on the weak components of each shore set."""
+    digraph = dicut.digraph
+
+    def components(subset):
+        comps = {}
+        for v, c in component_labels(digraph, subset).items():
+            comps.setdefault(c, set()).add(v)
+        return [frozenset(comp) for comp in comps.values()]
+
+    parts = []
+    stack = [dicut.in_shore]
+    while stack:
+        y = stack.pop()
+        in_comps = components(y)
+        if len(in_comps) > 1:
+            split = in_comps
+        else:
+            out_comps = components(digraph.vertices - y)
+            if len(out_comps) == 1:
+                parts.append(y)
+                continue
+            split = [digraph.vertices - comp for comp in out_comps]
+        for shore in split:
+            entering, leaving = entering_and_leaving(digraph, shore)
+            assert not leaving
+            if not entering:
+                raise PreconditionViolated("dibonds need a weakly connected digraph")
+        stack.extend(split)
+    return sorted(parts, key=lambda y: min(entering_and_leaving(digraph, y)[0]))
+
+
+def meets_every_dibond_by_contraction(digraph, f):
+    """Whether D/F, D with the edges of F contracted, is strongly connected."""
+    label = component_labels(digraph, removed=frozenset(digraph.edge_ids()).difference(f))
+    contracted = Digraph(
+        set(label.values()),
+        [(label[t], label[h]) for t, h in digraph.edges if label[t] != label[h]],
+    )
+    return len(condensation(contracted).components) <= 1
 
 
 def kosaraju_scc(digraph):

@@ -24,13 +24,22 @@ from dicuts import (
     join,
     meet,
     nested,
-    weak_components_within,
     window,
 )
 
 from dicuts.core import bit_positions
 
-from .oracles import brute_dicuts, disconnected_digraphs, nested_by_shores, random_weak_digraph
+from .oracles import (
+    brute_dicuts,
+    component_labels,
+    decompose_by_labels,
+    dibond_by_labels,
+    dicut_from_edge_set_by_labels,
+    disconnected_digraphs,
+    nested_by_shores,
+    random_weak_digraph,
+    weakly_connected_by_labels,
+)
 
 
 def parallel_and_isolated_digraphs(count=300):
@@ -95,17 +104,21 @@ class TestDigraph:
     def test_adjacency_views(self):
         d = diamond()
         assert set(d.out_edges("s")) == {0, 1}
-        assert set(d.in_edges("t")) == {2, 3}
         assert {v for v, _ in d.und_neighbors("a")} == {"s", "t"}
+        bit = d.vertex_bit
+        assert d.neighbour_masks[bit["a"]] == 1 << bit["s"] | 1 << bit["t"]
 
     def test_adjacency_matches_a_rebuild_from_the_edges(self):
         for d in parallel_and_isolated_digraphs():
             edges = list(enumerate(d.edges))
             for v in d.vertices:
                 assert d.out_edges(v) == tuple(e for e, (t, _h) in edges if t == v)
-                assert d.in_edges(v) == tuple(e for e, (_t, h) in edges if h == v)
                 assert d.und_neighbors(v) == tuple(
                     (h if t == v else t, e) for e, (t, h) in edges if v in (t, h)
+                )
+                neighbours = {w for w, _e in d.und_neighbors(v)}
+                assert d.neighbour_masks[d.vertex_bit[v]] == sum(
+                    1 << d.vertex_bit[w] for w in neighbours
                 )
 
     def test_vertex_order_is_descending_and_bits_index_it(self):
@@ -413,13 +426,88 @@ class TestDecompose:
 
 
 class TestComponents:
-    def test_weak_components_within(self):
-        d = diamond()
-        comps = weak_components_within(d, frozenset({"a", "b"}))
-        assert sorted(map(sorted, comps)) == [["a"], ["b"]]
-
     def test_weak_connectivity(self):
         assert is_weakly_connected(diamond())
         assert not is_weakly_connected(
             Digraph.from_edges([("a", "b")], isolated=("z",))
         )
+
+
+def mask_search_corpus():
+    """The seeded digraphs with parallel edges and isolated vertices, the
+    disconnected ones, and the digraphs on zero and one vertex."""
+    yield Digraph((), ())
+    yield Digraph(("x",), ())
+    yield from parallel_and_isolated_digraphs()
+    yield from disconnected_digraphs()
+
+
+class TestMaskSearchAgreesWithTheSetSearch:
+    """Every connectivity test on vertex masks against the earlier set-based
+    search, `oracles.component_labels`."""
+
+    def test_weak_connectivity(self):
+        verdicts = []
+        for d in mask_search_corpus():
+            verdicts.append(is_weakly_connected(d))
+            assert verdicts[-1] is weakly_connected_by_labels(d)
+        assert len(verdicts) > 300 and 50 < verdicts.count(True) < len(verdicts) - 50
+
+    def test_dibonds(self):
+        dibonds = checked = 0
+        for d in mask_search_corpus():
+            cuts = brute_dicuts(d) + [Dicut(d, ()), Dicut(d, d.vertices)]
+            if is_weakly_connected(d):
+                cuts += enumerate_dicuts(d)
+            for cut in cuts:
+                assert cut.is_dibond is dibond_by_labels(cut)
+                dibonds += cut.is_dibond
+                checked += 1
+        assert dibonds > 300 and checked - dibonds > 2000
+
+    def test_decompose_parts_and_refusals(self):
+        split = refused = 0
+        for d in mask_search_corpus():
+            for cut in brute_dicuts(d):
+                if not cut.edge_mask:
+                    continue
+                try:
+                    want = decompose_by_labels(cut)
+                except PreconditionViolated:
+                    with pytest.raises(PreconditionViolated, match="weakly connected"):
+                        decompose_dicut(cut)
+                    refused += 1
+                    continue
+                parts = decompose_dicut(cut)
+                assert [part.in_shore for part in parts] == want
+                assert sum(part.edge_mask for part in parts) == cut.edge_mask
+                split += len(parts) > 1
+        assert split > 80 and refused > 1000
+
+    def test_contract_to_class_maps(self):
+        rng = random.Random(17)
+        for d in mask_search_corpus():
+            for _ in range(3):
+                kept = frozenset(e for e in d.edge_ids() if rng.random() < 0.5)
+                want = component_labels(d, removed=kept)
+                qm = contract_to(d, kept)
+                assert qm.class_of == want
+                # The classes come in ascending order of their least vertex.
+                assert list(qm.classes()) == list(dict.fromkeys(want.values()))
+
+    def test_dicut_from_edge_set(self):
+        rng = random.Random(19)
+        found = refused = 0
+        for d in mask_search_corpus():
+            edge_sets = [cut.edge_set for cut in brute_dicuts(d)]
+            edge_sets += [frozenset(rng.sample(range(d.m), rng.randint(0, d.m))) for _ in range(8)]
+            for b in edge_sets:
+                cut = dicut_from_edge_set(d, b)
+                want = dicut_from_edge_set_by_labels(d, b)
+                assert (cut and cut.in_shore) == want
+                if cut is None:
+                    refused += 1
+                else:
+                    assert cut.edge_set == b
+                    found += 1
+        assert found > 300 and refused > 3000

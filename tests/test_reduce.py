@@ -10,7 +10,9 @@ from dicuts import (
     DibondClass,
     Dicut,
     Digraph,
+    OptimalPair,
     PreconditionViolated,
+    VerificationFailed,
     block_cut_tree,
     contract_to,
     enumerate_dibonds,
@@ -277,6 +279,15 @@ class TestQuotientLift:
         up = quotient_lift(d, qm, down, "lift")
         assert up.dijoin == pair.dijoin
         assert len(up.family) == len(pair.family)
+
+    def test_a_member_splitting_a_class_is_refused_on_projection(self):
+        d = diamond()
+        qm = equivalence_classes(d, [Dicut(d, {"t"}), Dicut(d, {"a", "t"})])
+        assert qm.classes()["b"] == ("b", "s")
+        # The in shore {b, t} holds b but not s; edge 2, a->t, survives.
+        pair = OptimalPair(dijoin=frozenset({2}), family=[Dicut(d, {"b", "t"})], nested=True)
+        with pytest.raises(VerificationFailed, match="not a union of quotient classes"):
+            quotient_lift(d, qm, pair, "project")
 
     def test_unknown_direction_is_rejected(self):
         d = diamond()

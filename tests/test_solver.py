@@ -11,6 +11,7 @@ import pytest
 
 from dicuts import (
     CapExceeded,
+    check_finitary_dijoin,
     DibondClass,
     Dicut,
     Digraph,
@@ -45,6 +46,7 @@ from dicuts.solver import (
     _greedy_cover,
     _largest_disjoint,
     _meets_all,
+    _meets_every_dibond,
     _member_key,
     _min_hitting_mask,
     _picks,
@@ -53,12 +55,14 @@ from dicuts.solver import (
 )
 
 from .oracles import (
+    brute_dibonds,
     brute_dicuts,
     brute_max_packing,
     brute_min_dijoin,
     corner_closure_by_passes,
     greedy_cover_by_recount,
     largest_disjoint_by_recursion,
+    meets_every_dibond_by_contraction,
     meets_every_dicut,
     min_hitting_mask_by_rows,
     min_hitting_set_by_recursion,
@@ -942,3 +946,55 @@ class TestNestedFamilyConstruction:
         d, klass = gap_instance()
         with pytest.raises(NotCornerClosed):
             maximal_nested_disjoint_family(d, klass)
+
+
+class TestDFTest:
+    """_meets_every_dibond reads D plus the reverse of F; the earlier test
+    contracted F into a new digraph and condensed it."""
+
+    @staticmethod
+    def agree(d, f, bonds):
+        verdict = _meets_every_dibond(d, f)
+        assert verdict is meets_every_dibond_by_contraction(d, f)
+        assert verdict is all(b.edge_set & f for b in bonds)
+        return verdict
+
+    def test_seeded_digraphs(self):
+        rng = random.Random(29)
+        verdicts = []
+        for _ in range(300):
+            d = random_weak_digraph(rng, max_n=7, max_extra=7)
+            bonds = brute_dibonds(d)
+            for _ in range(4):
+                f = frozenset(e for e in d.edge_ids() if rng.random() < 0.6)
+                verdicts.append(self.agree(d, f, bonds))
+        assert 300 < verdicts.count(True) < len(verdicts) - 300
+
+    @pytest.mark.parametrize("name, nmax", [("grid_d2", 7), ("zigzag_d1", 12)])
+    def test_every_named_set_of_the_family_windows(self, name, nmax):
+        verdicts = []
+        for n in range(1, nmax + 1):
+            w = window(get_family(name), n)
+            bonds = enumerate_dibonds(w.digraph)
+            for f in w.named_edge_sets.values():
+                verdicts.append(self.agree(w.digraph, f, bonds))
+                # Without its lowest edge the set may miss a dibond.
+                verdicts.append(self.agree(w.digraph, f - {min(f, default=0)}, bonds))
+        assert True in verdicts and False in verdicts
+
+    def test_the_empty_and_single_vertex_digraphs_pass(self):
+        assert _meets_every_dibond(Digraph((), ()), frozenset())
+        assert _meets_every_dibond(Digraph(("x",), ()), frozenset())
+
+    def test_a_finitary_check_builds_no_digraph(self, monkeypatch):
+        w = window(get_family("zigzag_d1"), 40)
+        built = []
+        init = Digraph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Digraph, "__init__", counting_init)
+        assert check_finitary_dijoin(w, "diagonals") == (True, None)
+        assert not built
