@@ -8,6 +8,9 @@ component sets enumerates them, because on the window digraphs of
 interest the dicut count grows exponentially while the dibond count
 stays polynomial. The walk drops every branch that can no longer reach a
 dibond, so on the family windows it visits a few sets per dibond emitted.
+It starts from a list of roots: the anchors, for every dibond, or one
+root at an edge's tail with its head forbidden, for the dibonds through
+that edge, so a per-edge query walks only towards the dibonds it returns.
 
 One setup pass serves both walks: one condensation, then per strong
 component, indexed in ascending id order, the int masks of its DAG
@@ -253,9 +256,9 @@ def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     return _build(digraph, found)
 
 
-def _dibond_masks(digraph: Digraph, cap: int) -> tuple:
-    """The dibond walk of enumerate_dibonds: each dibond as an (in shore
-    vertex mask, edge mask) pair, in walk order."""
+def _dibond_masks(digraph: Digraph, cap: int, edge: Optional[EdgeId] = None) -> list:
+    """The dibond walk: each dibond as an (in shore vertex mask, edge mask)
+    pair, in walk order; with `edge`, only the dibonds that contain it."""
     tables = _walk_tables(digraph)
     if tables is None:
         return []
@@ -269,17 +272,23 @@ def _dibond_masks(digraph: Digraph, cap: int) -> tuple:
     anc = _closures(pred, (und, verts, tails, heads))
     all_vertices = (1 << digraph.n) - 1
     found: list = []
+    # Each root is (forbidden components, the closure the walk starts from):
+    # the anchors of enumerate_dibonds, or the one root of
+    # dibonds_containing_edge, none when the edge lies in a strong component.
+    if edge is None:
+        roots = [((1 << i) - 1, anc[i]) for i in range(k) if not anc[i][0] & ((1 << i) - 1)]
+    else:
+        tail = next(i for i, mask in enumerate(tails) if mask >> edge & 1)
+        head = next(i for i, mask in enumerate(heads) if mask >> edge & 1)
+        roots = [] if tail == head else [(1 << head, anc[tail])]
 
-    for idx in range(k):
-        below = (1 << idx) - 1
-        if anc[idx][0] & below:
-            continue
+    for forbidden, closure in roots:
         # Each entry is (forbidden components, the parent's reach, the
         # components this set removes from the parent's complement, the
         # grown set, and the masks of the grown set's undirected
         # neighbours, of its vertices and of the edges whose tail, and
         # whose head, lies in it).
-        stack: list = [(below, 0, 0) + anc[idx]]
+        stack: list = [(forbidden, 0, 0) + closure]
         while stack:
             forbidden, parent_reach, removed, s, nbrs, vs, ts, hs = stack.pop()
             complement = full ^ s
@@ -324,9 +333,10 @@ def enumerate_dibonds(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
 
     A dibond's out shore is a connected predecessor-closed union of strong
     components whose complement is also connected. Those sets are walked by
-    anchored connected growth: for each anchor component (the minimum id of
-    the grown set) the walk starts from the anchor's ancestor closure and
-    adds one undirected neighbor at a time together with its ancestor
+    rooted connected growth. Each root is an anchor component (the minimum
+    id of the grown set) whose ancestor closure holds no lower component;
+    the walk starts from that closure with the lower components forbidden
+    and adds one undirected neighbor at a time together with its ancestor
     closure, a branch per candidate. Candidates passed over by earlier
     branches are forbidden in later ones, so no set is reached twice.
 
@@ -347,7 +357,7 @@ def enumerate_dibonds(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     and the search there from the start stops as soon as it has seen every
     neighbour of N inside X: R was connected, so every weak component of
     X holds such a neighbour, and once they are all joined the reach is
-    X. Only when the start lies outside R, at the anchors and the few sets
+    X. Only when the start lies outside R, at the roots and the few sets
     right after them, is the whole complement searched. On a directed
     path each set then costs a few mask operations, not a search of its
     complement.
@@ -372,10 +382,22 @@ def enumerate_dibonds(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
 def dibonds_containing_edge(digraph: Digraph, e: EdgeId, cap: int = DEFAULT_CAP) -> list:
     """All dibonds whose edge set contains the edge id `e`, in enumerate_dibonds order.
 
-    The cap counts every dibond, as in enumerate_dibonds; only those whose
-    edge mask has bit e are built.
+    A dibond holds e = (t, h) exactly when its out shore, the set the walk
+    grows, holds t's strong component and not h's. So the walk of
+    enumerate_dibonds runs from one root: the ancestor closure of t's
+    component, which every such out shore contains and which is connected,
+    with h's component forbidden. Every connected predecessor-closed set
+    that holds t's component and not h's is reached from that closure by
+    the same steps, once each; a component reachable from h's never
+    joins, since its ancestor closure holds h's. When t and h share a
+    strong component no dicut holds e and the result is empty. The walk
+    visits the sets around the dibonds through e, not every dibond of the
+    digraph.
+
+    Raises ValueError for an unknown edge id, before anything else, then
+    PreconditionViolated when the digraph is not weakly connected, as
+    enumerate_dibonds does. The cap counts the dibonds returned.
     """
     if not 0 <= e < digraph.m:
         raise ValueError(f"unknown edge id {e}")
-    found = _dibond_masks(digraph, cap)
-    return _build(digraph, [item for item in found if item[1] >> e & 1], True)
+    return _build(digraph, _dibond_masks(digraph, cap, e), True)

@@ -531,7 +531,10 @@ def dibond_growth(
     """Per-window counts of dibonds containing the named edge.
 
     The edge must lie inside the largest window; windows it has not yet
-    entered, or where it collapsed to a loop, contribute zero.
+    entered, or where it collapsed to a loop, contribute zero. Each window
+    runs dibonds_containing_edge, which walks only the dibonds through the
+    edge, and the cap bounds that count in each window, not the window's
+    dibond total.
     """
     if n_max < 1:
         raise ValueError("window index must be at least 1")

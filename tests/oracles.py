@@ -20,7 +20,9 @@ search over all maximum matchings, on that transversal search, and
 `dibond_masks_by_rescan` the earlier dibond walk,
 which searches the whole complement at every set, on the package's own
 walk tables and closures (`_closures` is checked against a plain search
-in the enumeration tests). `nested_by_shores` is the earlier frozenset
+in the enumeration tests), and `dibonds_containing_edge_by_filter` the
+earlier per-edge query, which filters every dibond of the package's
+walk on its edge mask. `nested_by_shores` is the earlier frozenset
 test of nestedness, the reference for the one on shore masks, and
 `corner_closure_by_passes` closes a seed by whole passes over every pair,
 on the package's meet, join and split. `component_labels` is the
@@ -54,7 +56,7 @@ from dicuts import (
     nested,
 )
 from dicuts.core import bit_positions
-from dicuts.enumeration import _closures, _walk_tables
+from dicuts.enumeration import DEFAULT_CAP, _build, _closures, _dibond_masks, _walk_tables
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +377,15 @@ def dibond_masks_by_rescan(digraph, cap=10**6):
                     stack.append((blocked, s | need, nbrs | un, vs | uv, ts | ut, hs | uh))
                 blocked |= 1 << u
     return found
+
+
+def dibonds_containing_edge_by_filter(digraph, e, cap=DEFAULT_CAP):
+    """The `dibonds_containing_edge` that walked every dibond and kept those
+    whose edge mask has bit e; its cap counts every dibond."""
+    if not 0 <= e < digraph.m:
+        raise ValueError(f"unknown edge id {e}")
+    found = _dibond_masks(digraph, cap)
+    return _build(digraph, [item for item in found if item[1] >> e & 1], True)
 
 
 # ---------------------------------------------------------------------------

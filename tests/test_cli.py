@@ -316,6 +316,14 @@ class TestFamilyCommand:
         )
         assert ("counts", "1 2 3 4 5") in report.lines
 
+    def test_grid_growth_to_window_12(self, capsys):
+        # The cap bounds the dibonds through the edge in each window, not
+        # every dibond of it: window 12 alone has over a million dibonds,
+        # more than the default cap.
+        argv = ["family", "--name", "grid_d2", "--check", "growth:(1,0)->(2,0)", "--nmax", "12"]
+        assert main(argv) == EXIT_OK
+        assert "counts: 0 1 1 2 2 4 4 8 8 16 57 210\n" in capsys.readouterr().out
+
     def test_coherence_not_applicable_for_bundled_windows(self):
         report = run(
             "family",

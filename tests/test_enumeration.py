@@ -26,6 +26,7 @@ from .oracles import (
     brute_dibonds,
     brute_dicuts,
     dibond_masks_by_rescan,
+    dibonds_containing_edge_by_filter,
     disconnected_digraphs,
     kosaraju_scc,
     random_weak_digraph,
@@ -284,23 +285,90 @@ class TestMaskBuiltMembers:
                 enumerate_cuts(diamond())
 
 
-class TestDibondsContainingEdge:
-    def test_equals_the_filter_for_every_edge(self):
-        for d in _mask_test_digraphs():
-            bonds = enumerate_dibonds(d)
-            for e in d.edge_ids():
-                assert dibonds_containing_edge(d, e) == [b for b in bonds if e in b.edge_set]
+def _edge_query_digraphs():
+    """Seeded digraphs with strong components and parallel edges, one in
+    three with an isolated vertex; the grid_d2, zigzag_d1 and ladder
+    windows; the digraphs on zero and one vertex."""
+    rng = random.Random(18)
+    made = 0
+    while made < 300:
+        d = random_weak_digraph(rng, max_n=9, max_extra=10)
+        comps = condensation(d).component_members.values()
+        if len(comps) == 1 or all(len(ms) == 1 for ms in comps):
+            continue
+        yield Digraph.from_edges(d.edges, isolated=["z"] * (made % 3 == 2))
+        made += 1
+    for name, n_max in (("grid_d2", 7), ("zigzag_d1", 12), ("ladder", 8)):
+        for n in range(1, n_max + 1):
+            yield window(get_family(name), n).digraph
+    yield Digraph((), ())
+    yield Digraph(("x",), ())
 
-    def test_cap_counts_every_dibond(self):
+
+class TestDibondsContainingEdge:
+    """The walk from the edge's own root against the earlier filter over
+    every dibond, `oracles.dibonds_containing_edge_by_filter`."""
+
+    def test_equals_the_filter_for_every_edge(self):
+        queries = refused = hits = parallel = 0
+        for d in _edge_query_digraphs():
+            parallel += len(set(d.edges)) < d.m
+            for e in d.edge_ids():
+                queries += 1
+                try:
+                    want = dibonds_containing_edge_by_filter(d, e)
+                except PreconditionViolated:
+                    with pytest.raises(PreconditionViolated, match="weakly connected"):
+                        dibonds_containing_edge(d, e)
+                    refused += 1
+                    continue
+                assert dibonds_containing_edge(d, e) == want
+                hits += len(want)
+        assert queries > 4000 and refused > 1000 and hits > 9000 and parallel > 150
+
+    def test_an_edge_inside_a_strong_component_is_in_no_dibond(self):
+        d = Digraph.from_edges([("a", "b"), ("b", "a"), ("b", "c"), ("c", "d")])
+        assert dibonds_containing_edge(d, 0) == dibonds_containing_edge(d, 1) == []
+        assert [b.edge_set for b in dibonds_containing_edge(d, 2)] == [frozenset({2})]
+        ladder = window(get_family("ladder"), 5).digraph
+        assert all(dibonds_containing_edge(ladder, e) == [] for e in ladder.edge_ids())
+
+    def test_an_unknown_edge_id_is_refused_before_the_walk(self):
+        for d in disconnected_digraphs(count=10):
+            with pytest.raises(PreconditionViolated, match="weakly connected"):
+                dibonds_containing_edge(d, 0)
+            for e in (-1, d.m):
+                with pytest.raises(ValueError, match="unknown edge id"):
+                    dibonds_containing_edge(d, e)
+        with pytest.raises(ValueError, match="unknown edge id"):
+            dibonds_containing_edge(Digraph((), ()), 0)
+
+    def test_cap_counts_the_dibonds_through_the_edge(self):
         d = window(get_family("zigzag_d1"), 8).digraph
         total = len(enumerate_dibonds(d))
         counts = [len(dibonds_containing_edge(d, e)) for e in d.edge_ids()]
-        rare = counts.index(min(counts))
+        rare = counts.index(min(c for c in counts if c))
         assert counts[rare] < total // 4
         for e in (0, rare):
-            assert len(dibonds_containing_edge(d, e, cap=total)) == counts[e]
+            assert len(dibonds_containing_edge(d, e, cap=counts[e])) == counts[e]
             with pytest.raises(CapExceeded):
-                dibonds_containing_edge(d, e, cap=total - 1)
+                dibonds_containing_edge(d, e, cap=counts[e] - 1)
+        # The filter's cap counted every dibond of the window.
+        with pytest.raises(CapExceeded):
+            dibonds_containing_edge_by_filter(d, rare, cap=counts[rare])
+        assert dibonds_containing_edge(d, counts.index(0), cap=0) == []
+
+    def test_grid_growth_to_window_12(self):
+        # The filter walks all 337,760 dibonds of window 11 (seconds) and
+        # passes the default cap at window 12; the edge walk takes a few ms.
+        spec = get_family("grid_d2")
+        counts = dibond_growth(spec, "(1,0)->(2,0)", 12)
+        assert counts == (0, 1, 1, 2, 2, 4, 4, 8, 8, 16, 57, 210)
+        for n in range(1, 11):
+            w = window(spec, n)
+            e = w.name_to_edge.get("(1,0)->(2,0)")
+            want = 0 if e is None else len(dibonds_containing_edge_by_filter(w.digraph, e))
+            assert counts[n - 1] == want
 
     def test_growth_counts_equal_the_per_window_filter(self):
         spec = get_family("zigzag_d1")
