@@ -9,6 +9,14 @@ hyperedge of vertex names.
 
 Reports are deterministic `key: value` lines. Exit codes: 0 for success,
 2 when a family check refutes a registered claim, 1 for errors.
+
+`main(argv)` and `run(command, flags)` run the same command line in
+process. They share one parser, built on the first command of the process
+and reused by every later one, so a caller that runs many commands pays
+for it once. `main` returns exit codes as the `dicuts` command does; `run`
+returns the RunReport and raises ValueError on a usage error. Cut labels
+are read off the shore and edge masks, so a report builds no shore or
+edge set.
 """
 
 from __future__ import annotations
@@ -18,14 +26,14 @@ import hashlib
 import random
 import sys
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import (
     Dicut,
     Digraph,
-    _mask_vertices,
-    bit_positions,
+    _select,
     decompose_dicut,
     dicut_from_shore,
 )
@@ -155,12 +163,16 @@ def _shore_label(shore) -> str:
     return "{" + ", ".join(str(v) for v in sorted(shore)) + "}"
 
 
-def _cut_label(labels: list, cut: Dicut) -> str:
-    # Read off the masks, so listing a cut builds neither of its sets. The
-    # mask lists the shore largest first; the label lists it ascending.
-    shore = ", ".join([str(v) for v in _mask_vertices(cut.digraph, cut.shore_mask)][::-1])
-    edges = _edge_set_label(labels, bit_positions(cut.edge_mask))
-    return f"in_shore={{{shore}}} edges={edges}"
+def _cut_labels(labels: list, digraph: Digraph, cuts) -> Iterator[str]:
+    """The label of each cut of the digraph, read off its masks, so listing
+    a cut builds neither of its sets."""
+    # The vertex order is descending, so a shore mask selects the names
+    # largest first; the label lists them ascending.
+    names = [str(v) for v in digraph.vertex_order]
+    for cut in cuts:
+        shore = ", ".join([*_select(names, cut.shore_mask)][::-1])
+        edges = ", ".join(_select(labels, cut.edge_mask))
+        yield f"in_shore={{{shore}}} edges={{{edges}}}"
 
 
 def _read_text(path: str) -> str:
@@ -208,13 +220,13 @@ def _class_from_args(digraph: Digraph, args) -> DibondClass:
     return DibondClass.full(digraph, args.cap)
 
 
-def _pair_lines(labels: list, pair: OptimalPair) -> list:
+def _pair_lines(labels: list, digraph: Digraph, pair: OptimalPair) -> list:
     return [
         ("min_dijoin_size", str(len(pair.dijoin))),
         ("max_packing_size", str(len(pair.family))),
         ("nested", "true" if pair.nested else "false"),
         ("dijoin", _edge_set_label(labels, pair.dijoin)),
-    ] + [("family_member", _cut_label(labels, member)) for member in pair.family]
+    ] + [("family_member", label) for label in _cut_labels(labels, digraph, pair.family)]
 
 
 def _cmd_enumerate(args) -> RunReport:
@@ -232,7 +244,7 @@ def _cmd_enumerate(args) -> RunReport:
         members = enumerate_dibonds(digraph, args.cap)
     lines.append(("count", str(len(members))))
     labels = _edge_labels(digraph)
-    lines.extend(("member", _cut_label(labels, d)) for d in members)
+    lines.extend(("member", label) for label in _cut_labels(labels, digraph, members))
     return RunReport("enumerate", tuple(lines), EXIT_OK)
 
 
@@ -252,7 +264,7 @@ def _cmd_solve(args) -> RunReport:
         lines.append(("optimal_pair", "absent"))
         lines.append(("reason", "no pair attains equality for this class"))
         return RunReport("solve", tuple(lines), EXIT_OK)
-    lines.extend(_pair_lines(_edge_labels(digraph), pair))
+    lines.extend(_pair_lines(_edge_labels(digraph), digraph, pair))
     lines.append(("verified", "true"))
     return RunReport("solve", tuple(lines), EXIT_OK)
 
@@ -284,7 +296,7 @@ def _cmd_uncross(args) -> RunReport:
     lines.append(("nested_after", "true"))
     labels = _edge_labels(digraph)
     lines.append(("dijoin", _edge_set_label(labels, dijoin)))
-    lines.extend(("family_member", _cut_label(labels, member)) for member in result)
+    lines.extend(("family_member", label) for label in _cut_labels(labels, digraph, result))
     return RunReport("uncross", tuple(lines), EXIT_OK)
 
 
@@ -331,7 +343,7 @@ def _cmd_blocks(args) -> RunReport:
     if pair is None:
         lines.append(("optimal_pair", "absent"))
     else:
-        lines.extend(_pair_lines(labels, pair))
+        lines.extend(_pair_lines(labels, digraph, pair))
     return RunReport("blocks", tuple(lines), EXIT_OK)
 
 
@@ -572,7 +584,11 @@ _HANDLERS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every later
+    command of the process: parse_args keeps no state on it, and each help
+    text is formatted when it is printed."""
     parser = argparse.ArgumentParser(
         prog="dicuts",
         description="exact minimum dijoins, disjoint dicut packings, and window harnesses",
@@ -625,7 +641,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(command: str, flags: Optional[dict] = None) -> RunReport:
-    """Execute one pipeline programmatically; flags use argparse dest names."""
+    """Execute one pipeline programmatically; flags use argparse dest names.
+
+    A command line that does not parse raises ValueError naming the command
+    and the flags; argparse's own message goes to stderr."""
     argv = [command]
     for key, value in (flags or {}).items():
         flag = "--" + key.replace("_", "-")
@@ -633,7 +652,11 @@ def run(command: str, flags: Optional[dict] = None) -> RunReport:
             argv.append(flag)
         elif value is not None:
             argv.extend([flag, str(value)])
-    return _dispatch(_build_parser().parse_args(argv))
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit:
+        raise ValueError(f"usage error in {command!r} with flags {flags or {}!r}") from None
+    return _dispatch(args)
 
 
 def _dispatch(args) -> RunReport:
@@ -658,9 +681,8 @@ def _export_family(args) -> None:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors, which would collide with
         # the refuted-claim exit code; fold those into the error code.

@@ -143,11 +143,16 @@ def _vertex_mask(digraph: Digraph, vertices: Iterable[Vertex]) -> int:
     return sum(1 << bit[v] for v in vertices)
 
 
+def _select(items, mask: int) -> Iterator:
+    """The items whose index bit is set in a nonnegative mask, in index order."""
+    # bin() lists the bits high to low; reversed and mapped to bytes 0 and
+    # 1 they select the items in C.
+    return compress(items, bin(mask)[:1:-1].encode().translate(_BITS))
+
+
 def _mask_vertices(digraph: Digraph, mask: int) -> Iterator[Vertex]:
     """The vertices of a vertex mask, largest first."""
-    # bin() lists the bits high to low; reversed and mapped to bytes 0 and
-    # 1 they select the vertices from the vertex order in C.
-    return compress(digraph.vertex_order, bin(mask)[:1:-1].encode().translate(_BITS))
+    return _select(digraph.vertex_order, mask)
 
 
 def _edge_mask(digraph: Digraph, edge_ids: frozenset) -> int:

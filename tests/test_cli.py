@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from dicuts import (
+    Digraph,
     ParseError,
     PreconditionViolated,
     VerificationFailed,
@@ -103,15 +104,23 @@ class TestReports:
         assert got["member"] == ["in_shore={b} edges={a->b#0, a->b#1}"]
 
     def test_cut_labels_read_the_shore_mask(self):
-        # A label lists the shore ascending, read off the mask, and leaves
-        # no shore set behind on the cut it lists.
-        d = parse_digraph("v10 v2\nv2 v9\nv10 x\nx v9\nv2 x\n")
-        labels = cli._edge_labels(d)
-        for cut in enumerate_dicuts(d):
-            text = cli._cut_label(labels, cut)
-            assert "in_shore" not in vars(cut)
-            edges = ", ".join(labels[e] for e in sorted(cut.edge_set))
-            assert text == f"in_shore={{{', '.join(sorted(cut.in_shore))}}} edges={{{edges}}}"
+        # A label lists the shore ascending by vertex id, read off the
+        # masks, and leaves neither set behind on the cut it lists. With
+        # int ids 2 < 10 by value, but "10" < "2" as strings.
+        for d in (
+            parse_digraph("v10 v2\nv2 v9\nv10 x\nx v9\nv2 x\n"),
+            Digraph.from_edges([(1, 2), (1, 10), (2, 10), (10, 3)]),
+        ):
+            labels = cli._edge_labels(d)
+            cuts = enumerate_dicuts(d)
+            texts = list(cli._cut_labels(labels, d, cuts))
+            assert len(texts) == len(cuts)
+            for cut, text in zip(cuts, texts):
+                assert "in_shore" not in vars(cut)
+                assert "edge_set" not in vars(cut)
+                shore = ", ".join(str(v) for v in sorted(cut.in_shore))
+                edges = ", ".join(labels[e] for e in sorted(cut.edge_set))
+                assert text == f"in_shore={{{shore}}} edges={{{edges}}}"
 
 
 class TestUncrossCommand:
@@ -417,3 +426,36 @@ class TestMainEntry:
     def test_selftest_passes(self, capsys):
         assert main(["selftest", "--seed", "1"]) == EXIT_OK
         assert "selftest: pass" in capsys.readouterr().out
+
+
+class TestInProcessCommands:
+    def test_the_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_run_refuses_a_usage_error_without_exiting(self, p3, capsys):
+        with pytest.raises(ValueError, match=r"'solve'.*'cap': 'x'"):
+            run("solve", {"cap": "x", "input": p3})
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="'nope'"):
+            run("nope")
+        with pytest.raises(ValueError, match="'help': True"):
+            run("solve", {"help": True})
+
+    def test_a_flag_does_not_leak_into_the_next_command(self, diamond_path, capsys):
+        assert main(["enumerate", "--input", diamond_path, "--kind", "dicuts"]) == EXIT_OK
+        assert "kind: dicuts\n" in capsys.readouterr().out
+        assert main(["enumerate", "--input", diamond_path]) == EXIT_OK
+        assert "kind: dibonds\n" in capsys.readouterr().out
+
+    def test_usage_error_and_help_leave_the_parser_as_built(self, p3, capsys):
+        cli._build_parser.cache_clear()
+        assert main(["solve", "--input", p3]) == EXIT_OK
+        lone = capsys.readouterr().out
+        cli._build_parser.cache_clear()
+        assert main(["solve", "--cap", "x"]) == EXIT_ERROR
+        assert main(["--help"]) == EXIT_OK
+        assert "{enumerate,solve,uncross,quotient,blocks,family,hypergraph,selftest}" in (
+            capsys.readouterr().out
+        )
+        assert main(["solve", "--input", p3]) == EXIT_OK
+        assert capsys.readouterr().out == lone
