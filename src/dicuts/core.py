@@ -19,8 +19,11 @@ the cut, and derives the in-shore set and the edge set from them on
 first read, so a search that reads only masks (equality, nestedness,
 the solvers) never builds a set. Every connectivity test is one search,
 _reach_within, over vertex masks and a table of neighbour masks that a
-digraph builds on its first search, and every cut check is _cut_masks,
-so meet, join and the split of a dicut build no shore set either.
+digraph builds on its first search. Every cut check is _cut_masks, which
+ORs the digraph's end masks (per vertex, the edge masks of the edges
+whose tail, and of those whose head, is there, built on first read)
+over the smaller shore, so meet, join and the split of a dicut build no
+shore set either, and a check costs one step per vertex of that shore.
 Iteration orders follow sorted vertex ids and ascending edge ids
 throughout, so results are deterministic.
 """
@@ -67,6 +70,7 @@ class Digraph:
         self.vertex_bit: dict = dict(zip(self.vertex_order, range(len(self.vertex_order))))
         self._hash: Optional[int] = None
         self._nbrs: Optional[list] = None
+        self._ends: Optional[list] = None
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple], isolated: Iterable[Vertex] = ()) -> "Digraph":
@@ -110,6 +114,21 @@ class Digraph:
         if self._nbrs is None:
             self._nbrs = _neighbour_masks(self)
         return self._nbrs
+
+    @property
+    def end_masks(self) -> list:
+        """Per vertex bit j, the pair (edge mask of the edges whose tail is
+        vertex_order[j], edge mask of those whose head is), built on first
+        read into the slot __init__ sets, as neighbour_masks is."""
+        if self._ends is None:
+            bit = self.vertex_bit
+            tails = [0] * self.n
+            heads = [0] * self.n
+            for e, (t, h) in enumerate(self.edges):
+                tails[bit[t]] |= 1 << e
+                heads[bit[h]] |= 1 << e
+            self._ends = list(zip(tails, heads))
+        return self._ends
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -192,11 +211,18 @@ def _reach_within(nbrs: list, subset: int, start: int, stop: int) -> int:
     The search returns all of `subset` once it has seen every bit of
     `stop`: the caller passes a stop set that every component of `subset`
     touches, so one search reaching all of it has joined them all. With
-    `subset` itself as the stop set this is a plain search.
+    `subset` itself as the stop set this is a plain search. Each layer
+    ORs the table entries of the frontier's bits in this loop, as
+    _neighbours does, without a call per layer.
     """
     seen = frontier = start
     while frontier and stop & ~seen:
-        frontier = _neighbours(nbrs, frontier) & subset & ~seen
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= nbrs[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & subset & ~seen
         seen |= frontier
     return seen if stop & ~seen else subset
 
@@ -222,17 +248,28 @@ def is_weakly_connected(digraph: Digraph) -> bool:
 
 def _cut_masks(digraph: Digraph, shore_mask: int) -> tuple:
     """The edge masks of the edges entering, and of those leaving, the
-    in shore with this vertex mask."""
-    bit = digraph.vertex_bit
-    entering = leaving = 0
-    for e, (t, h) in enumerate(digraph.edges):
-        inside = shore_mask >> bit[h] & 1
-        if inside != shore_mask >> bit[t] & 1:
-            if inside:
-                entering |= 1 << e
-            else:
-                leaving |= 1 << e
-    return entering, leaving
+    in shore with this vertex mask.
+
+    ORs the end masks over the smaller shore X: an edge with both ends in
+    X is in both ORs, so the edges leaving X are the tail OR minus the
+    head OR, and those entering X the head OR minus the tail OR. The
+    edges entering Y are the edges leaving its complement.
+    """
+    other = ((1 << digraph.n) - 1) ^ shore_mask
+    small = shore_mask.bit_count() <= other.bit_count()
+    tails = heads = 0
+    for t, h in _select(digraph.end_masks, shore_mask if small else other):
+        tails |= t
+        heads |= h
+    into, out_of = heads & ~tails, tails & ~heads
+    return (into, out_of) if small else (out_of, into)
+
+
+def _require_edge_ids(digraph: Digraph, ids: Iterable, message: str) -> None:
+    """ValueError(message) unless every id is an int edge id of the digraph."""
+    m = digraph.m
+    if not all(isinstance(e, int) and 0 <= e < m for e in ids):
+        raise ValueError(message)
 
 
 def _entering(digraph: Digraph, shore_mask: int) -> int:
@@ -359,8 +396,7 @@ def dicut_from_edge_set(digraph: Digraph, edge_set: Iterable[EdgeId]) -> Optiona
     b = frozenset(edge_set)
     if not b:
         return None
-    if not all(0 <= e < digraph.m for e in b):
-        raise ValueError("edge set contains unknown edge ids")
+    _require_edge_ids(digraph, b, "edge set contains unknown edge ids")
     bit = digraph.vertex_bit
     heads = tails = 0
     for e in b:

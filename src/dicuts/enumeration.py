@@ -12,25 +12,31 @@ It starts from a list of roots: the anchors, for every dibond, or one
 root at an edge's tail with its head forbidden, for the dibonds through
 that edge, so a per-edge query walks only towards the dibonds it returns.
 
-One setup pass serves both walks: one condensation, then per strong
-component, indexed in ascending id order, the int masks of its DAG
-successors, predecessors and undirected neighbours, of its vertices (bit
-j for the j-th largest vertex) and of the edges (bit e for edge e) whose
-tail, and whose head, lies in it. One post-order pass gives each
-component its descendant or ancestor closure together with the union of
-each mask over it. Every set of components is a mask, bit i for the i-th
-component, so every branch order is that of the component ids. Strong
-components are connected, so the component graph is weakly connected
-exactly when the digraph is, and the dibond walk checks that with one
-mask search. The search is core's _reach_within, the one every
-connectivity test runs, here on the table of component neighbours.
+One set-up pass serves both walks. Tarjan's walk over vertex bits, on
+lists indexed by bit, finds the strong components in one pass and
+completes them in reverse topological order, each after every component
+it reaches. The components are indexed by least vertex, ascending, and
+each gets the int masks of its DAG successors, predecessors and
+undirected neighbours, of its vertices (bit j for the j-th largest
+vertex) and, from the digraph's end masks, of the edges (bit e for edge
+e) whose tail, and whose head, lies in it. One pass in completion order
+gives each component its descendant closure, and one in the reverse
+order its ancestor closure, each with the union of each mask over it.
+Every set of components is a mask, bit i for the i-th component, so
+every branch order is that of the component indices. Strong components
+are connected, so the component graph is weakly connected exactly when
+the digraph is, and the dibond walk checks that with one mask search.
+The search is core's _reach_within, the one every connectivity test
+runs, here on the table of component neighbours.
 
 A set's reach, the weak component of its complement that holds its
 start, is found from its parent's: removing a closure from a connected
 set can split it only at the closure's neighbours, so the search inside
 the parent's reach stops once it has joined those neighbours up again
 (the observation behind decremental connectivity; Even and Shiloach,
-"An on-line edge-deletion problem", JACM 1981).
+"An on-line edge-deletion problem", JACM 1981). When the closure has
+one neighbour there, every weak component of the rest holds it, so the
+rest is connected and no search runs.
 
 For a shore Y with tail mask T and head mask H, the edges entering Y are
 H & ~T and the edges leaving it T & ~H, so each emitted cut gets its
@@ -47,9 +53,10 @@ a truncated list.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 from typing import Optional
 
-from .core import Digraph, Dicut, EdgeId, _neighbours, _reach_within, bit_positions
+from .core import Digraph, Dicut, EdgeId, _neighbours, _reach_within, _require_edge_ids
 from .errors import CapExceeded, PreconditionViolated
 
 DEFAULT_CAP = 1_000_000
@@ -73,128 +80,157 @@ class Condensation:
         return sorted(self.component_members)
 
 
-def condensation(digraph: Digraph) -> Condensation:
-    """Strong components via an iterative Tarjan walk, in deterministic order."""
-    index: dict = {}
-    lowlink: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    sccs: list = []
-    counter = 0
-    for root in reversed(digraph.vertex_order):
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ei = work.pop()
-            if ei == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            out = digraph.out_edges(v)
-            advanced = False
-            while ei < len(out):
-                w = digraph.head(out[ei])
-                ei += 1
-                if w not in index:
-                    work.append((v, ei))
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(frozenset(comp))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    scc_of: dict = {}
-    members: dict = {}
-    for comp in sccs:
-        cid = min(comp)
-        members[cid] = tuple(sorted(comp))
-        for v in comp:
-            scc_of[v] = cid
-    dag = set()
+def _successor_bits(digraph: Digraph) -> list:
+    """Per vertex bit j, the bits of the heads of the edges leaving
+    vertex_order[j], in edge id order."""
+    bit = digraph.vertex_bit
+    out: list = [[] for _ in range(digraph.n)]
     for t, h in digraph.edges:
-        ct, ch = scc_of[t], scc_of[h]
-        if ct != ch:
-            dag.add((ct, ch))
+        out[bit[t]].append(bit[h])
+    return out
+
+
+def _strong_components(out: list) -> tuple:
+    """Strong components by Tarjan's walk (Tarjan, "Depth-first search and
+    linear graph algorithms", SIAM J. Comput. 1972) over vertex bits, given
+    _successor_bits.
+
+    Returns (k, done_at): the number of components, and per vertex bit
+    the position of its component in the order the walk completes them.
+    That order is reverse topological: a component comes after every
+    component it reaches. The walk takes its roots least vertex first
+    (highest bit first) and each vertex's out edges in id order, on an
+    explicit stack, with list state indexed by vertex bit. A vertex's low
+    value is the least discovery number it reaches on the stack; once its
+    component is complete it is set past every discovery number, so no
+    later low value takes it. No vertex mask is built: the masks of a long
+    path's components would take space quadratic in its length.
+    """
+    n = len(out)
+    past = n + 1
+    index = [0] * n  # discovery number, from 1; 0 before discovery
+    low = [0] * n
+    done_at = [0] * n
+    stack: list = []
+    k = counter = 0
+    for root in range(n - 1, -1, -1):
+        if index[root]:
+            continue
+        counter += 1
+        index[root] = low[root] = counter
+        stack.append(root)
+        work = [(root, iter(out[root]))]
+        while work:
+            v, nexts = work[-1]
+            for w in nexts:
+                if not index[w]:
+                    counter += 1
+                    index[w] = low[w] = counter
+                    stack.append(w)
+                    work.append((w, iter(out[w])))
+                    break
+                if low[w] < low[v]:
+                    low[v] = low[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        low[w] = past
+                        done_at[w] = k
+                        if w == v:
+                            break
+                    k += 1
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return k, done_at
+
+
+def condensation(digraph: Digraph) -> Condensation:
+    """Strong components and the DAG between them, from one Tarjan walk
+    over vertex bits (_strong_components); component_members lists the
+    components in the order the walk completes them."""
+    out = _successor_bits(digraph)
+    k, comp = _strong_components(out)
+    members: list = [[] for _ in range(k)]
+    # Least vertex first, so each list is sorted and starts at its id.
+    for v, c in zip(reversed(digraph.vertex_order), reversed(comp)):
+        members[c].append(v)
+    cids = [vs[0] for vs in members]
+    scc_of = {v: cids[c] for v, c in zip(digraph.vertex_order, comp)}
+    dag = {
+        (cids[comp[j]], cids[comp[w]])
+        for j, heads in enumerate(out)
+        for w in heads
+        if comp[w] != comp[j]
+    }
     return Condensation(
         digraph=digraph,
         scc_of=scc_of,
         dag_edges=frozenset(dag),
-        component_members=members,
+        component_members={vs[0]: tuple(vs) for vs in members},
     )
 
 
 def _walk_tables(digraph: Digraph) -> Optional[tuple]:
-    """The condensation's masks that both walks start from, described in
-    the module docstring: succ, pred, und, verts, tails and heads per
-    component, verts over the digraph's vertex_order. None when there is
-    at most one strong component, before any vertex or edge mask is built:
-    no walk then has anything to emit.
+    """The masks that both walks start from, described in the module
+    docstring: succ, pred, und, verts, tails and heads per component,
+    verts over the digraph's vertex_order, then the component indices in
+    the order Tarjan's walk completed them, each after every component it
+    reaches. None when there is at most one strong component, before any
+    vertex or edge mask is built: no walk then has anything to emit.
     """
-    cond = condensation(digraph)
-    comps = cond.components
-    k = len(comps)
+    out = _successor_bits(digraph)
+    k, done_at = _strong_components(out)
     if k <= 1:
         return None
-    index = {c: i for i, c in enumerate(comps)}
+    # Components are indexed as their least vertices come, least first,
+    # which is highest bit first; completed maps completion positions
+    # to indices, so it lists the indices in completion order.
+    completed = [-1] * k
+    comp = [0] * len(out)
+    verts: list = []
+    for j in range(len(out) - 1, -1, -1):
+        c = done_at[j]
+        if completed[c] < 0:
+            completed[c] = len(verts)
+            verts.append(0)
+        comp[j] = i = completed[c]
+        verts[i] |= 1 << j
     succ = [0] * k
     pred = [0] * k
-    for a, b in cond.dag_edges:
-        succ[index[a]] |= 1 << index[b]
-        pred[index[b]] |= 1 << index[a]
-    und = [s | p for s, p in zip(succ, pred)]
-    comp_of = {v: index[c] for v, c in cond.scc_of.items()}
-    verts = [0] * k
     tails = [0] * k
     heads = [0] * k
-    for j, v in enumerate(digraph.vertex_order):
-        verts[comp_of[v]] |= 1 << j
-    for e, (t, h) in enumerate(digraph.edges):
-        tails[comp_of[t]] |= 1 << e
-        heads[comp_of[h]] |= 1 << e
-    return succ, pred, und, verts, tails, heads
+    for j, ((tail_edges, head_edges), nexts) in enumerate(zip(digraph.end_masks, out)):
+        c = comp[j]
+        tails[c] |= tail_edges
+        heads[c] |= head_edges
+        for w in nexts:
+            d = comp[w]
+            if d != c:
+                succ[c] |= 1 << d
+                pred[d] |= 1 << c
+    und = [s | p for s, p in zip(succ, pred)]
+    return succ, pred, und, verts, tails, heads, completed
 
 
-def _closures(step: list, tables: tuple) -> list:
+def _closures(step: list, tables: tuple, order) -> list:
     """Per component i, a tuple: the mask of the components reachable from
     i via `step`, i included, then the union of each table over them.
 
-    One post-order pass: a component is finished once every `step`
-    neighbour is, and its tuple ORs theirs into its own entries. `step`
-    is acyclic, so every neighbour finishes first.
+    One pass over `order`, which lists every `step` neighbour of a
+    component before the component: each component's own entries are
+    ORed with its neighbours' finished tuples.
     """
-    closures: list = [None] * len(step)
-    for root in range(len(step)):
-        stack = [root]
-        while stack:
-            i = stack[-1]
-            if closures[i] is not None:
-                stack.pop()
-                continue
-            nexts = bit_positions(step[i])
-            pending = [j for j in nexts if closures[j] is None]
-            if pending:
-                stack.extend(pending)
-                continue
-            acc = [1 << i, *(table[i] for table in tables)]
-            for j in nexts:
-                acc = [a | b for a, b in zip(acc, closures[j])]
-            closures[i] = tuple(acc)
-            stack.pop()
+    closures = list(zip([1 << i for i in range(len(step))], *tables))
+    for i in order:
+        acc = closures[i]
+        nexts = step[i]
+        while nexts:
+            low = nexts & -nexts
+            acc = tuple(map(or_, acc, closures[low.bit_length() - 1]))
+            nexts ^= low
+        closures[i] = acc
     return closures
 
 
@@ -226,10 +262,10 @@ def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     tables = _walk_tables(digraph)
     if tables is None:
         return []
-    succ, pred, _und, verts, tails, heads = tables
+    succ, pred, _und, verts, tails, heads, completed = tables
     k = len(succ)
-    desc = _closures(succ, (verts, tails, heads))
-    anc = [closure[0] for closure in _closures(pred, ())]
+    desc = _closures(succ, (verts, tails, heads), completed)
+    anc = [closure[0] for closure in _closures(pred, (), reversed(completed))]
     found: list = []
     # Each entry is (next component index, in shore mask, out shore mask)
     # over the components decided so far, and the masks of the in shore's
@@ -262,14 +298,14 @@ def _dibond_masks(digraph: Digraph, cap: int, edge: Optional[EdgeId] = None) -> 
     tables = _walk_tables(digraph)
     if tables is None:
         return []
-    _succ, pred, und, verts, tails, heads = tables
+    _succ, pred, und, verts, tails, heads, completed = tables
     k = len(und)
     full = (1 << k) - 1
     # Strong components are connected, so the component graph is weakly
     # connected exactly when the digraph is.
     if _reach_within(und, full, 1, full) != full:
         raise PreconditionViolated("dibonds need a weakly connected digraph")
-    anc = _closures(pred, (und, verts, tails, heads))
+    anc = _closures(pred, (und, verts, tails, heads), reversed(completed))
     all_vertices = (1 << digraph.n) - 1
     found: list = []
     # Each root is (forbidden components, the closure the walk starts from):
@@ -304,7 +340,12 @@ def _dibond_masks(digraph: Digraph, cap: int, edge: Optional[EdgeId] = None) -> 
                 # part: reaching all those neighbours reconnects it.
                 rest = parent_reach & ~removed
                 boundary = _neighbours(und, removed & parent_reach) & rest
-                reach = _reach_within(und, rest, start, boundary)
+                if boundary & (boundary - 1):
+                    reach = _reach_within(und, rest, start, boundary)
+                else:
+                    # One neighbour: every weak component of the rest
+                    # holds it, so the rest is connected.
+                    reach = rest
             else:
                 reach = parent_reach
             if forbidden & ~reach:
@@ -317,14 +358,17 @@ def _dibond_masks(digraph: Digraph, cap: int, edge: Optional[EdgeId] = None) -> 
                 _check_dicut(hs & ~ts)
                 found.append((all_vertices ^ vs, ts & ~hs))
             blocked = forbidden
-            for u in bit_positions(nbrs & complement & ~forbidden):
-                need, un, uv, ut, uh = anc[u]
+            candidates = nbrs & complement & ~forbidden
+            while candidates:
+                low = candidates & -candidates
+                need, un, uv, ut, uh = anc[low.bit_length() - 1]
                 if not need & blocked:
                     stack.append(
                         (blocked, reach, need & complement, s | need,
                          nbrs | un, vs | uv, ts | ut, hs | uh)
                     )
-                blocked |= 1 << u
+                blocked |= low
+                candidates ^= low
     return found
 
 
@@ -357,10 +401,11 @@ def enumerate_dibonds(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     and the search there from the start stops as soon as it has seen every
     neighbour of N inside X: R was connected, so every weak component of
     X holds such a neighbour, and once they are all joined the reach is
-    X. Only when the start lies outside R, at the roots and the few sets
-    right after them, is the whole complement searched. On a directed
-    path each set then costs a few mask operations, not a search of its
-    complement.
+    X. When N has exactly one neighbour in X, X is connected and no
+    search runs. Only when the start lies outside R, at the roots and the
+    few sets right after them, is the whole complement searched. On a
+    directed path every set after the root has one such neighbour, so
+    each costs a few mask operations, not a search.
 
     Alongside each grown set the walk carries the masks of its vertices and
     of the edges whose tail, and whose head, lies in it, ORing in those of
@@ -398,6 +443,5 @@ def dibonds_containing_edge(digraph: Digraph, e: EdgeId, cap: int = DEFAULT_CAP)
     PreconditionViolated when the digraph is not weakly connected, as
     enumerate_dibonds does. The cap counts the dibonds returned.
     """
-    if not 0 <= e < digraph.m:
-        raise ValueError(f"unknown edge id {e}")
+    _require_edge_ids(digraph, (e,), f"unknown edge id {e!r}")
     return _build(digraph, _dibond_masks(digraph, cap, e), True)

@@ -20,6 +20,7 @@ from .core import (
     _components,
     _edge_mask,
     _neighbour_masks,
+    _require_edge_ids,
     bit_positions,
     dicut_from_edge_set,
 )
@@ -105,8 +106,7 @@ def contract_to(digraph: Digraph, edge_ids: Iterable[int]) -> QuotientMap:
     weakly connected digraph to a single vertex.
     """
     kept = frozenset(edge_ids)
-    if not all(0 <= e < digraph.m for e in kept):
-        raise ValueError("edge set contains unknown edge ids")
+    _require_edge_ids(digraph, kept, "edge set contains unknown edge ids")
     order = digraph.vertex_order
     class_of = {}
     for comp in _components(_neighbour_masks(digraph, kept), (1 << digraph.n) - 1):

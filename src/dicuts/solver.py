@@ -69,6 +69,7 @@ from .core import (
     _cut_masks,
     _edge_mask,
     _reach_within,
+    _require_edge_ids,
     bit_positions,
     decompose_dicut,
     is_weakly_connected,
@@ -222,8 +223,7 @@ def is_dijoin(digraph: Digraph, edge_set: Iterable[int], klass: DibondClass) -> 
     if klass.digraph != digraph:
         raise PreconditionViolated("class belongs to a different digraph")
     f = frozenset(edge_set)
-    if not all(0 <= e < digraph.m for e in f):
-        raise ValueError("edge set contains unknown edge ids")
+    _require_edge_ids(digraph, f, "edge set contains unknown edge ids")
     return _meets_members(klass, _edge_mask(digraph, f))
 
 
@@ -253,8 +253,7 @@ def _meets_every_dibond(digraph: Digraph, f: frozenset) -> bool:
     strong = all(_reach_within(step, full, full & 1, full) == full for step in (succ, pred))
     if not strong and not is_weakly_connected(digraph):
         raise PreconditionViolated("dibonds need a weakly connected digraph")
-    if not all(0 <= e < digraph.m for e in f):
-        raise ValueError("edge set contains unknown edge ids")
+    _require_edge_ids(digraph, f, "edge set contains unknown edge ids")
     return strong
 
 

@@ -18,9 +18,11 @@ earlier row-form mask search, the reference for the column-table one;
 `konig_by_matching_enumeration` the earlier
 search over all maximum matchings, on that transversal search, and
 `dibond_masks_by_rescan` the earlier dibond walk,
-which searches the whole complement at every set, on the package's own
-walk tables and closures (`_closures` is checked against a plain search
-in the enumeration tests), and `dibonds_containing_edge_by_filter` the
+which searches the whole complement at every set, on the earlier set-up
+kept here: `condensation_by_dicts` (the Tarjan walk over vertex dicts),
+`walk_tables_by_reindexing` and `closures_by_post_order`, so it shares
+no set-up with the walk under test; `cut_masks_by_edges` is the earlier
+cut check, one pass over every edge; and `dibonds_containing_edge_by_filter` the
 earlier per-edge query, which filters every dibond of the package's
 walk on its edge mask. `nested_by_shores` is the earlier frozenset
 test of nestedness, the reference for the one on shore masks, and
@@ -56,7 +58,7 @@ from dicuts import (
     nested,
 )
 from dicuts.core import bit_positions
-from dicuts.enumeration import DEFAULT_CAP, _build, _closures, _dibond_masks, _walk_tables
+from dicuts.enumeration import DEFAULT_CAP, Condensation, _build, _dibond_masks
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +323,140 @@ def dijoin_choices_by_product(w, klass):
     return choices
 
 
+def condensation_by_dicts(digraph):
+    """The package's earlier `condensation`: an iterative Tarjan walk over
+    vertex dicts, with the same roots and edge order as the one over
+    vertex bits."""
+    index: dict = {}
+    lowlink: dict = {}
+    on_stack: set = set()
+    stack: list = []
+    sccs: list = []
+    counter = 0
+    for root in reversed(digraph.vertex_order):
+        if root in index:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, ei = work.pop()
+            if ei == 0:
+                index[v] = lowlink[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack.add(v)
+            out = digraph.out_edges(v)
+            advanced = False
+            while ei < len(out):
+                w = digraph.head(out[ei])
+                ei += 1
+                if w not in index:
+                    work.append((v, ei))
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    lowlink[v] = min(lowlink[v], index[w])
+            if advanced:
+                continue
+            if lowlink[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(frozenset(comp))
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+    scc_of: dict = {}
+    members: dict = {}
+    for comp in sccs:
+        cid = min(comp)
+        members[cid] = tuple(sorted(comp))
+        for v in comp:
+            scc_of[v] = cid
+    dag = set()
+    for t, h in digraph.edges:
+        ct, ch = scc_of[t], scc_of[h]
+        if ct != ch:
+            dag.add((ct, ch))
+    return Condensation(
+        digraph=digraph,
+        scc_of=scc_of,
+        dag_edges=frozenset(dag),
+        component_members=members,
+    )
+
+
+def walk_tables_by_reindexing(digraph):
+    """The package's earlier `_walk_tables`: succ, pred, und, verts, tails
+    and heads per component, re-indexed from `condensation_by_dicts`."""
+    cond = condensation_by_dicts(digraph)
+    comps = cond.components
+    k = len(comps)
+    if k <= 1:
+        return None
+    index = {c: i for i, c in enumerate(comps)}
+    succ = [0] * k
+    pred = [0] * k
+    for a, b in cond.dag_edges:
+        succ[index[a]] |= 1 << index[b]
+        pred[index[b]] |= 1 << index[a]
+    und = [s | p for s, p in zip(succ, pred)]
+    comp_of = {v: index[c] for v, c in cond.scc_of.items()}
+    verts = [0] * k
+    tails = [0] * k
+    heads = [0] * k
+    for j, v in enumerate(digraph.vertex_order):
+        verts[comp_of[v]] |= 1 << j
+    for e, (t, h) in enumerate(digraph.edges):
+        tails[comp_of[t]] |= 1 << e
+        heads[comp_of[h]] |= 1 << e
+    return succ, pred, und, verts, tails, heads
+
+
+def closures_by_post_order(step, tables):
+    """The package's earlier `_closures`: a post-order pass on an explicit
+    stack, in any index order, each component finished once every `step`
+    neighbour is."""
+    closures: list = [None] * len(step)
+    for root in range(len(step)):
+        stack = [root]
+        while stack:
+            i = stack[-1]
+            if closures[i] is not None:
+                stack.pop()
+                continue
+            nexts = bit_positions(step[i])
+            pending = [j for j in nexts if closures[j] is None]
+            if pending:
+                stack.extend(pending)
+                continue
+            acc = [1 << i, *(table[i] for table in tables)]
+            for j in nexts:
+                acc = [a | b for a, b in zip(acc, closures[j])]
+            closures[i] = tuple(acc)
+            stack.pop()
+    return closures
+
+
+def cut_masks_by_edges(digraph, shore_mask):
+    """The package's earlier `_cut_masks`: one pass over every edge,
+    testing both ends against the shore mask."""
+    bit = digraph.vertex_bit
+    entering = leaving = 0
+    for e, (t, h) in enumerate(digraph.edges):
+        inside = shore_mask >> bit[h] & 1
+        if inside != shore_mask >> bit[t] & 1:
+            if inside:
+                entering |= 1 << e
+            else:
+                leaving |= 1 << e
+    return entering, leaving
+
+
 def dibond_masks_by_rescan(digraph, cap=10**6):
     """The dibond walk that `enumeration._dibond_masks` replaced.
 
@@ -331,12 +467,12 @@ def dibond_masks_by_rescan(digraph, cap=10**6):
     """
     if not is_weakly_connected(digraph):
         raise ValueError("dibonds need a weakly connected digraph")
-    tables = _walk_tables(digraph)
+    tables = walk_tables_by_reindexing(digraph)
     if tables is None:
         return []
     _succ, pred, und, verts, tails, heads = tables
     k = len(und)
-    anc = _closures(pred, (und, verts, tails, heads))
+    anc = closures_by_post_order(pred, (und, verts, tails, heads))
     full = (1 << k) - 1
     all_vertices = (1 << digraph.n) - 1
     found = []

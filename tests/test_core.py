@@ -27,11 +27,12 @@ from dicuts import (
     window,
 )
 
-from dicuts.core import bit_positions
+from dicuts.core import _cut_masks, bit_positions
 
 from .oracles import (
     brute_dicuts,
     component_labels,
+    cut_masks_by_edges,
     decompose_by_labels,
     dibond_by_labels,
     dicut_from_edge_set_by_labels,
@@ -208,6 +209,57 @@ class TestDicut:
         assert dicut_from_edge_set(d, ()) is None
         with pytest.raises(ValueError):
             dicut_from_edge_set(d, {99})
+
+    @pytest.mark.parametrize("bad", [1.5, "1", None, 1.0])
+    def test_dicut_from_edge_set_refuses_an_id_that_is_no_int(self, bad):
+        # 1.5 was dropped and the rest answered for; "1" and None failed
+        # the range comparison with TypeError.
+        with pytest.raises(ValueError, match="^edge set contains unknown edge ids$"):
+            dicut_from_edge_set(diamond(), {0, 3, bad})
+
+
+class TestCutMasks:
+    """The cut check ORs the end masks over the smaller shore; the earlier
+    pass over every edge, `oracles.cut_masks_by_edges`, is the reference."""
+
+    def test_end_masks_fill_the_slot_set_in_init(self):
+        d = diamond()
+        names = set(vars(d))
+        ends = d.end_masks
+        assert set(vars(d)) == names and d.end_masks is ends
+        # vertex_order is t, s, b, a; edges s->a, s->b, a->t, b->t.
+        assert ends == [(0b0000, 0b1100), (0b0011, 0b0000), (0b1000, 0b0010), (0b0100, 0b0001)]
+
+    def test_every_shore_of_the_seeded_digraphs(self):
+        rng = random.Random(23)
+        seeded = [random_weak_digraph(rng, max_n=8, max_extra=10) for _ in range(60)]
+        digraphs = [
+            *mask_search_corpus(),
+            *(Digraph.from_edges(d.edges, isolated=["z"] * (i % 2)) for i, d in enumerate(seeded)),
+        ]
+        checked = 0
+        for d in digraphs:
+            for shore in range(1 << d.n):
+                assert _cut_masks(d, shore) == cut_masks_by_edges(d, shore)
+            checked += 1 << d.n
+        assert max(d.n for d in digraphs) == 9 and checked > 20000
+
+    @pytest.mark.parametrize("name, nmax", [("grid_d2", 8), ("zigzag_d1", 40), ("ladder", 12)])
+    def test_random_shores_of_the_family_windows(self, name, nmax):
+        rng = random.Random(name)
+        for n in range(1, nmax + 1):
+            d = window(get_family(name), n).digraph
+            full = (1 << d.n) - 1
+            for shore in [0, full, *(rng.getrandbits(d.n) for _ in range(60))]:
+                assert _cut_masks(d, shore) == cut_masks_by_edges(d, shore)
+
+    def test_random_shores_of_larger_seeded_digraphs(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            d = random_weak_digraph(rng, max_n=30, max_extra=40)
+            for _ in range(40):
+                shore = rng.getrandbits(d.n)
+                assert _cut_masks(d, shore) == cut_masks_by_edges(d, shore)
 
 
 def dicuts_made_every_way(d, rng):

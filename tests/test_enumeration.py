@@ -21,15 +21,19 @@ from dicuts import (
     window,
 )
 from dicuts import enumeration
+from dicuts.core import bit_positions
 
 from .oracles import (
     brute_dibonds,
     brute_dicuts,
+    closures_by_post_order,
+    condensation_by_dicts,
     dibond_masks_by_rescan,
     dibonds_containing_edge_by_filter,
     disconnected_digraphs,
     kosaraju_scc,
     random_weak_digraph,
+    walk_tables_by_reindexing,
 )
 
 
@@ -270,14 +274,14 @@ class TestMaskBuiltMembers:
         walk_tables = enumeration._walk_tables
 
         def with_phantom_edge(digraph):
-            succ, pred, und, verts, tails, heads = walk_tables(digraph)
+            succ, pred, und, verts, tails, heads, completed = walk_tables(digraph)
 
             def comp(v):
                 return next(i for i, m in enumerate(verts) if m >> digraph.vertex_bit[v] & 1)
 
             tails[comp("t")] |= 1 << digraph.m
             heads[comp("s")] |= 1 << digraph.m
-            return succ, pred, und, verts, tails, heads
+            return succ, pred, und, verts, tails, heads, completed
 
         monkeypatch.setattr(enumeration, "_walk_tables", with_phantom_edge)
         for enumerate_cuts in (enumerate_dicuts, enumerate_dibonds):
@@ -285,10 +289,10 @@ class TestMaskBuiltMembers:
                 enumerate_cuts(diamond())
 
 
-def _edge_query_digraphs():
+def _edge_query_digraphs(windows=(("grid_d2", 7), ("zigzag_d1", 12), ("ladder", 8))):
     """Seeded digraphs with strong components and parallel edges, one in
     three with an isolated vertex; the grid_d2, zigzag_d1 and ladder
-    windows; the digraphs on zero and one vertex."""
+    windows up to the given indices; the digraphs on zero and one vertex."""
     rng = random.Random(18)
     made = 0
     while made < 300:
@@ -298,7 +302,7 @@ def _edge_query_digraphs():
             continue
         yield Digraph.from_edges(d.edges, isolated=["z"] * (made % 3 == 2))
         made += 1
-    for name, n_max in (("grid_d2", 7), ("zigzag_d1", 12), ("ladder", 8)):
+    for name, n_max in windows:
         for n in range(1, n_max + 1):
             yield window(get_family(name), n).digraph
     yield Digraph((), ())
@@ -337,11 +341,18 @@ class TestDibondsContainingEdge:
         for d in disconnected_digraphs(count=10):
             with pytest.raises(PreconditionViolated, match="weakly connected"):
                 dibonds_containing_edge(d, 0)
-            for e in (-1, d.m):
+            for e in (-1, d.m, 1.0, 1.5, "1", None):
                 with pytest.raises(ValueError, match="unknown edge id"):
                     dibonds_containing_edge(d, e)
         with pytest.raises(ValueError, match="unknown edge id"):
             dibonds_containing_edge(Digraph((), ()), 0)
+
+    def test_an_id_that_is_no_int_is_refused(self):
+        # 1.0 once passed the range check and failed deep in the walk with
+        # TypeError, as did "1" and None in the range check itself.
+        for bad in (1.0, 1.5, "1", None):
+            with pytest.raises(ValueError, match="^unknown edge id "):
+                dibonds_containing_edge(diamond(), bad)
 
     def test_cap_counts_the_dibonds_through_the_edge(self):
         d = window(get_family("zigzag_d1"), 8).digraph
@@ -397,7 +408,9 @@ class TestClosures:
                 for i in range(k)
             ]
             tables = tuple([rng.getrandbits(16) for _ in range(k)] for _ in range(rng.randint(0, 3)))
-            got = enumeration._closures(step, tables)
+            # Every step neighbour of a component precedes it in this order.
+            order = sorted(range(k), key=rank.__getitem__, reverse=True)
+            got = enumeration._closures(step, tables, order)
             for i in range(k):
                 seen, queue = {i}, [i]
                 while queue:
@@ -413,6 +426,96 @@ class TestClosures:
                         acc |= table[j]
                     want.append(acc)
                 assert got[i] == tuple(want)
+
+
+_SETUP_WINDOWS = (("grid_d2", 9), ("zigzag_d1", 60), ("ladder", 10))
+
+
+class TestSetupAgreesWithTheEarlierOne:
+    """condensation, _walk_tables and _closures, from one Tarjan walk over
+    vertex bits, against the earlier ones kept in the oracles: the Tarjan
+    walk over vertex dicts, the re-indexing of its components and the
+    post-order closures."""
+
+    def test_condensation_field_for_field(self):
+        for d in _edge_query_digraphs(_SETUP_WINDOWS):
+            got, want = condensation(d), condensation_by_dicts(d)
+            assert got.digraph is d
+            assert got.scc_of == want.scc_of
+            assert got.dag_edges == want.dag_edges
+            # The same walk completes the components in the same order.
+            assert list(got.component_members.items()) == list(want.component_members.items())
+            assert got.components == want.components
+
+    def test_walk_tables_and_closures(self):
+        walked = 0
+        for d in _edge_query_digraphs(_SETUP_WINDOWS):
+            got, want = enumeration._walk_tables(d), walk_tables_by_reindexing(d)
+            if want is None:
+                assert got is None
+                continue
+            walked += 1
+            *tables, completed = got
+            assert tables == list(want)
+            succ, pred, und, verts, tails, heads = tables
+            # completed lists the indices in the order the walk completed
+            # them, which the earlier condensation kept as its dict order.
+            index = {c: i for i, c in enumerate(sorted(condensation_by_dicts(d).component_members))}
+            assert completed == [index[c] for c in condensation_by_dicts(d).component_members]
+            position = {c: p for p, c in enumerate(completed)}
+            assert all(position[j] < position[i] for i in range(len(succ)) for j in bit_positions(succ[i]))
+            assert enumeration._closures(succ, (verts, tails, heads), completed) == (
+                closures_by_post_order(succ, (verts, tails, heads))
+            )
+            assert enumeration._closures(pred, (und, verts, tails, heads), reversed(completed)) == (
+                closures_by_post_order(pred, (und, verts, tails, heads))
+            )
+        assert walked > 300
+
+
+def _ladder_with_one_rail(n):
+    """The ladder window n with its w rail reversed, so that both rails run
+    the same way: a DAG of two paths joined by rungs."""
+    d = window(get_family("ladder"), n).digraph
+    return Digraph.from_edges(
+        (t, h) if "u" in t[:1] + h[:1] else (h, t) for t, h in d.edges
+    )
+
+
+class TestOneNeighbourShortcut:
+    """A set whose removed closure has one neighbour in its parent's reach
+    takes the rest of that reach with no search."""
+
+    @staticmethod
+    def searches(monkeypatch, d):
+        """(boundary searches, boundaries computed) in the walk of d, and its list."""
+        counts = {"searches": 0, "boundaries": 0}
+        reach_within, neighbours = enumeration._reach_within, enumeration._neighbours
+
+        def counting_reach(nbrs, subset, start, stop):
+            counts["searches"] += stop != subset
+            return reach_within(nbrs, subset, start, stop)
+
+        def counting_neighbours(nbrs, mask):
+            counts["boundaries"] += 1
+            return neighbours(nbrs, mask)
+
+        monkeypatch.setattr(enumeration, "_reach_within", counting_reach)
+        monkeypatch.setattr(enumeration, "_neighbours", counting_neighbours)
+        found = enumeration._dibond_masks(d, 10**6)
+        return counts["searches"], counts["boundaries"], found
+
+    def test_a_path_searches_no_boundary(self, monkeypatch):
+        path = Digraph.from_edges([(i, i + 1) for i in range(1200)])
+        searches, boundaries, found = self.searches(monkeypatch, path)
+        assert (searches, boundaries) == (0, 1199)
+        assert found == dibond_masks_by_rescan(path)
+
+    def test_a_ladder_searches_only_where_two_neighbours_remain(self, monkeypatch):
+        d = _ladder_with_one_rail(8)
+        searches, boundaries, found = self.searches(monkeypatch, d)
+        assert 0 < searches < boundaries
+        assert found == dibond_masks_by_rescan(d)
 
 
 class TestCarriedReach:

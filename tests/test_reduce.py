@@ -156,6 +156,12 @@ class TestContractTo:
         with pytest.raises(ValueError):
             contract_to(diamond(), [99])
 
+    @pytest.mark.parametrize("bad", [1.5, "1", None, 1.0])
+    def test_an_id_that_is_no_int_is_rejected(self, bad):
+        # 1.5 was dropped and the minor kept only edge 0.
+        with pytest.raises(ValueError, match="^edge set contains unknown edge ids$"):
+            contract_to(diamond(), [0, bad])
+
     def test_kept_parallel_edges_can_become_loops_and_drop(self):
         d = Digraph.from_edges([("a", "b"), ("a", "b"), ("b", "c")])
         qm = contract_to(d, [0, 1])

@@ -735,11 +735,11 @@ class TestDualityGap:
 
 
 # What each check raises for a value that is no edge id of the diamond
-# (edges 0..3): the id check's own error, never one from shifting by it.
+# (edges 0..3): the id check's own error, never one from shifting by it
+# or comparing it, and never a silent drop of a value that is no int.
 BAD_EDGE_IDS = [
-    (-1, ValueError, "edge set contains unknown edge ids"),
-    (4, ValueError, "edge set contains unknown edge ids"),
-    ("x", TypeError, "'<=' not supported between instances of 'int' and 'str'"),
+    (bad, ValueError, "edge set contains unknown edge ids")
+    for bad in (-1, 4, "x", 1.5, "1", None)
 ]
 
 
