@@ -460,8 +460,9 @@ class TestSetupAgreesWithTheEarlierOne:
             succ, pred, und, verts, tails, heads = tables
             # completed lists the indices in the order the walk completed
             # them, which the earlier condensation kept as its dict order.
-            index = {c: i for i, c in enumerate(sorted(condensation_by_dicts(d).component_members))}
-            assert completed == [index[c] for c in condensation_by_dicts(d).component_members]
+            members = condensation_by_dicts(d).component_members
+            index = {c: i for i, c in enumerate(sorted(members))}
+            assert completed == [index[c] for c in members]
             position = {c: p for p, c in enumerate(completed)}
             assert all(position[j] < position[i] for i in range(len(succ)) for j in bit_positions(succ[i]))
             assert enumeration._closures(succ, (verts, tails, heads), completed) == (
