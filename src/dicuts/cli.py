@@ -212,12 +212,20 @@ def _resolve_shore_lines(digraph: Digraph, text: str) -> list:
     return shores
 
 
+def _listed_full_class(digraph: Digraph, cap: int) -> DibondClass:
+    """The full class with every member listed under the cap. The solvers
+    then search the members, so the reports print the answers, and the
+    class_size, of the listing; DibondClass.full alone would be solved
+    without it."""
+    return DibondClass._known(digraph, DibondClass.full(digraph, cap).members, True)
+
+
 def _class_from_args(digraph: Digraph, args) -> DibondClass:
     if getattr(args, "class_file", None):
         shores = _resolve_shore_lines(digraph, _read_text(args.class_file))
         members = [Dicut(digraph, shore) for shore in shores]
         return DibondClass.from_members(digraph, members)
-    return DibondClass.full(digraph, args.cap)
+    return _listed_full_class(digraph, args.cap)
 
 
 def _pair_lines(labels: list, digraph: Digraph, pair: OptimalPair) -> list:
@@ -338,8 +346,7 @@ def _cmd_blocks(args) -> RunReport:
         lines.append(("block", f"{i} edges={_edge_set_label(labels, block)}"))
     for v, b in tree.tree_edges:
         lines.append(("tree_edge", f"{v} - block {b}"))
-    klass = DibondClass.full(digraph, args.cap)
-    pair = split_solve_merge(digraph, klass)
+    pair = split_solve_merge(digraph, _listed_full_class(digraph, args.cap))
     if pair is None:
         lines.append(("optimal_pair", "absent"))
     else:
@@ -547,7 +554,7 @@ def _cmd_selftest(args) -> RunReport:
     solved = 0
     for _ in range(25):
         digraph = _random_digraph(rng)
-        klass = DibondClass.full(digraph, args.cap)
+        klass = _listed_full_class(digraph, args.cap)
         if len(klass) == 0:
             continue
         pair = nested_optimal_pair(digraph, klass)

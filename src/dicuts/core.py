@@ -9,8 +9,8 @@ order; the edge id is the index into that order, so ids are dense ints
 0..m-1 and stable. Parallel edges are distinct ids; loops are rejected.
 
 All values are treated as immutable once constructed, and every operation
-is a pure function of its inputs. A digraph builds its out and
-undirected adjacency when it is constructed, and its vertex order, the
+is a pure function of its inputs. A digraph builds its undirected
+adjacency when it is constructed, and its vertex order, the
 vertices sorted descending: bit j of a vertex mask stands for the j-th
 largest vertex, so ids that cannot be sorted raise TypeError when the
 digraph is built. A dicut stores two int masks, shore_mask over the
@@ -48,7 +48,6 @@ class Digraph:
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple]):
         self.vertices: frozenset = frozenset(vertices)
         self.edges: tuple = tuple((t, h) for (t, h) in edges)
-        out: dict = {v: [] for v in self.vertices}
         und: dict = {v: [] for v in self.vertices}
         for e, (t, h) in enumerate(self.edges):
             if t == h:
@@ -57,10 +56,8 @@ class Digraph:
                 raise ValueError(f"edge {e} has undeclared tail {t!r}")
             if h not in self.vertices:
                 raise ValueError(f"edge {e} has undeclared head {h!r}")
-            out[t].append(e)
             und[t].append((h, e))
             und[h].append((t, e))
-        self._out = {v: tuple(es) for v, es in out.items()}
         self._und = {v: tuple(ps) for v, ps in und.items()}
         try:
             self.vertex_order: tuple = tuple(sorted(self.vertices, reverse=True))
@@ -98,9 +95,6 @@ class Digraph:
 
     def edge_ids(self) -> range:
         return range(len(self.edges))
-
-    def out_edges(self, v: Vertex) -> tuple:
-        return self._out[v]
 
     def und_neighbors(self, v: Vertex) -> tuple:
         """Pairs (other endpoint, edge id) over all incident edges, ignoring direction."""

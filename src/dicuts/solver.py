@@ -9,6 +9,31 @@ branch and bound searches intended for desk-scale instances, and every
 produced pair is re-checked by an independent verifier rather than trusted
 by construction.
 
+The full class is implicit: DibondClass.full lists its members only when
+they are first read (min_dijoin, the packings and the window checks read
+them), and optimal_pair, nested_optimal_pair, verify_optimal_pair and
+is_dijoin never list it. An edge set F meets every dibond of a weakly
+connected D exactly when D/F is strongly connected (Schrijver,
+Combinatorial Optimization, ch. 55), so the full class is solved by
+cutting planes. Each round condenses D plus the reversed edges of F; each
+sink and each source component bounds a dicut that F misses, and the
+first dibond of its decomposition joins the constraints. The hitting set
+search then re-solves the constraints, kept in class order. It is warm
+started: the constraints only grow, so the last optimum size is a lower
+bound at which it stops, and the last F, extended by a greedy cover of the
+new constraints, is its first incumbent. The loop ends when D/F is
+strongly connected. The constraints are dibonds, so every round's optimum
+is a lower bound on the minimum dijoin, and the last F, a dijoin, is
+minimum. The certificate is |F| disjoint dicuts each met once by F. By
+complementary slackness every such family holds, for each edge e of F, a
+member meeting F only in e, so _picks looks for one with a slot per edge
+of F, filled with the constraints that meet F only there. Should that
+fail, the class is listed and the members tight to F are packed, and a
+shortfall there raises DualityGapDetected. A crossing family is uncrossed
+with the D/F test as the dijoin check, as uncross does with no class. The
+dijoin can differ from the one min_dijoin reads off the listed class; both
+are minimum.
+
 Both searches work on int masks, and every tie-break and branch order is
 that of the lowest bit position. On the class path the masks are the
 members' edge masks as the dibond walk made them, bit e for edge e, with
@@ -58,7 +83,7 @@ order. _meets_all is the test for picks that must meet every target set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from operator import or_
 from typing import Iterable, Iterator, Optional
@@ -77,7 +102,7 @@ from .core import (
     meet,
     nested,
 )
-from .enumeration import DEFAULT_CAP, enumerate_dibonds
+from .enumeration import DEFAULT_CAP, _strong_components, _successor_bits, enumerate_dibonds
 from .errors import (
     CapExceeded,
     DualityGapDetected,
@@ -143,17 +168,26 @@ class DibondClass:
     size equals the maximum number of disjoint members, by the
     crossing-family form of Lucchesi-Younger (Edmonds and Giles 1977), so
     the solvers treat a gap there as a defect. A class is immutable.
+
+    DibondClass.full is implicit: it lists its members only when they are
+    first read, and optimal_pair, nested_optimal_pair, verify_optimal_pair
+    and is_dijoin decide it by D/F strong connectivity without reading
+    them. Their dijoin can differ from the one min_dijoin reads off the
+    listed members; both are minimum, so they have one size.
     """
 
     digraph: Digraph
-    members: tuple  # distinct dibonds in class order (_member_key)
     corner_closed: bool
+    implicit: bool  # DibondClass.full's class, solved without listing it
 
     def __init__(self, digraph: Digraph, members: Iterable[Dicut]):
         unique = _class_members(digraph, members)
         # Frozen: the fields are written past the dataclass's __setattr__.
         vars(self).update(
-            digraph=digraph, members=tuple(unique), corner_closed=_is_corner_closed(unique)
+            digraph=digraph,
+            members=tuple(unique),
+            corner_closed=_is_corner_closed(unique),
+            implicit=False,
         )
 
     @classmethod
@@ -161,18 +195,35 @@ class DibondClass:
         """A class whose builder already knows its members are distinct
         dibonds of the digraph in class order, and its closure status."""
         klass = cls.__new__(cls)
-        vars(klass).update(digraph=digraph, members=members, corner_closed=corner_closed)
+        vars(klass).update(
+            digraph=digraph, members=members, corner_closed=corner_closed, implicit=False
+        )
         return klass
 
     @staticmethod
     def full(digraph: Digraph, cap: int = DEFAULT_CAP) -> "DibondClass":
-        """The class of all dibonds; corner-closed by construction."""
-        return DibondClass._known(digraph, tuple(_sorted_dibonds(digraph, cap)), True)
+        """The class of all dibonds; corner-closed by construction.
+
+        Refuses a digraph that is not weakly connected, as enumeration
+        does. The members are listed on their first read, and the cap
+        bounds that listing.
+        """
+        if not is_weakly_connected(digraph):
+            raise PreconditionViolated("dibonds need a weakly connected digraph")
+        klass = DibondClass.__new__(DibondClass)
+        vars(klass).update(digraph=digraph, corner_closed=True, implicit=True, _cap=cap)
+        return klass
 
     @staticmethod
     def from_members(digraph: Digraph, members: Iterable[Dicut]) -> "DibondClass":
         """The class of the given dibonds: the same as DibondClass(digraph, members)."""
         return DibondClass(digraph, members)
+
+    @cached_property
+    def members(self) -> tuple:
+        """The distinct dibonds in class order (_member_key). Only the
+        implicit class gets here: the others are built with their members."""
+        return tuple(_sorted_dibonds(self.digraph, self._cap))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -218,13 +269,34 @@ def _meets_members(klass: DibondClass, f: int) -> tuple:
     return (True, None)
 
 
+def _class_for(digraph: Digraph, klass: Optional[DibondClass]) -> DibondClass:
+    """The class, DibondClass.full(digraph) when none is given, refused
+    when it belongs to another digraph."""
+    if klass is None:
+        return DibondClass.full(digraph)
+    if klass.digraph != digraph:
+        raise PreconditionViolated("class belongs to a different digraph")
+    return klass
+
+
 def is_dijoin(digraph: Digraph, edge_set: Iterable[int], klass: DibondClass) -> tuple:
-    """(True, None) if the edge set meets every class member, else (False, first missed member)."""
+    """(True, None) if the edge set meets every class member, else (False, first missed member).
+
+    The implicit full class is decided by D/F strong connectivity
+    (_meets_every_dibond); only a set that fails lists the class, to
+    return the first missed member in class order, as
+    families.check_finitary_dijoin does.
+    """
     if klass.digraph != digraph:
         raise PreconditionViolated("class belongs to a different digraph")
     f = frozenset(edge_set)
     _require_edge_ids(digraph, f, "edge set contains unknown edge ids")
-    return _meets_members(klass, _edge_mask(digraph, f))
+    if klass.implicit and _meets_every_dibond(digraph, f):
+        return (True, None)
+    ok, missed = _meets_members(klass, _edge_mask(digraph, f))
+    if ok and klass.implicit:
+        raise RuntimeError("internal error: D/F is not strongly connected but no dibond is missed")
+    return ok, missed
 
 
 def _meets_every_dibond(digraph: Digraph, f: frozenset) -> bool:
@@ -295,32 +367,42 @@ def _greedy_cover(cols: list, live: int) -> int:
     return cover
 
 
-def _min_hitting_mask(masks: list) -> int:
+def _min_hitting_mask(masks: list, lower: int = 0, start: int = 0) -> int:
     """A least mask meeting every given mask, by exact branch and bound.
 
     The masks must be distinct and in canonical set order. A class's member
     masks always are: DibondClass keeps its members distinct and in class
-    order, the canonical order of their edge sets. The search runs
+    order, the canonical order of their edge sets; so does the
+    cutting-plane loop with its constraints. The search runs
     on their _columns table: a node holds its chosen mask, its size and
     `live`, bit i set while mask i is unhit, and the branch on position p
     keeps live & ~cols[p]. It branches over the bits of the first unhit
     mask, lowest first. The lower bound is a greedy disjoint sub-packing
     of the unhit masks: each pick, the lowest live mask, clears its
     conflict row, the OR of its columns, cached on first use. The first
-    incumbent is a greedy cover.
+    incumbent is `start`, a mask of positions of the masks, extended by a
+    greedy cover of the masks it misses. The search stops once an
+    incumbent has `lower` positions, a lower bound the caller knows: the
+    search only ever replaces its incumbent by a smaller one, so that
+    incumbent is what it would return.
     """
     if not all(masks):
         raise ValueError("cannot hit an empty set")
     cols = _columns(masks)
     conflicts = [0] * len(masks)
     everything = (1 << len(masks)) - 1
-    best = _greedy_cover(cols, everything)
+    hit = reduce(or_, [cols[p] for p in bit_positions(start)], 0)
+    best = start | _greedy_cover(cols, everything & ~hit)
+    if best.bit_count() <= lower:
+        return best
     stack: list = [(0, 0, everything)]
     while stack:
         chosen, size, live = stack.pop()
         if not live:
             if size < best.bit_count():
                 best = chosen
+                if size <= lower:
+                    return best
             continue
         # The greedy packing stops counting once it is large enough to prune.
         need = best.bit_count() - size
@@ -475,6 +557,8 @@ def min_dijoin(digraph: Digraph, klass: DibondClass) -> frozenset:
     Exact hitting set over the member edge masks, which the class holds
     distinct and in class order, as the search needs; deterministic under
     ascending edge id tie-breaking. The empty class has the empty dijoin.
+    The full class is listed for it, so on that class optimal_pair, which
+    does not list it, may name a different minimum dijoin of this size.
     """
     if klass.digraph != digraph:
         raise PreconditionViolated("class belongs to a different digraph")
@@ -499,6 +583,95 @@ def max_disjoint_dicuts(digraph: Digraph, klass: DibondClass) -> list:
     return _disjoint_members(klass, len(min_dijoin(digraph, klass)))
 
 
+def _missed_dibonds(digraph: Digraph, out: list) -> list:
+    """A dibond for each sink and each source strong component of the
+    digraph whose successor bits are `out` (D plus the reversed dijoin);
+    none when it is strongly connected.
+
+    No edge leaves a sink component S, so the edges entering S form a
+    dicut, and no edge enters a source component S', so those leaving it
+    do. A reversed edge of F leaving S, or entering S', would be an F edge
+    of the cut, so F misses both, and each is nonempty on a weakly
+    connected D. Each gives the first dibond of its decompose_dicut.
+    """
+    k, comp = _strong_components(out)
+    if k <= 1:
+        return []
+    shores = [0] * k
+    for j, c in enumerate(comp):
+        shores[c] |= 1 << j
+    sinks = sources = (1 << k) - 1
+    for j, nexts in enumerate(out):
+        c = comp[j]
+        for w in nexts:
+            if comp[w] != c:
+                sinks &= ~(1 << c)
+                sources &= ~(1 << comp[w])
+    full = (1 << digraph.n) - 1
+    cuts = [shores[c] for c in bit_positions(sinks)]
+    cuts += [full ^ shores[c] for c in bit_positions(sources)]
+    parts = [decompose_dicut(Dicut._known(digraph, y, _cut_masks(digraph, y)[0]))[0] for y in cuts]
+    # A sink's and a source's dicut can share their first dibond.
+    return list({part.shore_mask: part for part in parts}.values())
+
+
+def _cutting_planes(digraph: Digraph) -> tuple:
+    """The edge mask of a minimum dijoin F of the full class, and the
+    dibonds found on the way to it, its constraints, in class order: the
+    loop and the warm start of the module docstring."""
+    bit = digraph.vertex_bit
+    ends = [(bit[t], bit[h]) for t, h in digraph.edges]
+    base = _successor_bits(digraph)
+    constraints: list = []
+    f = 0
+    while True:
+        out = [list(nexts) for nexts in base]
+        for e in bit_positions(f):
+            t, h = ends[e]
+            out[h].append(t)
+        missed = _missed_dibonds(digraph, out)
+        if not missed:
+            return f, constraints
+        constraints = sorted(constraints + missed, key=_member_key)
+        f = _min_hitting_mask([c.edge_mask for c in constraints], f.bit_count(), f)
+
+
+def _tight_picks(candidates: list, f: int) -> Optional[list]:
+    """|F| pairwise disjoint candidates, each meeting F in one edge, or
+    None: a _picks search with one slot per edge of F, holding the
+    candidates that meet F only there, smallest slot first."""
+    slots: dict = {1 << e: [] for e in bit_positions(f)}
+    for c in candidates:
+        slot = slots.get(c.edge_mask & f)
+        if slot is not None:
+            slot.append(c)
+
+    def fits(picked: list, item: Dicut) -> bool:
+        return not any(item.edge_mask & p.edge_mask for p in picked)
+
+    return next(_picks(sorted(slots.values(), key=len), fits), None)
+
+
+def _implicit_optimum(klass: DibondClass) -> tuple:
+    """(dijoin, family) of the implicit full class: the _cutting_planes
+    dijoin F and |F| disjoint dicuts, each met once by F.
+
+    By complementary slackness every such family has one member meeting F
+    only in e, for each edge e of F, so _tight_picks looks among the
+    constraints first. When it finds none, the class is listed and the
+    members tight to F are packed; a shortfall there is a duality gap.
+    """
+    digraph = klass.digraph
+    f, constraints = _cutting_planes(digraph)
+    family = _tight_picks(constraints, f)
+    if family is None:
+        tight = [m for m in klass.members if (m.edge_mask & f).bit_count() == 1]
+        family = [tight[i] for i in _largest_disjoint([m.edge_mask for m in tight], f.bit_count())]
+        if len(family) < f.bit_count():
+            raise DualityGapDetected(f.bit_count(), len(family))
+    return frozenset(bit_positions(f)), family
+
+
 def _pairwise_disjoint(family: Iterable[Dicut]) -> bool:
     seen = 0
     for member in family:
@@ -521,7 +694,9 @@ def _pairwise_nested(family: list) -> bool:
     return _first_crossing(family) is None
 
 
-def verify_optimal_pair(digraph: Digraph, klass: DibondClass, pair: OptimalPair) -> None:
+def verify_optimal_pair(
+    digraph: Digraph, klass: Optional[DibondClass], pair: OptimalPair
+) -> None:
     """Independently re-check the optimal pair conditions; raise VerificationFailed otherwise.
 
     Checks, in order: every family member is a nonempty dicut of the
@@ -529,8 +704,10 @@ def verify_optimal_pair(digraph: Digraph, klass: DibondClass, pair: OptimalPair)
     are pairwise edge-disjoint; the dijoin meets every class member; the
     dijoin lies inside the family union; the dijoin meets each family
     member exactly once; and, when the pair claims it, the family is
-    pairwise nested.
+    pairwise nested. No class means DibondClass.full(digraph); on that
+    class is_dijoin decides the dijoin without listing it.
     """
+    klass = _class_for(digraph, klass)
     for member in pair.family:
         if (
             member.digraph != digraph
@@ -555,7 +732,9 @@ def verify_optimal_pair(digraph: Digraph, klass: DibondClass, pair: OptimalPair)
         raise VerificationFailed("family members are not pairwise nested")
 
 
-def optimal_pair(digraph: Digraph, klass: DibondClass) -> Optional[OptimalPair]:
+def optimal_pair(
+    digraph: Digraph, klass: Optional[DibondClass] = None
+) -> Optional[OptimalPair]:
     """A minimum dijoin and maximum disjoint family of equal size, verified once.
 
     On a corner-closed class (the full class included) the two optima
@@ -564,13 +743,23 @@ def optimal_pair(digraph: Digraph, klass: DibondClass) -> Optional[OptimalPair]:
     reported by returning None. When the sizes agree, the containment and
     meets-exactly-once conditions follow by counting, but the verifier
     still checks them explicitly.
+
+    No class means DibondClass.full(digraph). That class is solved by
+    cutting planes without listing it (_implicit_optimum), so its dijoin
+    may differ from min_dijoin's on the listed class; both are minimum.
+    A listed class is solved by the hitting set and packing searches over
+    its members.
     """
-    dijoin = min_dijoin(digraph, klass)
-    family = _disjoint_members(klass, len(dijoin))
-    if len(dijoin) != len(family):
-        if klass.corner_closed:
-            raise DualityGapDetected(len(dijoin), len(family))
-        return None
+    klass = _class_for(digraph, klass)
+    if klass.implicit:
+        dijoin, family = _implicit_optimum(klass)
+    else:
+        dijoin = min_dijoin(digraph, klass)
+        family = _disjoint_members(klass, len(dijoin))
+        if len(dijoin) != len(family):
+            if klass.corner_closed:
+                raise DualityGapDetected(len(dijoin), len(family))
+            return None
     pair = OptimalPair(dijoin=dijoin, family=tuple(family), nested=_pairwise_nested(family))
     verify_optimal_pair(digraph, klass, pair)
     return pair
@@ -641,18 +830,23 @@ def uncross(
     return fam
 
 
-def nested_optimal_pair(digraph: Digraph, klass: DibondClass) -> Optional[OptimalPair]:
+def nested_optimal_pair(
+    digraph: Digraph, klass: Optional[DibondClass] = None
+) -> Optional[OptimalPair]:
     """An optimal pair whose family is pairwise nested, verified end to end.
 
     Solves for an optimal pair; when its family crosses, uncrosses it and
-    verifies the result again. A family that is already nested is returned
-    as optimal_pair verified it. On a class that is not corner-closed the
+    verifies the result again. No class means DibondClass.full(digraph),
+    which optimal_pair solves and uncross checks without listing it. A
+    family that is already nested is returned as optimal_pair verified
+    it. On a class that is not corner-closed the
     dijoin may miss a corner of a crossing pair, so that uncross refuses;
     then the largest pairwise nested disjoint family of members is
     searched for instead, stopping at the dijoin size. Returns None when
     optimal_pair does (a genuine gap) or when that nested family is
     smaller than the dijoin.
     """
+    klass = _class_for(digraph, klass)
     pair = optimal_pair(digraph, klass)
     if pair is None or pair.nested:
         return pair

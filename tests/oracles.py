@@ -326,7 +326,10 @@ def dijoin_choices_by_product(w, klass):
 def condensation_by_dicts(digraph):
     """The package's earlier `condensation`: an iterative Tarjan walk over
     vertex dicts, with the same roots and edge order as the one over
-    vertex bits."""
+    vertex bits. Out-edges are read off `digraph.edges`, in id order."""
+    out_edges: dict = {v: [] for v in digraph.vertices}
+    for e, (t, _h) in enumerate(digraph.edges):
+        out_edges[t].append(e)
     index: dict = {}
     lowlink: dict = {}
     on_stack: set = set()
@@ -344,7 +347,7 @@ def condensation_by_dicts(digraph):
                 counter += 1
                 stack.append(v)
                 on_stack.add(v)
-            out = digraph.out_edges(v)
+            out = out_edges[v]
             advanced = False
             while ei < len(out):
                 w = digraph.head(out[ei])

@@ -104,7 +104,6 @@ class TestDigraph:
 
     def test_adjacency_views(self):
         d = diamond()
-        assert set(d.out_edges("s")) == {0, 1}
         assert {v for v, _ in d.und_neighbors("a")} == {"s", "t"}
         bit = d.vertex_bit
         assert d.neighbour_masks[bit["a"]] == 1 << bit["s"] | 1 << bit["t"]
@@ -113,7 +112,6 @@ class TestDigraph:
         for d in parallel_and_isolated_digraphs():
             edges = list(enumerate(d.edges))
             for v in d.vertices:
-                assert d.out_edges(v) == tuple(e for e, (t, _h) in edges if t == v)
                 assert d.und_neighbors(v) == tuple(
                     (h if t == v else t, e) for e, (t, h) in edges if v in (t, h)
                 )

@@ -80,6 +80,12 @@ def diamond():
     return Digraph.from_edges([("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")])
 
 
+def listed_full(d):
+    """The full class with its members listed, so that the solvers search
+    them instead of running the cutting-plane loop."""
+    return DibondClass._known(d, DibondClass.full(d).members, True)
+
+
 def gap_instance():
     """Three pairwise intersecting dibonds with empty common intersection.
 
@@ -394,7 +400,7 @@ class TestMaskPath:
         # The solvers and the verifier read only edge masks; an edge set is
         # derived on first read, so none exists beyond the family.
         d = window(get_family("zigzag_d1"), 30).digraph
-        klass = DibondClass.full(d)
+        klass = listed_full(d)
         pair = nested_optimal_pair(d, klass)
         assert pair is not None and len(pair.family) == 30
         family = {m.in_shore for m in pair.family}
@@ -408,7 +414,7 @@ class TestMaskPath:
         # shore set is derived on first read, so none exists beyond the
         # family.
         d = window(get_family("zigzag_d1"), 30).digraph
-        klass = DibondClass.full(d)
+        klass = listed_full(d)
         pair = nested_optimal_pair(d, klass)
         assert pair is not None and len(pair.family) == 30
         family = {id(m) for m in pair.family}
@@ -629,7 +635,7 @@ class TestOptimalPairs:
         # The diamond again, with its edges listed so that the first
         # packing in canonical order crosses.
         crossing = Digraph.from_edges([("s", "a"), ("a", "t"), ("b", "t"), ("s", "b")])
-        klass = DibondClass.full(crossing)
+        klass = listed_full(crossing)
         calls.clear()
         pair = nested_optimal_pair(crossing, klass)
         assert [p.nested for p in calls] == [False, True] and pair is calls[1]
@@ -712,7 +718,7 @@ class TestDualityGap:
     def test_refused_uncrossing_on_a_corner_closed_class_raises(self, monkeypatch):
         # The diamond with its edges listed so that the first packing crosses.
         d = Digraph.from_edges([("s", "a"), ("a", "t"), ("b", "t"), ("s", "b")])
-        klass = DibondClass.full(d)
+        klass = listed_full(d)
 
         def refuse(*args, **kwargs):
             raise PreconditionViolated("planted")
@@ -723,7 +729,7 @@ class TestDualityGap:
 
     def test_gap_on_a_corner_closed_class_raises(self, monkeypatch):
         d = diamond()
-        klass = DibondClass.full(d)
+        klass = listed_full(d)
         assert klass.corner_closed
         monkeypatch.setattr(
             solver, "_disjoint_members", lambda klass, stop=None, also=None: [klass.members[0]]
