@@ -66,6 +66,7 @@ from .solver import (
     DibondClass,
     OptimalPair,
     _pairwise_nested,
+    _sorted_dibonds,
     nested_optimal_pair,
     optimal_pair,
     uncross,
@@ -213,11 +214,12 @@ def _resolve_shore_lines(digraph: Digraph, text: str) -> list:
 
 
 def _listed_full_class(digraph: Digraph, cap: int) -> DibondClass:
-    """The full class with every member listed under the cap. The solvers
-    then search the members, so the reports print the answers, and the
-    class_size, of the listing; DibondClass.full alone would be solved
-    without it."""
-    return DibondClass._known(digraph, DibondClass.full(digraph, cap).members, True)
+    """The full class with every member listed under the cap, so that the
+    solvers search the members and the reports print the answers, and the
+    class_size, of the listing. DibondClass.full would be solved without
+    listing it. The dibond walk refuses a digraph that is not weakly
+    connected with DibondClass.full's error, so no search runs before it."""
+    return DibondClass._known(digraph, tuple(_sorted_dibonds(digraph, cap)), True)
 
 
 def _class_from_args(digraph: Digraph, args) -> DibondClass:

@@ -10,29 +10,24 @@ produced pair is re-checked by an independent verifier rather than trusted
 by construction.
 
 The full class is implicit: DibondClass.full lists its members only when
-they are first read (min_dijoin, the packings and the window checks read
-them), and optimal_pair, nested_optimal_pair, verify_optimal_pair and
-is_dijoin never list it. An edge set F meets every dibond of a weakly
-connected D exactly when D/F is strongly connected (Schrijver,
-Combinatorial Optimization, ch. 55), so the full class is solved by
-cutting planes. Each round condenses D plus the reversed edges of F; each
-sink and each source component bounds a dicut that F misses, and the
-first dibond of its decomposition joins the constraints. The hitting set
-search then re-solves the constraints, kept in class order. It is warm
-started: the constraints only grow, so the last optimum size is a lower
-bound at which it stops, and the last F, extended by a greedy cover of the
-new constraints, is its first incumbent. The loop ends when D/F is
-strongly connected. The constraints are dibonds, so every round's optimum
-is a lower bound on the minimum dijoin, and the last F, a dijoin, is
-minimum. The certificate is |F| disjoint dicuts each met once by F. By
-complementary slackness every such family holds, for each edge e of F, a
-member meeting F only in e, so _picks looks for one with a slot per edge
-of F, filled with the constraints that meet F only there. Should that
-fail, the class is listed and the members tight to F are packed, and a
-shortfall there raises DualityGapDetected. A crossing family is uncrossed
-with the D/F test as the dijoin check, as uncross does with no class. The
-dijoin can differ from the one min_dijoin reads off the listed class; both
-are minimum.
+they are first read, and optimal_pair, nested_optimal_pair,
+verify_optimal_pair and is_dijoin never list it. F meets every dibond of a
+weakly connected D exactly when D/F is strongly connected (Schrijver,
+Combinatorial Optimization, ch. 55), so it is solved by cutting planes.
+Each round condenses D plus the reversed edges of F, and each sink and
+each source component bounds a dicut that F misses; the first dibond of
+its decomposition joins the constraints, kept in class order. The hitting
+set search re-solves them, warm started: the constraints only grow, so it
+stops once it reaches the last optimum size, and its first incumbent is
+the last F plus a greedy cover of the new constraints. The loop ends when
+D/F is strongly connected; every optimum was a lower bound, so that F is
+a minimum dijoin. The certificate is |F| disjoint dicuts each met once by
+F. By complementary slackness such a family has, for each edge e of F, a
+member meeting F only in e, so _picks fills one slot per edge of F with
+the constraints that meet F only there. If that fails, the class is
+listed and its members tight to F are packed; a shortfall there raises
+DualityGapDetected. A crossing family is uncrossed with the D/F test as
+its dijoin check.
 
 Both searches work on int masks, and every tie-break and branch order is
 that of the lowest bit position. On the class path the masks are the
@@ -169,11 +164,10 @@ class DibondClass:
     crossing-family form of Lucchesi-Younger (Edmonds and Giles 1977), so
     the solvers treat a gap there as a defect. A class is immutable.
 
-    DibondClass.full is implicit: it lists its members only when they are
-    first read, and optimal_pair, nested_optimal_pair, verify_optimal_pair
-    and is_dijoin decide it by D/F strong connectivity without reading
-    them. Their dijoin can differ from the one min_dijoin reads off the
-    listed members; both are minimum, so they have one size.
+    DibondClass.full is implicit: it lists its members on their first
+    read, and optimal_pair, nested_optimal_pair, verify_optimal_pair and
+    is_dijoin never read them. So optimal_pair and min_dijoin may name
+    different minimum dijoins of one size.
     """
 
     digraph: Digraph
@@ -584,15 +578,12 @@ def max_disjoint_dicuts(digraph: Digraph, klass: DibondClass) -> list:
 
 
 def _missed_dibonds(digraph: Digraph, out: list) -> list:
-    """A dibond for each sink and each source strong component of the
-    digraph whose successor bits are `out` (D plus the reversed dijoin);
-    none when it is strongly connected.
+    """The first dibond of the dicut of each sink and each source strong
+    component of D plus the reversed F, given by its successor bits `out`;
+    none when that is strongly connected.
 
-    No edge leaves a sink component S, so the edges entering S form a
-    dicut, and no edge enters a source component S', so those leaving it
-    do. A reversed edge of F leaving S, or entering S', would be an F edge
-    of the cut, so F misses both, and each is nonempty on a weakly
-    connected D. Each gives the first dibond of its decompose_dicut.
+    The edges entering a sink, or leaving a source, form a dicut of D that
+    F misses: a reversed F edge would leave the sink or enter the source.
     """
     k, comp = _strong_components(out)
     if k <= 1:
@@ -653,14 +644,8 @@ def _tight_picks(candidates: list, f: int) -> Optional[list]:
 
 
 def _implicit_optimum(klass: DibondClass) -> tuple:
-    """(dijoin, family) of the implicit full class: the _cutting_planes
-    dijoin F and |F| disjoint dicuts, each met once by F.
-
-    By complementary slackness every such family has one member meeting F
-    only in e, for each edge e of F, so _tight_picks looks among the
-    constraints first. When it finds none, the class is listed and the
-    members tight to F are packed; a shortfall there is a duality gap.
-    """
+    """(dijoin, family) of the implicit full class: the loop, the
+    certificate and the fallback of the module docstring."""
     digraph = klass.digraph
     f, constraints = _cutting_planes(digraph)
     family = _tight_picks(constraints, f)
@@ -744,11 +729,9 @@ def optimal_pair(
     meets-exactly-once conditions follow by counting, but the verifier
     still checks them explicitly.
 
-    No class means DibondClass.full(digraph). That class is solved by
-    cutting planes without listing it (_implicit_optimum), so its dijoin
-    may differ from min_dijoin's on the listed class; both are minimum.
-    A listed class is solved by the hitting set and packing searches over
-    its members.
+    No class means DibondClass.full(digraph), which is solved without
+    listing it, so its dijoin may differ from min_dijoin's on the listed
+    class; both are minimum.
     """
     klass = _class_for(digraph, klass)
     if klass.implicit:
