@@ -229,7 +229,7 @@ class TestWarmStart:
 
 class TestScale:
     def test_probe_dags_past_the_listing_wall(self, no_walk):
-        # Listing the n=80 draws alone passes the default cap after about 22 s.
+        # Listing the class of the n=120 draw 0 passes the default cap after about 30 s.
         start = perf_counter()
         for n in (80, 120):
             for s in range(3):
