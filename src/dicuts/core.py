@@ -9,14 +9,14 @@ order; the edge id is the index into that order, so ids are dense ints
 0..m-1 and stable. Parallel edges are distinct ids; loops are rejected.
 
 All values are treated as immutable once constructed, and every operation
-is a pure function of its inputs. A digraph builds its undirected
-adjacency when it is constructed, and its vertex order, the
-vertices sorted descending: bit j of a vertex mask stands for the j-th
-largest vertex, so ids that cannot be sorted raise TypeError when the
-digraph is built. A dicut stores two int masks, shore_mask over the
-vertices of its in shore and edge_mask with bit e set for each edge e of
-the cut, and derives the in-shore set and the edge set from them on
-first read, so a search that reads only masks (equality, nestedness,
+is a pure function of its inputs. A digraph builds its vertex order,
+the vertices sorted descending, when it is constructed: bit j of a
+vertex mask stands for the j-th largest vertex, so ids that cannot be
+sorted raise TypeError when the digraph is built. Its undirected
+adjacency is built on first read. A dicut stores two int masks,
+shore_mask over the vertices of its in shore and edge_mask with bit e
+set for each edge e of the cut, and derives the in-shore set and the
+edge set from them on first read, so a search that reads only masks (equality, nestedness,
 the solvers) never builds a set. Every connectivity test is one search,
 _reach_within, over vertex masks and a table of neighbour masks that a
 digraph builds on its first search. Every cut check is _cut_masks, which
@@ -48,7 +48,6 @@ class Digraph:
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple]):
         self.vertices: frozenset = frozenset(vertices)
         self.edges: tuple = tuple((t, h) for (t, h) in edges)
-        und: dict = {v: [] for v in self.vertices}
         for e, (t, h) in enumerate(self.edges):
             if t == h:
                 raise ValueError(f"edge {e} is a loop at {t!r}")
@@ -56,9 +55,6 @@ class Digraph:
                 raise ValueError(f"edge {e} has undeclared tail {t!r}")
             if h not in self.vertices:
                 raise ValueError(f"edge {e} has undeclared head {h!r}")
-            und[t].append((h, e))
-            und[h].append((t, e))
-        self._und = {v: tuple(ps) for v, ps in und.items()}
         try:
             self.vertex_order: tuple = tuple(sorted(self.vertices, reverse=True))
         except TypeError as exc:
@@ -66,6 +62,7 @@ class Digraph:
         # Vertex -> j, its bit in vertex masks: bit j is vertex_order[j].
         self.vertex_bit: dict = dict(zip(self.vertex_order, range(len(self.vertex_order))))
         self._hash: Optional[int] = None
+        self._und: Optional[dict] = None
         self._nbrs: Optional[list] = None
         self._ends: Optional[list] = None
 
@@ -97,7 +94,15 @@ class Digraph:
         return range(len(self.edges))
 
     def und_neighbors(self, v: Vertex) -> tuple:
-        """Pairs (other endpoint, edge id) over all incident edges, ignoring direction."""
+        """Pairs (other endpoint, edge id) over all incident edges, ignoring
+        direction, in edge id order; the table is built on first read into
+        the slot __init__ sets, as neighbour_masks is."""
+        if self._und is None:
+            und: dict = {u: [] for u in self.vertices}
+            for e, (t, h) in enumerate(self.edges):
+                und[t].append((h, e))
+                und[h].append((t, e))
+            self._und = {u: tuple(ps) for u, ps in und.items()}
         return self._und[v]
 
     @property

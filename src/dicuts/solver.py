@@ -10,19 +10,33 @@ produced pair is re-checked by an independent verifier rather than trusted
 by construction.
 
 The full class is implicit: DibondClass.full lists its members only when
-they are first read, and optimal_pair, nested_optimal_pair,
-verify_optimal_pair and is_dijoin never list it. F meets every dibond of a
-weakly connected D exactly when D/F is strongly connected (Schrijver,
-Combinatorial Optimization, ch. 55), so it is solved by cutting planes.
-Each round condenses D plus the reversed edges of F, and each sink and
-each source component bounds a dicut that F misses; the first dibond of
-its decomposition joins the constraints, kept in class order. The hitting
-set search re-solves them, warm started: the constraints only grow, so it
-stops once it reaches the last optimum size, and its first incumbent is
-the last F plus a greedy cover of the new constraints. The loop ends when
-D/F is strongly connected; every optimum was a lower bound, so that F is
-a minimum dijoin. The certificate is |F| disjoint dicuts each met once by
-F. By complementary slackness such a family has, for each edge e of F, a
+they are first read. optimal_pair, nested_optimal_pair,
+verify_optimal_pair and uncross never list it, and is_dijoin lists it
+only to name the member that a failing set misses. F meets every dibond
+of a weakly connected D exactly when D/F is strongly connected
+(Schrijver, Combinatorial Optimization, ch. 55), so it is solved by
+cutting planes. Each round condenses D plus the reversed edges of F, and
+each sink and each source component bounds a dicut that F misses; the
+first dibond of its decomposition joins the constraints, kept in class
+order. The hitting set search re-solves them, warm started: the
+constraints only grow, so it stops once it reaches the last optimum
+size, and its first incumbent is the last F plus a greedy cover of the
+new constraints. The loop ends when D/F is strongly connected; every
+optimum was a lower bound, so that F is a minimum dijoin.
+
+A re-solve that returns the last optimum size has stalled: the lower
+bound did not rise. The round after a stall separates with every strong
+component instead. No edge of D plus the reversed F leaves a
+component's descendant closure or enters its ancestor closure, so F
+misses the dicut of the first and of the complement of the second
+(_missed_dibonds). On a zigzag window, sink and source rounds add two
+constraints each while |F| = n stays put, so they alone would take
+n/2 + 1 master calls; the stall rule takes 3. Closures in every round
+would add many constraints at once, and that stalls the branch and bound
+on random DAGs it otherwise solves in milliseconds.
+
+The certificate is |F| disjoint dicuts each met once by F. By
+complementary slackness such a family has, for each edge e of F, a
 member meeting F only in e, so _picks fills one slot per edge of F with
 the constraints that meet F only there. If that fails, the class is
 listed and its members tight to F are packed; a shortfall there raises
@@ -165,9 +179,10 @@ class DibondClass:
     the solvers treat a gap there as a defect. A class is immutable.
 
     DibondClass.full is implicit: it lists its members on their first
-    read, and optimal_pair, nested_optimal_pair, verify_optimal_pair and
-    is_dijoin never read them. So optimal_pair and min_dijoin may name
-    different minimum dijoins of one size.
+    read. optimal_pair, nested_optimal_pair, verify_optimal_pair and
+    uncross never read them, and is_dijoin reads them only for a set that
+    fails. So optimal_pair and min_dijoin may name different minimum
+    dijoins of one size.
     """
 
     digraph: Digraph
@@ -291,6 +306,15 @@ def is_dijoin(digraph: Digraph, edge_set: Iterable[int], klass: DibondClass) -> 
     if ok and klass.implicit:
         raise RuntimeError("internal error: D/F is not strongly connected but no dibond is missed")
     return ok, missed
+
+
+def _meets_class(digraph: Digraph, f: frozenset, klass: Optional[DibondClass]) -> bool:
+    """is_dijoin's verdict without its missed member, on the full class
+    when none is given. That class, implicit, is decided by D/F strong
+    connectivity (_meets_every_dibond) either way, so it is never listed."""
+    if klass is None or (klass.implicit and klass.digraph == digraph):
+        return _meets_every_dibond(digraph, f)
+    return is_dijoin(digraph, f, klass)[0]
 
 
 def _meets_every_dibond(digraph: Digraph, f: frozenset) -> bool:
@@ -577,13 +601,25 @@ def max_disjoint_dicuts(digraph: Digraph, klass: DibondClass) -> list:
     return _disjoint_members(klass, len(min_dijoin(digraph, klass)))
 
 
-def _missed_dibonds(digraph: Digraph, out: list) -> list:
-    """The first dibond of the dicut of each sink and each source strong
-    component of D plus the reversed F, given by its successor bits `out`;
+def _missed_dibonds(digraph: Digraph, out: list, closures: bool = False) -> list:
+    """The first dibond of each dicut of D that F misses and this round
+    separates, given the successor bits `out` of D plus the reversed F;
     none when that is strongly connected.
 
-    The edges entering a sink, or leaving a source, form a dicut of D that
-    F misses: a reversed F edge would leave the sink or enter the source.
+    A vertex set other than the empty set and V that no edge of D plus
+    the reversed F leaves is the in-shore of a dicut of D that F misses:
+    every edge of D between it and the rest enters it, and an edge of F
+    entering it would, reversed, leave it. A sink component is such a
+    set, and so is the complement of a source component; these are the
+    shores of a round without `closures`. With `closures` the shores are
+    each component's descendant closure and the complement of each
+    ancestor closure, since no edge leaves the first or enters the
+    second. They include the sink and source shores, and along a chain of
+    components they separate at once the dicuts that sink and source
+    rounds reach one link at a time. Both closures come from one table of
+    component successors, in the completion order of _strong_components,
+    where a component follows every component it reaches: descendants in
+    that order, ancestors in reverse.
     """
     k, comp = _strong_components(out)
     if k <= 1:
@@ -591,40 +627,66 @@ def _missed_dibonds(digraph: Digraph, out: list) -> list:
     shores = [0] * k
     for j, c in enumerate(comp):
         shores[c] |= 1 << j
-    sinks = sources = (1 << k) - 1
-    for j, nexts in enumerate(out):
+    # Per component, the bits of the other components its edges enter.
+    nexts = [0] * k
+    for j, heads in enumerate(out):
         c = comp[j]
-        for w in nexts:
+        for w in heads:
             if comp[w] != c:
-                sinks &= ~(1 << c)
-                sources &= ~(1 << comp[w])
+                nexts[c] |= 1 << comp[w]
     full = (1 << digraph.n) - 1
-    cuts = [shores[c] for c in bit_positions(sinks)]
-    cuts += [full ^ shores[c] for c in bit_positions(sources)]
-    parts = [decompose_dicut(Dicut._known(digraph, y, _cut_masks(digraph, y)[0]))[0] for y in cuts]
-    # A sink's and a source's dicut can share their first dibond.
+    if closures:
+        below, above = list(shores), list(shores)
+        for c in range(k):
+            for b in bit_positions(nexts[c]):
+                below[c] |= below[b]
+        for c in reversed(range(k)):
+            for b in bit_positions(nexts[c]):
+                above[b] |= above[c]
+        cuts = below + [full ^ a for a in above]
+    else:
+        entered = reduce(or_, nexts)
+        cuts = [shores[c] for c in range(k) if not nexts[c]]
+        cuts += [full ^ shores[c] for c in range(k) if not entered >> c & 1]
+    # A shore can come twice, and two dicuts can share their first dibond.
+    parts = [
+        decompose_dicut(Dicut._known(digraph, y, _cut_masks(digraph, y)[0]))[0]
+        for y in dict.fromkeys(cuts)
+        if 0 < y < full
+    ]
     return list({part.shore_mask: part for part in parts}.values())
 
 
 def _cutting_planes(digraph: Digraph) -> tuple:
     """The edge mask of a minimum dijoin F of the full class, and the
     dibonds found on the way to it, its constraints, in class order: the
-    loop and the warm start of the module docstring."""
+    loop and the warm start of the module docstring.
+
+    `stalled` records whether the last re-solve returned the previous
+    optimum size. Only the round after such a re-solve separates with
+    every component's closures (_missed_dibonds). Each of their dicuts is
+    one that F misses, so every constraint added is violated by the last
+    F, the constraints stay distinct, and the loop still ends only when
+    D/F is strongly connected.
+    """
     bit = digraph.vertex_bit
     ends = [(bit[t], bit[h]) for t, h in digraph.edges]
     base = _successor_bits(digraph)
     constraints: list = []
     f = 0
+    stalled = False
     while True:
         out = [list(nexts) for nexts in base]
         for e in bit_positions(f):
             t, h = ends[e]
             out[h].append(t)
-        missed = _missed_dibonds(digraph, out)
+        missed = _missed_dibonds(digraph, out, stalled)
         if not missed:
             return f, constraints
         constraints = sorted(constraints + missed, key=_member_key)
-        f = _min_hitting_mask([c.edge_mask for c in constraints], f.bit_count(), f)
+        size = f.bit_count()
+        f = _min_hitting_mask([c.edge_mask for c in constraints], size, f)
+        stalled = f.bit_count() == size
 
 
 def _tight_picks(candidates: list, f: int) -> Optional[list]:
@@ -690,7 +752,8 @@ def verify_optimal_pair(
     dijoin lies inside the family union; the dijoin meets each family
     member exactly once; and, when the pair claims it, the family is
     pairwise nested. No class means DibondClass.full(digraph); on that
-    class is_dijoin decides the dijoin without listing it.
+    class the dijoin is decided by D/F strong connectivity, so the class
+    is not listed even when the dijoin fails.
     """
     klass = _class_for(digraph, klass)
     for member in pair.family:
@@ -702,8 +765,7 @@ def verify_optimal_pair(
             raise VerificationFailed("family member is not a nonempty dicut of the digraph")
     if not _pairwise_disjoint(pair.family):
         raise VerificationFailed("family members are not pairwise edge-disjoint")
-    ok, _missed = is_dijoin(digraph, pair.dijoin, klass)
-    if not ok:
+    if not _meets_class(digraph, frozenset(pair.dijoin), klass):
         raise VerificationFailed("dijoin misses a class member")
     f = _edge_mask(digraph, pair.dijoin)
     union = 0
@@ -760,8 +822,9 @@ def uncross(
     Preconditions (PreconditionViolated names the failing one): the family
     members are pairwise edge-disjoint dicuts of the digraph, the dijoin
     meets each member exactly once, and the dijoin is a dijoin for the
-    ambient class (the full dibond class when none is given, decided by
-    strong connectivity without enumerating it).
+    ambient class (the full dibond class when none is given). The full
+    class, given or not, is decided by strong connectivity without
+    enumerating it.
 
     Each replacement preserves pairwise disjointness and the exactly-once
     counts, and strictly increases the sum of squared in-shore sizes, so
@@ -780,11 +843,7 @@ def uncross(
     f_mask = _edge_mask(digraph, f)
     if any((f_mask & member.edge_mask).bit_count() != 1 for member in fam):
         raise PreconditionViolated("dijoin must meet each family member exactly once")
-    if klass is None:
-        ok = _meets_every_dibond(digraph, f)
-    else:
-        ok, _missed = is_dijoin(digraph, f, klass)
-    if not ok:
+    if not _meets_class(digraph, f, klass):
         raise PreconditionViolated("dijoin must be a dijoin for the ambient class")
 
     limit = len(fam) * digraph.n * digraph.n + len(fam) + 1

@@ -108,6 +108,12 @@ class TestDigraph:
         bit = d.vertex_bit
         assert d.neighbour_masks[bit["a"]] == 1 << bit["s"] | 1 << bit["t"]
 
+    def test_undirected_adjacency_is_built_on_first_read(self):
+        d = diamond()
+        assert d.neighbour_masks and d.end_masks and d._und is None
+        assert d.und_neighbors("s") == (("a", 0), ("b", 1))
+        assert d._und is not None
+
     def test_adjacency_matches_a_rebuild_from_the_edges(self):
         for d in parallel_and_isolated_digraphs():
             edges = list(enumerate(d.edges))

@@ -13,7 +13,9 @@ from dicuts import (
     DibondClass,
     Digraph,
     DualityGapDetected,
+    OptimalPair,
     PreconditionViolated,
+    VerificationFailed,
     enumerate_dibonds,
     get_family,
     is_dijoin,
@@ -21,20 +23,27 @@ from dicuts import (
     nested,
     nested_optimal_pair,
     optimal_pair,
+    uncross,
     verify_optimal_pair,
     window,
 )
 from dicuts import enumeration, solver
 from dicuts.core import bit_positions
+from dicuts.enumeration import _successor_bits
 from dicuts.solver import _min_hitting_mask
 
 from .oracles import (
+    dibond_by_labels,
     disconnected_digraphs,
+    entering_and_leaving,
+    kosaraju_scc,
     meets_every_dicut,
     min_hitting_mask_by_rows,
     random_dag,
     random_weak_digraph,
 )
+
+DIAMOND = [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")]
 
 
 def listed_full(d):
@@ -160,6 +169,29 @@ class TestIsDijoin:
         assert is_dijoin(d, pair.dijoin, klass) == (True, None)
 
 
+class TestFailedDijoinIsNotListed:
+    """The verifier and uncross decide a failing dijoin on the implicit
+    class by D/F, never by listing the class to name a missed member."""
+
+    def test_the_diamond_under_a_cap_of_one(self):
+        d = Digraph.from_edges(DIAMOND)
+        with pytest.raises(VerificationFailed, match="dijoin misses a class member"):
+            verify_optimal_pair(d, DibondClass.full(d, 1), OptimalPair(frozenset({0}), (), False))
+        with pytest.raises(PreconditionViolated, match="dijoin for the ambient class"):
+            uncross(d, [0], [], klass=DibondClass.full(d, 1))
+        # is_dijoin still lists the class to name the member it misses.
+        with pytest.raises(CapExceeded):
+            is_dijoin(d, {0}, DibondClass.full(d, 1))
+
+    def test_a_probe_dag_whose_class_is_too_large_to_list(self, no_walk):
+        d = random_dag(random.Random("probe:60:0"), 60, 60)
+        for klass in (None, DibondClass.full(d)):
+            with pytest.raises(VerificationFailed, match="dijoin misses a class member"):
+                verify_optimal_pair(d, klass, OptimalPair(frozenset(), (), False))
+            with pytest.raises(PreconditionViolated, match="dijoin for the ambient class"):
+                uncross(d, [], [], klass=klass)
+
+
 class TestVerifiedOnce:
     # A digraph whose tight packing from the constraints crosses.
     CROSSING = [("v1", "v0"), ("v2", "v1"), ("v0", "v3"), ("v4", "v3"),
@@ -238,3 +270,81 @@ class TestScale:
                 assert len(pair.dijoin) == len(pair.family) > 0
                 check_pair(d, pair)
         assert perf_counter() - start < 5
+
+
+
+def plus_reversed(d, f):
+    """D plus the reverse of each edge of F, on D's vertices."""
+    return Digraph(d.vertices, d.edges + tuple((d.head(e), d.tail(e)) for e in sorted(f)))
+
+
+def reach(d, v, backward=False):
+    """The vertices reachable from v in d, or reaching v when backward."""
+    seen, todo = {v}, [v]
+    while todo:
+        u = todo.pop()
+        for t, h in d.edges:
+            a, b = (h, t) if backward else (t, h)
+            if a == u and b not in seen:
+                seen.add(b)
+                todo.append(b)
+    return frozenset(seen)
+
+
+class TestStallRule:
+    def test_zigzag_windows_take_at_most_three_master_calls(self, no_walk, monkeypatch):
+        # Each sink-and-source round adds two constraints while |F| = n
+        # stays put, so the parent loop called the master n/2 + 1 times.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _min_hitting_mask(*args)
+
+        monkeypatch.setattr(solver, "_min_hitting_mask", counted)
+        for n in (10, 60, 120, 240):
+            calls.clear()
+            d = window(get_family("zigzag_d1"), n).digraph
+            pair = nested_optimal_pair(d, DibondClass.full(d))
+            assert len(pair.dijoin) == n
+            check_pair(d, pair)
+            assert len(calls) <= 3, (n, len(calls))
+
+    def test_closure_shores_are_closed_and_their_dibonds_are_missed(self, monkeypatch):
+        rng = random.Random("implicit:closures")
+        used = []
+        split = solver.decompose_dicut
+
+        def recorded(cut):
+            used.append(frozenset(cut.in_shore))
+            return split(cut)
+
+        monkeypatch.setattr(solver, "decompose_dicut", recorded)
+        for _ in range(200):
+            d = random_weak_digraph(rng)
+            f = frozenset(e for e in range(d.m) if rng.random() < 0.3)
+            plus = plus_reversed(d, f)
+            comps = kosaraju_scc(plus)
+            trivial = {frozenset(), d.vertices}
+            ends = {c for c in comps if not entering_and_leaving(plus, c)[1]}
+            ends |= {d.vertices - c for c in comps if not entering_and_leaving(plus, c)[0]}
+            ends -= trivial
+            closures = {reach(plus, v) for v in d.vertices}
+            closures |= {d.vertices - reach(plus, v, backward=True) for v in d.vertices}
+            closures -= trivial
+            for on in (False, True):
+                used.clear()
+                missed = solver._missed_dibonds(d, _successor_bits(plus), on)
+                shores = set(used)
+                assert len(shores) == len(used)
+                assert shores == (closures if on else ends)
+                assert ends <= shores
+                for shore in shores:
+                    assert shore and shore != d.vertices
+                    assert not entering_and_leaving(plus, shore)[1]
+                assert bool(missed) == (len(comps) > 1)
+                assert len({m.shore_mask for m in missed}) == len(missed)
+                for member in missed:
+                    entering, leaving = entering_and_leaving(d, member.in_shore)
+                    assert member.edge_set == entering and not leaving
+                    assert dibond_by_labels(member) and not member.edge_set & f
