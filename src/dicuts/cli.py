@@ -10,6 +10,13 @@ hyperedge of vertex names.
 Reports are deterministic `key: value` lines. Exit codes: 0 for success,
 2 when a family check refutes a registered claim, 1 for errors.
 
+`solve` and `uncross` without a class file run on DibondClass.full, the
+implicit full class: the solvers find its optimal pair by cutting planes
+and decide a dijoin by D/F strong connectivity, so they list no dibond,
+and `solve` prints class_size only for a class file. `--cap` bounds only
+a listing: `enumerate`, `blocks` and `selftest` list the full class, and
+the solvers list it only when the certificate search falls back to it.
+
 `main(argv)` and `run(command, flags)` run the same command line in
 process. They share one parser, built on the first command of the process
 and reused by every later one, so a caller that runs many commands pays
@@ -43,7 +50,7 @@ from .enumeration import (
     enumerate_dibonds,
     enumerate_dicuts,
 )
-from .errors import DicutsError, ParseError
+from .errors import DicutsError, ParseError, VerificationFailed
 from .families import (
     check_finitary_dijoin,
     compactness_run,
@@ -70,6 +77,7 @@ from .solver import (
     nested_optimal_pair,
     optimal_pair,
     uncross,
+    verify_optimal_pair,
 )
 
 EXIT_OK = 0
@@ -214,20 +222,22 @@ def _resolve_shore_lines(digraph: Digraph, text: str) -> list:
 
 
 def _listed_full_class(digraph: Digraph, cap: int) -> DibondClass:
-    """The full class with every member listed under the cap, so that the
-    solvers search the members and the reports print the answers, and the
-    class_size, of the listing. DibondClass.full would be solved without
-    listing it. The dibond walk refuses a digraph that is not weakly
-    connected with DibondClass.full's error, so no search runs before it."""
+    """The full class with every member listed under the cap, for `blocks`,
+    whose split_solve_merge searches the members, and `selftest`, which
+    checks the solvers against the listing. The dibond walk refuses a
+    digraph that is not weakly connected with DibondClass.full's error, so
+    no search runs before it."""
     return DibondClass._known(digraph, tuple(_sorted_dibonds(digraph, cap)), True)
 
 
 def _class_from_args(digraph: Digraph, args) -> DibondClass:
-    if getattr(args, "class_file", None):
+    """The class file's class, or else the implicit full class, which the
+    solvers decide by D/F strong connectivity without listing it."""
+    if args.class_file:
         shores = _resolve_shore_lines(digraph, _read_text(args.class_file))
         members = [Dicut(digraph, shore) for shore in shores]
         return DibondClass.from_members(digraph, members)
-    return _listed_full_class(digraph, args.cap)
+    return DibondClass.full(digraph, args.cap)
 
 
 def _pair_lines(labels: list, digraph: Digraph, pair: OptimalPair) -> list:
@@ -266,8 +276,9 @@ def _cmd_solve(args) -> RunReport:
         ("input_sha256", digest),
         ("vertices", str(digraph.n)),
         ("edges", str(digraph.m)),
-        ("class_size", str(len(klass))),
     ]
+    if args.class_file:
+        lines.append(("class_size", str(len(klass))))
     solve = nested_optimal_pair if klass.corner_closed else optimal_pair
     pair = solve(digraph, klass)
     if pair is None:
@@ -287,9 +298,7 @@ def _cmd_uncross(args) -> RunReport:
     ]
     if bool(args.dijoin) != bool(args.family):
         raise ValueError("--dijoin and --family must be given together")
-    # A given pair against the full class needs no class list: uncross
-    # decides its dijoin by strong connectivity.
-    klass = None if args.dijoin and not args.class_file else _class_from_args(digraph, args)
+    klass = _class_from_args(digraph, args)
     if args.dijoin:
         dijoin = _resolve_edge_lines(digraph, _read_text(args.dijoin))
         shores = _resolve_shore_lines(digraph, _read_text(args.family))
@@ -562,6 +571,15 @@ def _cmd_selftest(args) -> RunReport:
         pair = nested_optimal_pair(digraph, klass)
         if pair is None:
             raise RuntimeError("selftest: missing optimal pair")
+        # The full class solved by cutting planes must give a pair of the
+        # listed pair's size that is optimal for the listed class.
+        implicit = nested_optimal_pair(digraph)
+        try:
+            verify_optimal_pair(digraph, klass, implicit)
+        except VerificationFailed:
+            implicit = None
+        if implicit is None or len(implicit.dijoin) != len(pair.dijoin):
+            raise RuntimeError("selftest: implicit solver disagrees with the listing")
         hyper = dibond_hypergraph(digraph, args.cap)
         kp = konig_property(hyper)
         if kp is None or len(kp.matching) != len(pair.family):
@@ -593,6 +611,17 @@ _HANDLERS = {
 }
 
 
+def _cap(text: str) -> int:
+    """A --cap value: a member count, so a negative one is a usage error."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {cap}")
+    return cap
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command line parser, built on first use and shared by every later
@@ -607,7 +636,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, needs_input: bool = True):
         if needs_input:
             p.add_argument("--input", default="-", help="edge list file, or - for stdin")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+        p.add_argument(
+            "--cap", type=_cap, default=DEFAULT_CAP,
+            help="most members a listing may hold; solve and uncross list none "
+                 "unless their certificate search falls back to the full class",
+        )
 
     p = sub.add_parser("enumerate", help="list dicuts or dibonds")
     add_common(p)

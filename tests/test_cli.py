@@ -2,20 +2,30 @@
 
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
+import dicuts
 from dicuts import (
     Digraph,
     ParseError,
     PreconditionViolated,
     VerificationFailed,
+    get_family,
     main,
     parse_digraph,
     run,
     serialize_digraph,
+    window,
 )
-from dicuts import cli, enumerate_dicuts, solver
+from dicuts import cli, enumerate_dicuts, enumeration, solver
 from dicuts.cli import EXIT_ERROR, EXIT_OK, EXIT_REFUTED
+
+from .oracles import entering_and_leaving, meets_every_dicut, random_dag
 
 
 @pytest.fixture()
@@ -174,6 +184,67 @@ class TestUncrossCommand:
         dj.write_text("s->a\n", encoding="utf-8")
         with pytest.raises(ValueError):
             run("uncross", {"input": diamond_path, "dijoin": str(dj)})
+
+
+def parse_set(text):
+    inner = text[1:-1]
+    return inner.split(", ") if inner else []
+
+
+def check_full_class_pair(digraph, report):
+    """Check a solve or uncross report of the full class with the test
+    oracles: each member's edges are those entering its in-shore, each
+    member meets the dijoin once, and the dijoin meets every dicut."""
+    label_ids = {label: e for e, label in enumerate(cli._edge_labels(digraph))}
+    got = lines_dict(report)
+    dijoin = frozenset(label_ids[x] for x in parse_set(got["dijoin"][0]))
+    members = got["family_member"]
+    assert len(members) == len(dijoin)
+    for value in members:
+        shore, edges = value.split(" edges=")
+        shore = frozenset(parse_set(shore[len("in_shore="):]))
+        entering, _ = entering_and_leaving(digraph, shore)
+        assert frozenset(label_ids[x] for x in parse_set(edges)) == entering
+        assert len(entering & dijoin) == 1
+    assert meets_every_dicut(digraph, dijoin)
+    return len(dijoin)
+
+
+class TestFullClassIsNotListed:
+    """solve and uncross run on the implicit full class: with the dibond
+    walk patched to raise, any listing of a class fails."""
+
+    @pytest.fixture(autouse=True)
+    def no_walk(self, monkeypatch):
+        def walk(*args, **kwargs):
+            raise AssertionError("the dibond walk ran")
+
+        monkeypatch.setattr(enumeration, "_dibond_masks", walk)
+
+    @pytest.mark.parametrize("command", ["solve", "uncross"])
+    @pytest.mark.parametrize(
+        "build, size",
+        [
+            (lambda: window(get_family("zigzag_d1"), 240).digraph, 240),
+            (lambda: random_dag(random.Random("probe:300:0"), 300, 300), 95),
+        ],
+        ids=["zigzag240", "probe300"],
+    )
+    def test_large_classes_are_solved(self, tmp_path, command, build, size):
+        text = serialize_digraph(build())
+        path = tmp_path / "d.txt"
+        path.write_text(text, encoding="utf-8")
+        report = run(command, {"input": str(path)})
+        got = lines_dict(report)
+        assert got["nested_after" if command == "uncross" else "verified"] == ["true"]
+        assert "class_size" not in got
+        assert check_full_class_pair(parse_digraph(text), report) == size
+
+    def test_cap_bounds_no_listing(self, tmp_path, capsys):
+        path = tmp_path / "zigzag10.txt"
+        path.write_text(serialize_digraph(window(get_family("zigzag_d1"), 10).digraph), "utf-8")
+        assert main(["solve", "--input", str(path), "--cap", "1"]) == EXIT_OK
+        assert "min_dijoin_size: 10\n" in capsys.readouterr().out
 
 
 class TestQuotientCommand:
@@ -427,6 +498,30 @@ class TestMainEntry:
         assert main(["selftest", "--seed", "1"]) == EXIT_OK
         assert "selftest: pass" in capsys.readouterr().out
 
+    def test_selftest_fails_when_the_implicit_solver_disagrees(self):
+        # The implicit path, given no class, answers one edge short.
+        script = (
+            "import sys\n"
+            "from dicuts import OptimalPair, cli\n"
+            "solve = cli.nested_optimal_pair\n"
+            "def short(digraph, klass=None):\n"
+            "    pair = solve(digraph, klass)\n"
+            "    if klass is None:\n"
+            "        pair = OptimalPair(pair.dijoin - {min(pair.dijoin)}, pair.family[1:], True)\n"
+            "    return pair\n"
+            "cli.nested_optimal_pair = short\n"
+            "sys.exit(cli.main(['selftest', '--seed', '0']))\n"
+        )
+        src = os.path.dirname(os.path.dirname(dicuts.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == EXIT_ERROR
+        assert done.stderr.splitlines()[-1] == (
+            "RuntimeError: selftest: implicit solver disagrees with the listing"
+        )
+
 
 class TestInProcessCommands:
     def test_the_parser_is_built_once(self):
@@ -440,6 +535,18 @@ class TestInProcessCommands:
             run("nope")
         with pytest.raises(ValueError, match="'help': True"):
             run("solve", {"help": True})
+
+    @pytest.mark.parametrize("command", ["enumerate", "solve", "uncross", "blocks"])
+    def test_main_refuses_a_negative_cap(self, p3, capsys, command):
+        assert main([command, "--input", p3, "--cap", "-1"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --cap: must be at least 0, got -1" in captured.err
+
+    def test_run_refuses_a_negative_cap(self, p3, capsys):
+        with pytest.raises(ValueError, match=r"'solve'.*'cap': -1"):
+            run("solve", {"input": p3, "cap": -1})
+        assert "argument --cap: must be at least 0, got -1" in capsys.readouterr().err
 
     def test_a_flag_does_not_leak_into_the_next_command(self, diamond_path, capsys):
         assert main(["enumerate", "--input", diamond_path, "--kind", "dicuts"]) == EXIT_OK

@@ -34,7 +34,7 @@ def _family(name: str, check: str, nmax: int) -> list:
 # id -> (argv, exit code, sha256 of stdout); file names refer to INPUTS.
 GOLDEN = {
     "readme-solve": (["solve", "--input", "diamond.txt"], 0,
-        "cdad32e552e81b7e6a1b7638c30d68b2b394e99f3c70c2541ea433d86a1d0173"),
+        "ebf210fda646ce0b65efee6ce2ddaef51e25bfdea43ebac5fe0c89bdf6fb4311"),
     "readme-family": (_family("zigzag_d1", "nested:diagonals", 4), 0,
         "74630d9dd6b13560dd9b89a8184787098c34f11dc9c5d78d87de6d9d98c90297"),
     "claim-ladder-no-finite-dicut": (_family("ladder", "no-finite-dicut", 4), 0,
@@ -84,10 +84,16 @@ GOLDEN = {
         "e08b3387d31e5842676c0780855998974cbc34a15e024915af6efb91bdea547a"),
     "blocks": (["blocks", "--input", "chain.txt"], 0,
         "f667990c14acd7bef21aabb82bd871c689031cd99f0404e3cdb7edcd0de8ae0a"),
+    "solve-class-file": (["solve", "--input", "diamond.txt", "--class-file", "classes.txt"], 0,
+        "f12f5ea2992035a9bcef4cf2a699ba51c576ac9e84b1fc25dd1ff1a683c435a3"),
     "uncross-auto": (["uncross", "--input", "diamond.txt"], 0,
         "e8d2aede28f5bbd6789a3f4916294d1b78760fc91e89eeb43c90e9a55eaa0039"),
     "uncross-given": (
         ["uncross", "--input", "diamond.txt", "--dijoin", "dijoin.txt", "--family", "crossing.txt"],
+        0, "ba774d2aad42688283d9dee97782bebd6b0e6d78bc46c71463c39f9f331b9186"),
+    "uncross-given-class-file": (
+        ["uncross", "--input", "diamond.txt", "--dijoin", "dijoin.txt", "--family", "crossing.txt",
+         "--class-file", "classes.txt"],
         0, "ba774d2aad42688283d9dee97782bebd6b0e6d78bc46c71463c39f9f331b9186"),
 }
 
