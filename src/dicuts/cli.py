@@ -548,18 +548,18 @@ def _cmd_selftest(args) -> RunReport:
         brute = _brute_dicuts(digraph)
         fast = enumerate_dicuts(digraph, args.cap)
         if {d.shore_mask for d in brute} != {d.shore_mask for d in fast}:
-            raise RuntimeError("selftest: dicut enumeration mismatch")
+            raise VerificationFailed("selftest: dicut enumeration mismatch")
         brute_bonds = {d.shore_mask for d in brute if d.is_dibond}
         fast_bonds = {d.shore_mask for d in enumerate_dibonds(digraph, args.cap)}
         if brute_bonds != fast_bonds:
-            raise RuntimeError("selftest: dibond enumeration mismatch")
+            raise VerificationFailed("selftest: dibond enumeration mismatch")
         for d in fast:
             parts = decompose_dicut(d)
             union = 0
             for p in parts:
                 union |= p.edge_mask
             if union != d.edge_mask:
-                raise RuntimeError("selftest: decomposition does not cover the dicut")
+                raise VerificationFailed("selftest: decomposition does not cover the dicut")
         checks += 1
     lines.append(("suite_enumeration", f"ok ({checks} digraphs)"))
     solved = 0
@@ -570,7 +570,7 @@ def _cmd_selftest(args) -> RunReport:
             continue
         pair = nested_optimal_pair(digraph, klass)
         if pair is None:
-            raise RuntimeError("selftest: missing optimal pair")
+            raise VerificationFailed("selftest: missing optimal pair")
         # The full class solved by cutting planes must give a pair of the
         # listed pair's size that is optimal for the listed class.
         implicit = nested_optimal_pair(digraph)
@@ -579,21 +579,21 @@ def _cmd_selftest(args) -> RunReport:
         except VerificationFailed:
             implicit = None
         if implicit is None or len(implicit.dijoin) != len(pair.dijoin):
-            raise RuntimeError("selftest: implicit solver disagrees with the listing")
+            raise VerificationFailed("selftest: implicit solver disagrees with the listing")
         hyper = dibond_hypergraph(digraph, args.cap)
         kp = konig_property(hyper)
         if kp is None or len(kp.matching) != len(pair.family):
-            raise RuntimeError("selftest: hypergraph does not mirror the solver")
+            raise VerificationFailed("selftest: hypergraph does not mirror the solver")
         if not fin_parameter_check(hyper):
-            raise RuntimeError("selftest: parameter check failed")
+            raise VerificationFailed("selftest: parameter check failed")
         solved += 1
     lines.append(("suite_solver", f"ok ({solved} digraphs)"))
     w = window(get_family("ladder"), 3)
     if len(finite_dibonds_in_window(w, args.cap)) != 0:
-        raise RuntimeError("selftest: ladder window has a dicut")
+        raise VerificationFailed("selftest: ladder window has a dicut")
     wz = window(get_family("zigzag_d1"), 3)
     if not check_finitary_dijoin(wz, "diagonals", args.cap)[0]:
-        raise RuntimeError("selftest: diagonals miss a window dibond")
+        raise VerificationFailed("selftest: diagonals miss a window dibond")
     lines.append(("suite_families", "ok (2 windows)"))
     lines.append(("selftest", "pass"))
     return RunReport("selftest", tuple(lines), EXIT_OK)

@@ -517,10 +517,12 @@ class TestMainEntry:
         done = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
         )
+        # One error line on stdout, as for every refusal, and no traceback.
         assert done.returncode == EXIT_ERROR
-        assert done.stderr.splitlines()[-1] == (
-            "RuntimeError: selftest: implicit solver disagrees with the listing"
+        assert done.stdout.splitlines()[-1] == (
+            "error: VerificationFailed: selftest: implicit solver disagrees with the listing"
         )
+        assert done.stderr == ""
 
 
 class TestInProcessCommands:

@@ -16,6 +16,7 @@ from dicuts import (
     OptimalPair,
     PreconditionViolated,
     VerificationFailed,
+    decompose_dicut,
     enumerate_dibonds,
     get_family,
     is_dijoin,
@@ -28,11 +29,13 @@ from dicuts import (
     window,
 )
 from dicuts import enumeration, solver
-from dicuts.core import bit_positions
+from dicuts.core import _mask_vertices, bit_positions
 from dicuts.enumeration import _successor_bits
 from dicuts.solver import _min_hitting_mask
 
 from .oracles import (
+    brute_dicuts,
+    connected_subset,
     dibond_by_labels,
     disconnected_digraphs,
     entering_and_leaving,
@@ -313,13 +316,16 @@ class TestStallRule:
     def test_closure_shores_are_closed_and_their_dibonds_are_missed(self, monkeypatch):
         rng = random.Random("implicit:closures")
         used = []
-        split = solver.decompose_dicut
+        split = solver._first_dibond
 
-        def recorded(cut):
-            used.append(frozenset(cut.in_shore))
-            return split(cut)
+        def recorded(digraph, shore, entering):
+            in_shore = frozenset(_mask_vertices(digraph, shore))
+            # The cut's edges come from the component tables, not the shore.
+            assert frozenset(bit_positions(entering)) == entering_and_leaving(digraph, in_shore)[0]
+            used.append(in_shore)
+            return split(digraph, shore, entering)
 
-        monkeypatch.setattr(solver, "decompose_dicut", recorded)
+        monkeypatch.setattr(solver, "_first_dibond", recorded)
         for _ in range(200):
             d = random_weak_digraph(rng)
             f = frozenset(e for e in range(d.m) if rng.random() < 0.3)
@@ -348,3 +354,29 @@ class TestStallRule:
                     entering, leaving = entering_and_leaving(d, member.in_shore)
                     assert member.edge_set == entering and not leaving
                     assert dibond_by_labels(member) and not member.edge_set & f
+
+
+class TestFirstDibond:
+    def test_two_searches_give_the_first_part_of_the_decomposition(self):
+        # Every dicut of each draw, shores disconnected on either side included.
+        rng = random.Random("implicit:first-dibond")
+        split_in = split_out = 0
+        for _ in range(150):
+            d = random_weak_digraph(rng, max_n=8, max_extra=8)
+            for cut in brute_dicuts(d):
+                first = decompose_dicut(cut)[0]
+                part = solver._first_dibond(d, cut.shore_mask, cut.edge_mask)
+                assert (part.shore_mask, part.edge_mask) == (first.shore_mask, first.edge_mask)
+                split_in += not connected_subset(d, cut.in_shore)
+                split_out += not connected_subset(d, cut.out_shore)
+        assert split_in > 100 and split_out > 100
+
+    def test_a_dibond_is_its_own_first_part_and_keeps_its_edge_mask(self, monkeypatch):
+        def no_cut_masks(*args):
+            raise AssertionError("the edges of a dibond were read off again")
+
+        d = Digraph.from_edges(DIAMOND)
+        bond = next(c for c in enumerate_dibonds(d) if c.in_shore == {"a", "t"})
+        monkeypatch.setattr(solver, "_cut_masks", no_cut_masks)
+        part = solver._first_dibond(d, bond.shore_mask, bond.edge_mask)
+        assert (part.shore_mask, part.edge_mask) == (bond.shore_mask, bond.edge_mask)

@@ -65,6 +65,7 @@ from .oracles import (
     meets_every_dibond_by_contraction,
     meets_every_dicut,
     min_hitting_mask_by_rows,
+    nested_by_shores,
     min_hitting_set_by_recursion,
     random_dag,
     random_weak_digraph,
@@ -804,6 +805,23 @@ class TestUncross:
         family = [Dicut(star, s) for s in ({"x0", "x1"}, {"x1", "x2"}, {"x0", "x2"})]
         assert _first_crossing(family) == (0, 1)
         assert _first_crossing([Dicut(star, {"x0"}), Dicut(star, {"x1"})]) is None
+
+    def test_cross_free_test_matches_the_pairwise_scan(self):
+        # Random shore families: shores holding the fixed vertex (bit 0),
+        # the empty and the whole shore, crossing pairs and singletons.
+        rng = random.Random("cross-free")
+        seen = set()
+        for _ in range(3000):
+            n = rng.randint(1, 7)
+            d = Digraph(range(n), [])
+            full = (1 << n) - 1
+            size = rng.choice((0, 1, 2, rng.randint(3, 9)))
+            family = [Dicut._known(d, rng.randint(0, full), 0) for _ in range(size)]
+            expected = all(nested_by_shores(a, b) for a, b in combinations(family, 2))
+            assert solver._pairwise_nested(family) == expected, [m.shore_mask for m in family]
+            seen.add((size, expected, any(m.shore_mask & 1 for m in family)))
+        assert {(0, True, False), (1, True, True), (2, False, True)} <= seen
+        assert {(s, v, True) for s in (2, 3) for v in (True, False)} <= seen
 
     def test_preconditions_are_named(self):
         d = diamond()
