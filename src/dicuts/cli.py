@@ -16,6 +16,9 @@ and decide a dijoin by D/F strong connectivity, so they list no dibond,
 and `solve` prints class_size only for a class file. `--cap` bounds only
 a listing: `enumerate`, `blocks` and `selftest` list the full class, and
 the solvers list it only when the certificate search falls back to it.
+A `family` check `nested:<set>` decides a set that meets every dibond
+by the min-max, without listing; only a set that is no dijoin is
+searched for among the listed window dibonds.
 
 `main(argv)` and `run(command, flags)` run the same command line in
 process. They share one parser, built on the first command of the process
@@ -639,7 +642,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--cap", type=_cap, default=DEFAULT_CAP,
             help="most members a listing may hold; solve and uncross list none "
-                 "unless their certificate search falls back to the full class",
+                 "unless their certificate search falls back to the full class, "
+                 "and a family nested: check lists only for a set that is no dijoin",
         )
 
     p = sub.add_parser("enumerate", help="list dicuts or dibonds")

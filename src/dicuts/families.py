@@ -50,6 +50,7 @@ from .errors import CapExceeded
 from .reduce import contract_to
 from .solver import (
     DibondClass,
+    _dijoin_selection,
     _meets_all,
     _meets_every_dibond,
     _picks,
@@ -416,8 +417,28 @@ def nested_extension_search(
     that edge only. Returns {edge id: dibond} or None when no selection
     exists; None at one window rules out any nested selection confined
     to that window.
+
+    A set F that meets every dibond (the D/F test of
+    check_finitary_dijoin) has a selection exactly when |F| is the
+    minimum dijoin size τ (Lucchesi and Younger 1978; Schrijver,
+    Combinatorial Optimization, ch. 55): the selection is |F| disjoint
+    dicuts, at most τ of them by the min-max, and F is a dijoin, so
+    τ <= |F|. solver._dijoin_selection decides that without listing a
+    dibond. It returns None when some F - e is still a dijoin, so that
+    |F| > τ. It returns the least, or else the greatest, dibonds through
+    each edge that meet F there only, when those are pairwise disjoint
+    and nested: they are |F| disjoint dicuts, so |F| = τ. Otherwise
+    optimal_pair's τ decides, and its family, met once per member by F
+    when |F| = τ, uncrosses into the selection. The selection it returns
+    is a valid one, not necessarily the one the search below would pick.
+
+    Any other set is searched for among the window dibonds that meet it
+    in one edge, so only that search lists the window and meets the cap;
+    a cap it passes raises CapExceeded.
     """
     edge_set = _named_ids(w, set_name)
+    if _meets_every_dibond(w.digraph, edge_set):
+        return _dijoin_selection(w.digraph, edge_set)
     named = _edge_mask(w.digraph, edge_set)
     # A dibond is a candidate for the one named edge it meets, if any.
     candidates: dict = {e: [] for e in edge_set}

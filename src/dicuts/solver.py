@@ -48,6 +48,14 @@ its dijoin check. Whether a family is cross-free is one near-linear
 test (_pairwise_nested): with every shore that holds a fixed vertex
 complemented, the family is cross-free exactly when it is laminar.
 
+A dijoin F has a nested selection, one dibond through each of its edges
+meeting F only there, all disjoint and nested, exactly when |F| is the
+minimum dijoin size. _dijoin_selection decides that for the window
+checks with two searches per edge of F, on the tables of D plus the
+reversed F that the D/F test builds (_arc_masks), and calls
+optimal_pair only when neither the least nor the greatest shores those
+searches find give a selection.
+
 Both searches work on int masks, and every tie-break and branch order is
 that of the lowest bit position. On the class path the masks are the
 members' edge masks as the dibond walk made them, bit e for edge e, with
@@ -109,6 +117,7 @@ from .core import (
     _edge_mask,
     _reach_within,
     _require_edge_ids,
+    _select,
     bit_positions,
     decompose_dicut,
     is_weakly_connected,
@@ -340,6 +349,18 @@ def _meets_every_dibond(digraph: Digraph, f: frozenset) -> bool:
     weakly connected, so only a negative answer checks D, refusing one
     that is not weakly connected, as enumeration does.
     """
+    succ, pred = _arc_masks(digraph, f)
+    full = (1 << digraph.n) - 1
+    strong = all(_reach_within(step, full, full & 1, full) == full for step in (succ, pred))
+    if not strong and not is_weakly_connected(digraph):
+        raise PreconditionViolated("dibonds need a weakly connected digraph")
+    _require_edge_ids(digraph, f, "edge set contains unknown edge ids")
+    return strong
+
+
+def _arc_masks(digraph: Digraph, f) -> tuple:
+    """Per vertex bit, the successor and the predecessor vertex masks of
+    D plus the reverse of each edge of F, whose ids `f` holds."""
     bit = digraph.vertex_bit
     succ = [0] * digraph.n
     pred = [0] * digraph.n
@@ -350,12 +371,7 @@ def _meets_every_dibond(digraph: Digraph, f: frozenset) -> bool:
         if e in f:
             succ[j] |= 1 << i
             pred[i] |= 1 << j
-    full = (1 << digraph.n) - 1
-    strong = all(_reach_within(step, full, full & 1, full) == full for step in (succ, pred))
-    if not strong and not is_weakly_connected(digraph):
-        raise PreconditionViolated("dibonds need a weakly connected digraph")
-    _require_edge_ids(digraph, f, "edge set contains unknown edge ids")
-    return strong
+    return succ, pred
 
 
 def _rows(sets: list) -> tuple:
@@ -982,6 +998,71 @@ def nested_optimal_pair(
     nested_pair = OptimalPair(dijoin=pair.dijoin, family=fam, nested=True)
     verify_optimal_pair(digraph, klass, nested_pair)
     return nested_pair
+
+
+def _dijoin_selection(digraph: Digraph, f: frozenset) -> Optional[dict]:
+    """A nested selection for a dijoin F of the weakly connected digraph,
+    {edge id: dibond}, or None when there is none; no dibond is listed.
+
+    A selection is |F| disjoint dibonds, so it exists only when |F| is
+    the minimum dijoin size τ. For each edge e = (t, h) of F, an in-shore
+    whose dicut F meets only in e is a set that holds h but not t, and
+    that no arc of D plus the reversed F - e leaves. The least such set
+    L_e is what h reaches there; if that is all of V, t included, then
+    F - e is a dijoin, |F| > τ, and there is no selection. Otherwise
+    L_e, and G_e, the complement of what reaches t, are the least and
+    greatest such shores. Their dicuts meet F only in e, and since F
+    meets every dicut, each is a dibond. When the least shores' dibonds,
+    or else the greatest shores', are pairwise disjoint and nested, they
+    are the selection, and their |F| disjoint dicuts prove |F| = τ.
+    Otherwise optimal_pair gives τ: when |F| = τ, each of its τ disjoint
+    dibonds meets F exactly once (complementary slackness), and uncross
+    with refine_to_dibonds makes a crossing family nested.
+
+    h's successor and t's predecessor masks are rebuilt from D's edges
+    and the reversed arcs of F - e, so a parallel or antiparallel twin of
+    e keeps its arcs.
+    """
+    bit = digraph.vertex_bit
+    tail_bits = [1 << bit[t] for t, _ in digraph.edges]
+    head_bits = [1 << bit[h] for _, h in digraph.edges]
+    ends = digraph.end_masks
+    full = (1 << digraph.n) - 1
+    f_mask = _edge_mask(digraph, f)
+    edges = bit_positions(f_mask)
+    own_succ, own_pred = _arc_masks(digraph, ())
+    succ, pred = _arc_masks(digraph, f)
+
+    def reach_without(e: int, forward: bool) -> int:
+        """What h reaches (forward, stopping once it meets t) or what
+        reaches t, in D plus the reversed F - e."""
+        keep = f_mask ^ (1 << e)
+        if forward:
+            table, j, start, stop = succ, head_bits[e].bit_length() - 1, head_bits[e], tail_bits[e]
+            entry = own_succ[j] | reduce(or_, _select(tail_bits, ends[j][1] & keep), 0)
+        else:
+            table, j, start, stop = pred, tail_bits[e].bit_length() - 1, tail_bits[e], full
+            entry = own_pred[j] | reduce(or_, _select(head_bits, ends[j][0] & keep), 0)
+        saved, table[j] = table[j], entry
+        reach = _reach_within(table, full, start, stop)
+        table[j] = saved
+        return reach
+
+    least = []
+    for e in edges:
+        shore = reach_without(e, True)
+        if shore & tail_bits[e]:
+            return None
+        least.append(shore)
+    for shores in (least, (full ^ reach_without(e, False) for e in edges)):
+        cuts = [Dicut._known(digraph, y, _cut_masks(digraph, y)[0], True) for y in shores]
+        if _pairwise_disjoint(cuts) and _pairwise_nested(cuts):
+            return dict(zip(edges, cuts))
+    pair = optimal_pair(digraph)
+    if len(pair.dijoin) != len(edges):
+        return None
+    family = pair.family if pair.nested else uncross(digraph, f, pair.family, refine_to_dibonds=True)
+    return {(m.edge_mask & f_mask).bit_length() - 1: m for m in family}
 
 
 def corner_closure(

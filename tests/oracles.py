@@ -9,7 +9,10 @@ helper.  The exceptions are `finitary_by_scan`,
 `nested_extension_by_recursion` and `dijoin_choices_by_product`, which
 read the package's own window dibonds (checked against `brute_dibonds` in
 the enumeration tests) because brute force cannot reach family windows;
-the last also takes the package's nested family.
+the last also takes the package's nested family. `selection_fault`
+checks a nested selection from its in-shores alone, and `tight_shores`
+finds the least and greatest shores of a dijoin's tight dicuts by plain
+search.
 The set-solver references below are the package's earlier frozenset
 kernels, kept so that the mask kernels can be required to return the
 same answers, tie-breaks included; `min_hitting_mask_by_rows` keeps the
@@ -303,6 +306,56 @@ def nested_extension_by_recursion(w, set_name):
         return False
 
     return dict(chosen) if search(0) else None
+
+
+def selection_fault(digraph, f, selection):
+    """None when `selection` is a nested selection for the edge set f, else
+    its first fault: one dicut per edge of f, from its in-shore alone,
+    that contains the edge and no other edge of f, whose removal leaves
+    two weak components, and that is edge-disjoint from and nested with
+    every other."""
+    f = frozenset(f)
+    if set(selection) != f:
+        return "the selection's keys are not the set"
+    cuts = []
+    for e, b in sorted(selection.items()):
+        shore = b.in_shore
+        into, out = entering_and_leaving(digraph, shore)
+        if out or not into or len(set(component_labels(digraph, removed=into).values())) != 2:
+            return f"the member for edge {e} is no dibond"
+        if into & f != {e}:
+            return f"the member for edge {e} meets the set in {sorted(into & f)}"
+        cuts.append((shore, into))
+    for (y1, c1), (y2, c2) in itertools.combinations(cuts, 2):
+        if c1 & c2:
+            return "two members share an edge"
+        if not (y1 <= y2 or y2 <= y1 or not y1 & y2 or len(y1 | y2) == digraph.n):
+            return "two members cross"
+    return None
+
+
+def tight_shores(digraph, f, e):
+    """The least and the greatest in-shore of a dicut that the dijoin f
+    meets only in e = (t, h): what h reaches, and the complement of what
+    reaches t, along the edges of D and the reversed edges of f other
+    than e, by plain search."""
+    arcs = list(digraph.edges) + [(h, t) for x, (t, h) in enumerate(digraph.edges) if x in f and x != e]
+
+    def reach(v, step):
+        seen, stack = {v}, [v]
+        while stack:
+            u = stack.pop()
+            for a, b in arcs:
+                w = step(a, b, u)
+                if w is not None and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return frozenset(seen)
+
+    t, h = digraph.edges[e]
+    least = reach(h, lambda a, b, u: b if a == u else None)
+    greatest = digraph.vertices - reach(t, lambda a, b, u: a if b == u else None)
+    return least, greatest
 
 
 def dijoin_choices_by_product(w, klass):

@@ -11,6 +11,7 @@ import pytest
 from dicuts import (
     CapExceeded,
     DibondClass,
+    Digraph,
     FAMILIES,
     check_finitary_dijoin,
     compactness_run,
@@ -22,12 +23,23 @@ from dicuts import (
     min_dijoin,
     nested,
     nested_extension_search,
+    optimal_pair,
     window,
     window_coherent,
 )
-from dicuts import families, solver
+from dicuts import enumeration, families, solver
 
-from .oracles import dijoin_choices_by_product, finitary_by_scan, nested_extension_by_recursion
+from .oracles import (
+    brute_min_dijoin,
+    dijoin_choices_by_product,
+    finitary_by_scan,
+    meets_every_dibond_by_contraction,
+    nested_extension_by_recursion,
+    random_dag,
+    random_weak_digraph,
+    selection_fault,
+    tight_shores,
+)
 
 
 class TestRegistry:
@@ -209,13 +221,31 @@ def _stack_depth() -> int:
     return depth
 
 
+def _agrees_with_the_recursion(w, set_name):
+    """The search's answer, held against the recursion's.
+
+    A set that misses a dibond is still decided by the search, so it must
+    make the recursion's selection. A dijoin is decided by the min-max
+    instead: it must get the recursion's verdict, and any selection it
+    returns must pass the independent check.
+    """
+    got = nested_extension_search(w, set_name)
+    want = nested_extension_by_recursion(w, set_name)
+    if finitary_by_scan(w, set_name)[0]:
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert selection_fault(w.digraph, w.named_edge_sets[set_name], got) is None
+    else:
+        assert got == want
+    return got
+
+
 class TestNestedExtensionSearch:
     def test_selections_agree_with_the_recursion(self):
         for family, n in TestFinitaryByStrongConnectivity.WINDOWS:
             w = window(get_family(family), n)
             for set_name in sorted(w.named_edge_sets):
-                got = nested_extension_search(w, set_name)
-                assert got == nested_extension_by_recursion(w, set_name)
+                _agrees_with_the_recursion(w, set_name)
 
     def test_random_edge_sets_agree_with_the_recursion(self):
         # Small random sets reach every outcome: a selection, no selection,
@@ -229,8 +259,7 @@ class TestNestedExtensionSearch:
             w = rng.choice(windows)
             sample = frozenset(rng.sample(range(w.digraph.m), min(w.digraph.m, rng.randint(1, 4))))
             w = replace(w, named_edge_sets={"sample": sample})
-            got = nested_extension_search(w, "sample")
-            assert got == nested_extension_by_recursion(w, "sample")
+            got = _agrees_with_the_recursion(w, "sample")
             dibonds = finite_dibonds_in_window(w)
             orphan = any(
                 all(len(b.edge_set & sample) != 1 or e not in b.edge_set for b in dibonds)
@@ -240,16 +269,169 @@ class TestNestedExtensionSearch:
         assert outcomes == {True, False, "orphan"}
 
     def test_zigzag_window_60_stays_within_the_recursion_limit(self):
-        # The search once recursed once per named edge: 60 levels here.
+        # The search once recursed once per named edge: 59 levels here.
+        # Without its last edge the diagonals miss a dibond, so the search,
+        # not the min-max, decides them; the rest of the diagonals'
+        # selection is a selection for them.
         w = window(get_family("zigzag_d1"), 60)
+        sample = w.named_edge_sets["diagonals"] - {max(w.named_edge_sets["diagonals"])}
+        w = replace(w, named_edge_sets={"sample": sample})
+        assert not check_finitary_dijoin(w, "sample")[0]
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(_stack_depth() + 40)
         try:
-            selection = nested_extension_search(w, "diagonals")
+            selection = nested_extension_search(w, "sample")
         finally:
             sys.setrecursionlimit(limit)
         assert selection is not None
-        assert set(selection) == set(w.named_edge_sets["diagonals"])
+        assert selection_fault(w.digraph, sample, selection) is None
+
+
+def _greedy_minimal_dijoin(rng, digraph, start):
+    """A minimal dijoin inside the dijoin `start`: its edges, in random
+    order, are dropped while the rest still meets every dibond."""
+    f = set(start)
+    for e in rng.sample(sorted(f), len(f)):
+        if meets_every_dibond_by_contraction(digraph, f - {e}):
+            f.discard(e)
+    return frozenset(f)
+
+
+def _exit(monkeypatch, digraph, f):
+    """Which exit of solver._dijoin_selection decides the dijoin f: the
+    fallback when it calls optimal_pair, else read off the answer."""
+    calls = []
+    solve = solver.optimal_pair
+
+    def recorded(d, klass=None):
+        calls.append(d)
+        return solve(d, klass)
+
+    monkeypatch.setattr(solver, "optimal_pair", recorded)
+    got = solver._dijoin_selection(digraph, f)
+    monkeypatch.undo()
+    if got is not None:
+        assert selection_fault(digraph, f, got) is None
+    if calls:
+        return "fallback present" if got is not None else "fallback absent"
+    if got is None:
+        return "not minimal"
+    shores = [tight_shores(digraph, f, e) for e in sorted(got)]
+    for kind, side in (("least", 0), ("greatest", 1)):
+        if [got[e].in_shore for e in sorted(got)] == [pair[side] for pair in shores]:
+            return kind
+    raise AssertionError("a selection without the fallback is neither the least nor the greatest")
+
+
+class TestNestedSelectionOfADijoin:
+    """solver._dijoin_selection, which nested_extension_search runs on every
+    set that meets all window dibonds."""
+
+    WINDOWS = [
+        (family, n)
+        for family in ("zigzag_d1", "grid_d2", "transitive_tournament")
+        for n in range(1, 8)
+    ]
+
+    def test_random_window_dijoins_agree_with_the_recursion(self):
+        # Supersets of a minimum dijoin, and minimal dijoins found greedily
+        # from all edges: the first have a selection only when no edge was
+        # added, the second whenever they happen to be minimum.
+        rng = random.Random(29)
+        verdicts = set()
+        for family, n in self.WINDOWS:
+            w = window(get_family(family), n)
+            d = w.digraph
+            least = optimal_pair(d).dijoin
+            for _ in range(4):
+                extra = frozenset(rng.sample(range(d.m), rng.randint(0, 2)))
+                for f in (least | extra, _greedy_minimal_dijoin(rng, d, range(d.m))):
+                    sample = replace(w, named_edge_sets={"sample": f})
+                    got = _agrees_with_the_recursion(sample, "sample")
+                    verdicts.add((got is not None, len(f) == len(least)))
+        assert verdicts == {(True, True), (False, False)}
+
+    def test_random_minimal_dijoins_get_valid_selections(self):
+        # Parallel and antiparallel edges included; the verdict is held
+        # against a brute-force minimum dijoin.
+        rng = random.Random(31)
+        exits = set()
+        for i in range(300):
+            if i % 2:
+                d = random_weak_digraph(rng, 8, 9)
+            else:
+                d = random_dag(rng, rng.randint(2, 8), rng.randint(0, 8))
+            f = _greedy_minimal_dijoin(rng, d, range(d.m))
+            got = solver._dijoin_selection(d, f)
+            assert (got is not None) == (len(f) == len(brute_min_dijoin(d)))
+            if got is not None:
+                assert selection_fault(d, f, got) is None
+            exits.add(got is not None)
+        assert exits == {True, False}
+
+    # One input for each way the decision ends; edges are (tail, head) pairs.
+    EXITS = [
+        ("not minimal", [(0, 1), (0, 1)], {0, 1}),
+        ("least", [(0, 1), (1, 2)], {0, 1}),
+        ("greatest", [(0, 1), (0, 2), (2, 3), (1, 3), (1, 2)], {1, 2}),
+        ("fallback present", [(0, 1), (0, 2), (1, 3), (2, 3)], {1, 3}),
+        ("fallback absent", [(0, 1), (2, 0), (2, 1)], {0, 1}),
+    ]
+
+    @pytest.mark.parametrize("kind, edges, f", EXITS, ids=[kind for kind, _, _ in EXITS])
+    def test_each_exit_on_a_named_input(self, monkeypatch, kind, edges, f):
+        d = Digraph.from_edges(edges)
+        assert meets_every_dibond_by_contraction(d, f)
+        assert _exit(monkeypatch, d, frozenset(f)) == kind
+        assert (kind in ("least", "greatest", "fallback present")) == (
+            len(f) == len(brute_min_dijoin(d))
+        )
+
+    def test_each_exit_on_the_family_windows(self, monkeypatch):
+        zigzag, grid = get_family("zigzag_d1"), get_family("grid_d2")
+        for spec, set_name, n, kind in (
+            (zigzag, "verticals_and_first_spoke", 3, "not minimal"),
+            (zigzag, "diagonals", 1, "least"),
+            (zigzag, "diagonals", 3, "greatest"),
+            (grid, "vertical_drops", 4, "least"),
+            (grid, "horizontal_steps", 3, "not minimal"),
+            (grid, "horizontal_steps", 2, "fallback absent"),
+        ):
+            w = window(spec, n)
+            assert _exit(monkeypatch, w.digraph, w.named_edge_sets[set_name]) == kind
+
+    def test_an_antiparallel_twin_keeps_its_arc(self):
+        # b->a is also the reversed arc of a->b. With that arc cleared, b
+        # would reach only c, and the shore {b, c}, which b->a leaves,
+        # would pass as a dibond; a->b is in fact redundant, as D has the
+        # one dicut into {c}.
+        d = Digraph.from_edges([("a", "b"), ("b", "a"), ("b", "c")])
+        assert meets_every_dibond_by_contraction(d, {0, 2})
+        assert solver._dijoin_selection(d, frozenset({0, 2})) is None
+        twins = Digraph.from_edges([("a", "b"), ("a", "b"), ("b", "c")])
+        assert solver._dijoin_selection(twins, frozenset({0, 1, 2})) is None
+
+    def test_only_a_set_that_is_no_dijoin_lists_and_so_meets_the_cap(self):
+        w = window(get_family("zigzag_d1"), 3)
+        assert len(finite_dibonds_in_window(w)) > 1
+        assert nested_extension_search(w, "diagonals", cap=1) is not None
+        assert nested_extension_search(w, "verticals_and_first_spoke", cap=1) is None
+        w = window(get_family("grid_d2"), 2)
+        assert nested_extension_search(w, "horizontal_steps", cap=1) is None
+        with pytest.raises(CapExceeded):
+            nested_extension_search(window(get_family("zigzag_d1"), 3), "spokes_without_first", cap=1)
+
+    def test_dijoins_are_decided_without_the_dibond_walk(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("the dibond walk ran")
+
+        monkeypatch.setattr(enumeration, "_dibond_masks", walk)
+        zigzag, grid = get_family("zigzag_d1"), get_family("grid_d2")
+        assert nested_extension_search(window(zigzag, 60), "diagonals") is not None
+        assert nested_extension_search(window(zigzag, 60), "verticals_and_first_spoke") is None
+        assert nested_extension_search(window(grid, 12), "vertical_drops") is not None
+        for n in (11, 12):
+            assert nested_extension_search(window(grid, n), "horizontal_steps") is None
 
 
 class TestGridWindows:
