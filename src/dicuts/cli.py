@@ -13,12 +13,16 @@ Reports are deterministic `key: value` lines. Exit codes: 0 for success,
 `solve` and `uncross` without a class file run on DibondClass.full, the
 implicit full class: the solvers find its optimal pair by cutting planes
 and decide a dijoin by D/F strong connectivity, so they list no dibond,
-and `solve` prints class_size only for a class file. `--cap` bounds only
-a listing: `enumerate`, `blocks` and `selftest` list the full class, and
-the solvers list it only when the certificate search falls back to it.
-A `family` check `nested:<set>` decides a set that meets every dibond
-by the min-max, without listing; only a set that is no dijoin is
-searched for among the listed window dibonds.
+and `solve` prints class_size only for a class file. `blocks` hands the
+full class to split_solve_merge, which lists it to split it by block
+and verifies the merged pair by D/F. `--cap` bounds only a listing:
+`enumerate`, `blocks` and `selftest` list the full class, and the
+solvers list it only when the certificate search falls back to it. A
+`family` check `finitary:<set>` lists the window's class only for a set
+that misses a dibond, to name the first one missed, and `nested:<set>`
+decides a set that meets every dibond by the min-max, without listing;
+only a set that is no dijoin is searched for among the listed window
+dibonds.
 
 `main(argv)` and `run(command, flags)` run the same command line in
 process. They share one parser, built on the first command of the process
@@ -213,33 +217,23 @@ def _resolve_edge_lines(digraph: Digraph, text: str) -> frozenset:
     return frozenset(ids)
 
 
-def _resolve_shore_lines(digraph: Digraph, text: str) -> list:
-    """One in-shore per line as space-separated vertex names."""
-    shores = []
-    for lineno, names in _lines(text):
+def _read_shores(digraph: Digraph, path: str) -> list:
+    """The dicuts of the in-shores that the file lists, one per line as
+    space-separated vertex names."""
+    cuts = []
+    for lineno, names in _lines(_read_text(path)):
         unknown = [v for v in names if v not in digraph.vertices]
         if unknown:
             raise ParseError(lineno, f"unknown vertices {unknown}")
-        shores.append(frozenset(names))
-    return shores
-
-
-def _listed_full_class(digraph: Digraph, cap: int) -> DibondClass:
-    """The full class with every member listed under the cap, for `blocks`,
-    whose split_solve_merge searches the members, and `selftest`, which
-    checks the solvers against the listing. The dibond walk refuses a
-    digraph that is not weakly connected with DibondClass.full's error, so
-    no search runs before it."""
-    return DibondClass._known(digraph, tuple(_sorted_dibonds(digraph, cap)), True)
+        cuts.append(Dicut(digraph, names))
+    return cuts
 
 
 def _class_from_args(digraph: Digraph, args) -> DibondClass:
     """The class file's class, or else the implicit full class, which the
     solvers decide by D/F strong connectivity without listing it."""
     if args.class_file:
-        shores = _resolve_shore_lines(digraph, _read_text(args.class_file))
-        members = [Dicut(digraph, shore) for shore in shores]
-        return DibondClass.from_members(digraph, members)
+        return DibondClass.from_members(digraph, _read_shores(digraph, args.class_file))
     return DibondClass.full(digraph, args.cap)
 
 
@@ -304,8 +298,7 @@ def _cmd_uncross(args) -> RunReport:
     klass = _class_from_args(digraph, args)
     if args.dijoin:
         dijoin = _resolve_edge_lines(digraph, _read_text(args.dijoin))
-        shores = _resolve_shore_lines(digraph, _read_text(args.family))
-        family = [Dicut(digraph, shore) for shore in shores]
+        family = _read_shores(digraph, args.family)
     else:
         pair = optimal_pair(digraph, klass)
         if pair is None:
@@ -326,8 +319,7 @@ def _cmd_quotient(args) -> RunReport:
     digraph, digest = _load_digraph(args)
     if not args.class_file:
         raise ValueError("quotient requires --class-file with generating in-shores")
-    shores = _resolve_shore_lines(digraph, _read_text(args.class_file))
-    cuts = [Dicut(digraph, shore) for shore in shores]
+    cuts = _read_shores(digraph, args.class_file)
     qm = equivalence_classes(digraph, cuts)
     lines = [
         ("command", "quotient"),
@@ -360,7 +352,7 @@ def _cmd_blocks(args) -> RunReport:
         lines.append(("block", f"{i} edges={_edge_set_label(labels, block)}"))
     for v, b in tree.tree_edges:
         lines.append(("tree_edge", f"{v} - block {b}"))
-    pair = split_solve_merge(digraph, _listed_full_class(digraph, args.cap))
+    pair = split_solve_merge(digraph, DibondClass.full(digraph, args.cap))
     if pair is None:
         lines.append(("optimal_pair", "absent"))
     else:
@@ -568,7 +560,9 @@ def _cmd_selftest(args) -> RunReport:
     solved = 0
     for _ in range(25):
         digraph = _random_digraph(rng)
-        klass = _listed_full_class(digraph, args.cap)
+        # The listed reference: solved by searching its members, not by
+        # cutting planes.
+        klass = DibondClass._known(digraph, tuple(_sorted_dibonds(digraph, args.cap)), True)
         if len(klass) == 0:
             continue
         pair = nested_optimal_pair(digraph, klass)

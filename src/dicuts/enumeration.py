@@ -12,14 +12,16 @@ It starts from a list of roots: the anchors, for every dibond, or one
 root at an edge's tail with its head forbidden, for the dibonds through
 that edge, so a per-edge query walks only towards the dibonds it returns.
 
-One set-up pass serves both walks. Tarjan's walk over vertex bits, on
-lists indexed by bit, finds the strong components in one pass and
-completes them in reverse topological order, each after every component
-it reaches. The components are indexed by least vertex, ascending, and
-each gets the int masks of its DAG successors, predecessors and
-undirected neighbours, of its vertices (bit j for the j-th largest
-vertex) and, from the digraph's end masks, of the edges (bit e for edge
-e) whose tail, and whose head, lies in it. One pass in completion order
+One set-up pass serves both walks, and the solver's cutting-plane
+rounds too, which run it on D plus the reversed edges of a candidate
+dijoin. Tarjan's walk over vertex bits, on lists indexed by bit, finds
+the strong components in one pass and completes them in reverse
+topological order, each after every component it reaches. The
+components are indexed by least vertex, ascending, and each gets the
+int masks of its DAG successors, predecessors and undirected
+neighbours, of its vertices (bit j for the j-th largest vertex) and,
+from the digraph's end masks, of the edges (bit e for edge e) whose
+tail, and whose head, lies in it. One pass in completion order
 gives each component its descendant closure, and one in the reverse
 order its ancestor closure, each with the union of each mask over it.
 Every set of components is a mask, bit i for the i-th component, so
@@ -172,15 +174,21 @@ def condensation(digraph: Digraph) -> Condensation:
     )
 
 
-def _walk_tables(digraph: Digraph) -> Optional[tuple]:
+def _walk_tables(digraph: Digraph, out: Optional[list] = None) -> Optional[tuple]:
     """The masks that both walks start from, described in the module
     docstring: succ, pred, und, verts, tails and heads per component,
     verts over the digraph's vertex_order, then the component indices in
     the order Tarjan's walk completed them, each after every component it
     reaches. None when there is at most one strong component, before any
     vertex or edge mask is built: no walk then has anything to emit.
+
+    The components are those of `out`, successor bits as _successor_bits
+    gives them, by default the digraph's own; tails and heads always
+    come from the digraph's end masks. The cutting-plane rounds pass D
+    plus the reversed F (solver._missed_dibonds).
     """
-    out = _successor_bits(digraph)
+    if out is None:
+        out = _successor_bits(digraph)
     k, done_at = _strong_components(out)
     if k <= 1:
         return None
@@ -210,7 +218,7 @@ def _walk_tables(digraph: Digraph) -> Optional[tuple]:
             if d != c:
                 succ[c] |= 1 << d
                 pred[d] |= 1 << c
-    und = [s | p for s, p in zip(succ, pred)]
+    und = list(map(or_, succ, pred))
     return succ, pred, und, verts, tails, heads, completed
 
 

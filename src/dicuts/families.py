@@ -56,6 +56,7 @@ from .solver import (
     _picks,
     _set_key,
     _sorted_dibonds,
+    is_dijoin,
     maximal_nested_disjoint_family,
 )
 
@@ -365,8 +366,11 @@ def finite_dibonds_in_window(w: FamilyWindow, cap: int = DEFAULT_CAP) -> list:
 
     The window has exactly the window edges, so these are the finite
     dibonds of the infinite digraph that fit inside the window. The
-    result is cached on the window, so repeated checks share one
-    enumeration.
+    result is cached on the window, so repeated calls share one
+    enumeration. nested_extension_search reads it for a set that is no
+    dijoin, and so do the command line's no-finite-dicut check and
+    selftest; check_finitary_dijoin lists the window's full class
+    instead.
     """
     if cap not in w._dibond_cache:
         w._dibond_cache[cap] = _sorted_dibonds(w.digraph, cap)
@@ -391,21 +395,14 @@ def check_finitary_dijoin(
     Every dicut is a disjoint union of dibonds, and a set F meets every
     dicut of the weakly connected window D exactly when D/F, the window
     with F contracted, is strongly connected (Schrijver, Combinatorial
-    Optimization, ch. 55). That test, the solver's, decides a set that
-    hits every dibond without enumerating.
-    Only a refuted set enumerates the window dibonds, to return the first
-    miss in canonical order, so only that path can raise CapExceeded; a
-    refuted set that misses no dibond contradicts the theorem and raises
-    an internal error.
+    Optimization, ch. 55). This is solver.is_dijoin on the window's full
+    class, which decides a set that hits every dibond by that test,
+    without enumerating. Only a refuted set lists the window dibonds, to
+    return the first miss in canonical order, so only that path can
+    raise CapExceeded; a refuted set that misses no dibond contradicts
+    the theorem and raises an internal error.
     """
-    edge_set = _named_ids(w, set_name)
-    if _meets_every_dibond(w.digraph, edge_set):
-        return True, None
-    named = _edge_mask(w.digraph, edge_set)
-    for b in finite_dibonds_in_window(w, cap):
-        if not b.edge_mask & named:
-            return False, b
-    raise RuntimeError("internal error: D/F is not strongly connected but no dibond is missed")
+    return is_dijoin(w.digraph, _named_ids(w, set_name), DibondClass.full(w.digraph, cap))
 
 
 def nested_extension_search(

@@ -18,14 +18,14 @@ of a weakly connected D exactly when D/F is strongly connected
 cutting planes. Each round condenses D plus the reversed edges of F, and
 each sink and each source component bounds a dicut that F misses; the
 first dibond of its decomposition joins the constraints, kept in class
-order. The round reads each dicut's edges off per-component tables of
-edge masks and finds that first dibond by two searches (_first_dibond),
-so no dicut is decomposed whole. The hitting set search re-solves the
-constraints, warm started: they only grow, so it stops once it reaches
-the last optimum size, and its first incumbent is the last F plus a
-greedy cover of the new constraints. The loop ends when D/F is strongly
-connected; every optimum was a lower bound, so that F is a minimum
-dijoin.
+order. The round reads each dicut's edges off the component tables of
+the dibond walks (enumeration._walk_tables) and finds that first dibond
+by two searches (_first_dibond), so no dicut is decomposed whole. The
+hitting set search re-solves the constraints, warm started: they only
+grow, so it stops once it reaches the last optimum size, and its first
+incumbent is the last F plus a greedy cover of the new constraints. The
+loop ends when D/F is strongly connected; every optimum was a lower
+bound, so that F is a minimum dijoin.
 
 A re-solve that returns the last optimum size has stalled: the lower
 bound did not rise. The round after a stall separates with every strong
@@ -128,8 +128,8 @@ from .core import (
 from .enumeration import (
     DEFAULT_CAP,
     _closures,
-    _strong_components,
     _successor_bits,
+    _walk_tables,
     enumerate_dibonds,
 )
 from .errors import (
@@ -290,14 +290,6 @@ def _is_corner_closed(members: list) -> bool:
     )
 
 
-def _meets_members(klass: DibondClass, f: int) -> tuple:
-    """(True, None) if the edge mask meets every class member, else (False, first missed member)."""
-    for member in klass.members:
-        if not member.edge_mask & f:
-            return (False, member)
-    return (True, None)
-
-
 def _class_for(digraph: Digraph, klass: Optional[DibondClass]) -> DibondClass:
     """The class, DibondClass.full(digraph) when none is given, refused
     when it belongs to another digraph."""
@@ -313,8 +305,10 @@ def is_dijoin(digraph: Digraph, edge_set: Iterable[int], klass: DibondClass) -> 
 
     The implicit full class is decided by D/F strong connectivity
     (_meets_every_dibond); only a set that fails lists the class, to
-    return the first missed member in class order, as
-    families.check_finitary_dijoin does.
+    return the first missed member in class order. A set that fails the
+    D/F test but misses no member contradicts the theorem and raises an
+    internal error. families.check_finitary_dijoin is this test on a
+    window's full class.
     """
     if klass.digraph != digraph:
         raise PreconditionViolated("class belongs to a different digraph")
@@ -322,17 +316,20 @@ def is_dijoin(digraph: Digraph, edge_set: Iterable[int], klass: DibondClass) -> 
     _require_edge_ids(digraph, f, "edge set contains unknown edge ids")
     if klass.implicit and _meets_every_dibond(digraph, f):
         return (True, None)
-    ok, missed = _meets_members(klass, _edge_mask(digraph, f))
-    if ok and klass.implicit:
+    mask = _edge_mask(digraph, f)
+    for member in klass.members:
+        if not member.edge_mask & mask:
+            return (False, member)
+    if klass.implicit:
         raise RuntimeError("internal error: D/F is not strongly connected but no dibond is missed")
-    return ok, missed
+    return (True, None)
 
 
-def _meets_class(digraph: Digraph, f: frozenset, klass: Optional[DibondClass]) -> bool:
-    """is_dijoin's verdict without its missed member, on the full class
-    when none is given. That class, implicit, is decided by D/F strong
-    connectivity (_meets_every_dibond) either way, so it is never listed."""
-    if klass is None or (klass.implicit and klass.digraph == digraph):
+def _meets_class(digraph: Digraph, f: frozenset, klass: DibondClass) -> bool:
+    """is_dijoin's verdict without its missed member, for a class of the
+    digraph. The implicit full class is decided by D/F strong
+    connectivity (_meets_every_dibond), so it is never listed."""
+    if klass.implicit:
         return _meets_every_dibond(digraph, f)
     return is_dijoin(digraph, f, klass)[0]
 
@@ -673,48 +670,28 @@ def _missed_dibonds(digraph: Digraph, out: list, closures: bool = False) -> list
     components they separate at once the dicuts that sink and source
     rounds reach one link at a time.
 
-    One pass over the vertices gives each component its vertex mask, the
-    masks of the edges of D whose tail, and whose head, lies in it (from
-    digraph.end_masks), and its successors and predecessors. The
-    closures OR all three along the successors and the predecessors
-    (enumeration._closures), in the completion order of
-    _strong_components, where a component follows every component it
-    reaches: descendants in that order, ancestors in reverse. A shore
-    with tail mask T and head mask H is entered by the edges H & ~T, so
-    the complement of a set with masks T and H is entered by T & ~H, and
-    no shore's edges are read off its vertices. _first_dibond splits each
-    dicut.
+    The components and their masks come from enumeration._walk_tables,
+    run on `out`, and the closures from enumeration._closures in its
+    completion order. A shore with tail mask T and head mask H is entered
+    by the edges H & ~T, so the complement of a set with masks T and H is
+    entered by T & ~H, and no shore's edges are read off its vertices.
+    _first_dibond splits each dicut.
     """
-    k, comp = _strong_components(out)
-    if k <= 1:
+    tables = _walk_tables(digraph, out)
+    if tables is None:
         return []
-    shores = [0] * k
-    tails = [0] * k
-    heads = [0] * k
-    # Per component, the bits of the other components that its edges
-    # enter, and of those whose edges enter it.
-    nexts = [0] * k
-    prevs = [0] * k
-    for j, ((tail_edges, head_edges), succs) in enumerate(zip(digraph.end_masks, out)):
-        c = comp[j]
-        shores[c] |= 1 << j
-        tails[c] |= tail_edges
-        heads[c] |= head_edges
-        for w in succs:
-            d = comp[w]
-            if d != c:
-                nexts[c] |= 1 << d
-                prevs[d] |= 1 << c
+    succ, pred, _und, verts, tails, heads, completed = tables
     full = (1 << digraph.n) - 1
     if closures:
-        tables = (shores, tails, heads)
-        below = _closures(nexts, tables, range(k))
-        above = _closures(prevs, tables, reversed(range(k)))
+        masks = (verts, tails, heads)
+        below = _closures(succ, masks, completed)
+        above = _closures(pred, masks, reversed(completed))
         cuts = [(y, h & ~t) for _, y, t, h in below]
         cuts += [(full ^ y, t & ~h) for _, y, t, h in above]
     else:
-        cuts = [(shores[c], heads[c] & ~tails[c]) for c in range(k) if not nexts[c]]
-        cuts += [(full ^ shores[c], tails[c] & ~heads[c]) for c in range(k) if not prevs[c]]
+        ids = range(len(verts))
+        cuts = [(verts[c], heads[c] & ~tails[c]) for c in ids if not succ[c]]
+        cuts += [(full ^ verts[c], tails[c] & ~heads[c]) for c in ids if not pred[c]]
     # A shore can come twice, and two dicuts can share their first dibond.
     parts = [
         _first_dibond(digraph, y, entering)
@@ -941,7 +918,7 @@ def uncross(
     f_mask = _edge_mask(digraph, f)
     if any((f_mask & member.edge_mask).bit_count() != 1 for member in fam):
         raise PreconditionViolated("dijoin must meet each family member exactly once")
-    if not _meets_class(digraph, f, klass):
+    if not _meets_class(digraph, f, _class_for(digraph, klass)):
         raise PreconditionViolated("dijoin must be a dijoin for the ambient class")
 
     limit = len(fam) * digraph.n * digraph.n + len(fam) + 1
@@ -1102,7 +1079,8 @@ def maximal_nested_disjoint_family(digraph: Digraph, klass: DibondClass) -> list
     Requires a corner-closed class (NotCornerClosed otherwise); on such a
     class the maximum matches the unrestricted disjoint packing number and
     the union of the returned family is itself a dijoin for the class,
-    which is verified before returning. Like max_disjoint_dicuts, the
+    which is verified before returning by the verifier's test
+    (_meets_class), D/F on the full class. Like max_disjoint_dicuts, the
     search stops at the minimum dijoin size.
     """
     if not klass.corner_closed:
@@ -1112,8 +1090,7 @@ def maximal_nested_disjoint_family(digraph: Digraph, klass: DibondClass) -> list
         union = 0
         for member in family:
             union |= member.edge_mask
-        ok, _missed = _meets_members(klass, union)
-        if not ok:
+        if not _meets_class(digraph, frozenset(bit_positions(union)), klass):
             raise VerificationFailed(
                 "union of the maximal nested disjoint family is not a dijoin"
             )

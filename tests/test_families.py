@@ -208,7 +208,8 @@ class TestFinitaryByStrongConnectivity:
             check_finitary_dijoin(w, "spokes_without_first", cap=1)
 
     def test_a_refutation_without_a_missed_dibond_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(families, "_meets_every_dibond", lambda digraph, f: False)
+        # is_dijoin decides check_finitary_dijoin, so this reaches its error.
+        monkeypatch.setattr(solver, "_meets_every_dibond", lambda digraph, f: False)
         w = window(get_family("zigzag_d1"), 4)
         with pytest.raises(RuntimeError, match="internal error"):
             check_finitary_dijoin(w, "diagonals")
