@@ -47,7 +47,9 @@ from typing import Iterator, Optional
 from .core import (
     Dicut,
     Digraph,
+    _cut_masks,
     _select,
+    _vertex_mask,
     decompose_dicut,
     dicut_from_shore,
 )
@@ -219,13 +221,20 @@ def _resolve_edge_lines(digraph: Digraph, text: str) -> frozenset:
 
 def _read_shores(digraph: Digraph, path: str) -> list:
     """The dicuts of the in-shores that the file lists, one per line as
-    space-separated vertex names."""
+    space-separated vertex names. A line that no dicut has as in-shore
+    is refused with the label of the lowest edge leaving it."""
     cuts = []
     for lineno, names in _lines(_read_text(path)):
         unknown = [v for v in names if v not in digraph.vertices]
         if unknown:
             raise ParseError(lineno, f"unknown vertices {unknown}")
-        cuts.append(Dicut(digraph, names))
+        shore = frozenset(names)
+        mask = _vertex_mask(digraph, shore)
+        entering, leaving = _cut_masks(digraph, mask)
+        if leaving:
+            edge = _edge_labels(digraph)[(leaving & -leaving).bit_length() - 1]
+            raise ParseError(lineno, f"{edge} leaves the in-shore {_shore_label(shore)}; not a dicut")
+        cuts.append(Dicut._known(digraph, mask, entering))
     return cuts
 
 

@@ -177,7 +177,7 @@ def block_cut_tree(digraph: Digraph) -> BlockTree:
     for root in digraph.vertex_order[-1:]:
         disc[root] = low[root] = counter
         counter += 1
-        frames = [(root, None, iter(sorted(digraph.und_neighbors(root))))]
+        frames = [(root, None, iter(digraph.und_neighbors(root)))]
         while frames:
             v, entry_edge, neighbors = frames[-1]
             descended = False
@@ -188,7 +188,7 @@ def block_cut_tree(digraph: Digraph) -> BlockTree:
                     disc[w] = low[w] = counter
                     counter += 1
                     edge_stack.append(e)
-                    frames.append((w, e, iter(sorted(digraph.und_neighbors(w)))))
+                    frames.append((w, e, iter(digraph.und_neighbors(w))))
                     descended = True
                     break
                 if disc[w] < disc[v]:

@@ -20,12 +20,13 @@ each sink and each source component bounds a dicut that F misses; the
 first dibond of its decomposition joins the constraints, kept in class
 order. The round reads each dicut's edges off the component tables of
 the dibond walks (enumeration._walk_tables) and finds that first dibond
-by two searches (_first_dibond), so no dicut is decomposed whole. The
-hitting set search re-solves the constraints, warm started: they only
-grow, so it stops once it reaches the last optimum size, and its first
-incumbent is the last F plus a greedy cover of the new constraints. The
-loop ends when D/F is strongly connected; every optimum was a lower
-bound, so that F is a minimum dijoin.
+by one search, on the side of the dicut not known to be connected
+(_missed_dibonds), so no dicut is decomposed whole. The hitting set
+search re-solves the constraints, warm started: they only grow, so it
+stops once it reaches the last optimum size, and its first incumbent is
+the last F plus a greedy cover of the new constraints. The loop ends
+when D/F is strongly connected; every optimum was a lower bound, so
+that F is a minimum dijoin.
 
 A re-solve that returns the last optimum size has stalled: the lower
 bound did not rise. The round after a stall separates with every strong
@@ -629,30 +630,6 @@ def max_disjoint_dicuts(digraph: Digraph, klass: DibondClass) -> list:
     return _disjoint_members(klass, len(min_dijoin(digraph, klass)))
 
 
-def _first_dibond(digraph: Digraph, shore: int, entering: int) -> Dicut:
-    """decompose_dicut(cut)[0] of the dicut with this in-shore mask and
-    edge mask, from two searches; the digraph must be weakly connected.
-
-    The decomposition splits the in-shore Y into its components, then
-    the out-shore of each part into its components, and orders the
-    dibonds by lowest edge, so its first part holds the cut's lowest
-    edge e0. That part's in-shore is V - X, where Y' is the component of
-    head(e0) in Y and X the component of tail(e0) in V - Y'. V - X is
-    connected: it is Y' plus the other components of V - Y', and each
-    of those touches Y', since the digraph is weakly connected. The
-    edges are read off again only when V - X is not Y.
-    """
-    nbrs = digraph.neighbour_masks
-    bit = digraph.vertex_bit
-    full = (1 << digraph.n) - 1
-    t, h = digraph.edges[(entering & -entering).bit_length() - 1]
-    rest = full ^ _reach_within(nbrs, shore, 1 << bit[h], shore)
-    part = full ^ _reach_within(nbrs, rest, 1 << bit[t], rest)
-    if part == shore:
-        return Dicut._known(digraph, shore, entering)
-    return Dicut._known(digraph, part, _cut_masks(digraph, part)[0])
-
-
 def _missed_dibonds(digraph: Digraph, out: list, closures: bool = False) -> list:
     """The first dibond of each dicut of D that F misses and this round
     separates, given the successor bits `out` of D plus the reversed F;
@@ -675,30 +652,43 @@ def _missed_dibonds(digraph: Digraph, out: list, closures: bool = False) -> list
     completion order. A shore with tail mask T and head mask H is entered
     by the edges H & ~T, so the complement of a set with masks T and H is
     entered by T & ~H, and no shore's edges are read off its vertices.
-    _first_dibond splits each dicut.
+
+    Each shore has a side K, the component or closure it comes from,
+    that is connected in D, whose edges D plus the reversed F turns
+    either way. decompose_dicut splits the other side S by components
+    and puts first the part with the cut's lowest edge e0. So one search
+    finds C, the component of S holding e0's end, and the first dibond's
+    in-shore is the shore XOR (S - C); V - C is connected, as each
+    component of S touches K in the weakly connected D. Its edges are
+    read off again only when S - C is not empty.
     """
     tables = _walk_tables(digraph, out)
     if tables is None:
         return []
     succ, pred, _und, verts, tails, heads, completed = tables
-    full = (1 << digraph.n) - 1
     if closures:
         masks = (verts, tails, heads)
         below = _closures(succ, masks, completed)
         above = _closures(pred, masks, reversed(completed))
-        cuts = [(y, h & ~t) for _, y, t, h in below]
-        cuts += [(full ^ y, t & ~h) for _, y, t, h in above]
     else:
-        ids = range(len(verts))
-        cuts = [(verts[c], heads[c] & ~tails[c]) for c in ids if not succ[c]]
-        cuts += [(full ^ verts[c], tails[c] & ~heads[c]) for c in ids if not pred[c]]
-    # A shore can come twice, and two dicuts can share their first dibond.
-    parts = [
-        _first_dibond(digraph, y, entering)
-        for y, entering in dict(cuts).items()
-        if 0 < y < full
-    ]
-    return list({part.shore_mask: part for part in parts}.values())
+        below = [row for row in zip(succ, verts, tails, heads) if not row[0]]
+        above = [row for row in zip(pred, verts, tails, heads) if not row[0]]
+    full = (1 << digraph.n) - 1
+    # shore -> (entering edges, S); a shore can come twice, then with both
+    # sides connected, and two dicuts can share their first dibond.
+    cuts = [(k, (h & ~t, full ^ k)) for _, k, t, h in below]
+    cuts += [(full ^ k, (t & ~h, full ^ k)) for _, k, t, h in above]
+    bit = digraph.vertex_bit
+    parts: dict = {}
+    for y, (entering, side) in dict(cuts).items():
+        if not 0 < y < full:
+            continue
+        t, h = digraph.edges[(entering & -entering).bit_length() - 1]
+        start = (1 << bit[t] | 1 << bit[h]) & side
+        part = y ^ side ^ _reach_within(digraph.neighbour_masks, side, start, side)
+        if part not in parts:
+            parts[part] = entering if part == y else _cut_masks(digraph, part)[0]
+    return [Dicut._known(digraph, y, entering) for y, entering in parts.items()]
 
 
 def _cutting_planes(digraph: Digraph) -> tuple:

@@ -270,6 +270,41 @@ class TestQuotientCommand:
             run("quotient", {"input": diamond_path})
 
 
+class TestShoreFiles:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--class-file", "{shores}"],
+            ["uncross", "--class-file", "{shores}"],
+            ["quotient", "--class-file", "{shores}"],
+            ["uncross", "--dijoin", "{dijoin}", "--family", "{shores}"],
+        ],
+    )
+    def test_a_line_that_is_no_dicut_is_refused_with_its_line(
+        self, diamond_path, tmp_path, capsys, argv
+    ):
+        shores = tmp_path / "shores.txt"
+        shores.write_text("t\ns\n", encoding="utf-8")
+        dijoin = tmp_path / "dijoin.txt"
+        dijoin.write_text("s a\na t\n", encoding="utf-8")
+        paths = {"shores": str(shores), "dijoin": str(dijoin)}
+        argv = [argv[0], "--input", diamond_path] + [a.format(**paths) for a in argv[1:]]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().out == (
+            f"command: {argv[0]}\n"
+            "error: ParseError: line 2: s->a leaves the in-shore {s}; not a dicut\n"
+        )
+
+    def test_the_leaving_edge_is_named_by_its_label(self, tmp_path):
+        path = tmp_path / "parallel.txt"
+        path.write_text("s a\ns a\na t\n", encoding="utf-8")
+        shores = tmp_path / "shores.txt"
+        shores.write_text("a t\n# the source\ns s\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            run("solve", {"input": str(path), "class_file": str(shores)})
+        assert str(exc.value) == "line 3: s->a#0 leaves the in-shore {s}; not a dicut"
+
+
 class TestBlocksCommand:
     def test_two_block_digraph(self, tmp_path):
         path = tmp_path / "blk.txt"

@@ -11,6 +11,7 @@ import pytest
 from dicuts import (
     CapExceeded,
     DibondClass,
+    Dicut,
     Digraph,
     DualityGapDetected,
     OptimalPair,
@@ -29,13 +30,11 @@ from dicuts import (
     window,
 )
 from dicuts import enumeration, solver
-from dicuts.core import _mask_vertices, bit_positions
+from dicuts.core import bit_positions
 from dicuts.enumeration import _successor_bits
 from dicuts.solver import _min_hitting_mask
 
 from .oracles import (
-    brute_dicuts,
-    connected_subset,
     dibond_by_labels,
     disconnected_digraphs,
     entering_and_leaving,
@@ -315,17 +314,14 @@ class TestStallRule:
 
     def test_closure_shores_are_closed_and_their_dibonds_are_missed(self, monkeypatch):
         rng = random.Random("implicit:closures")
-        used = []
-        split = solver._first_dibond
+        searches = []
+        search = solver._reach_within
 
-        def recorded(digraph, shore, entering):
-            in_shore = frozenset(_mask_vertices(digraph, shore))
-            # The cut's edges come from the component tables, not the shore.
-            assert frozenset(bit_positions(entering)) == entering_and_leaving(digraph, in_shore)[0]
-            used.append(in_shore)
-            return split(digraph, shore, entering)
+        def counted(nbrs, subset, start, stop):
+            searches.append(subset)
+            return search(nbrs, subset, start, stop)
 
-        monkeypatch.setattr(solver, "_first_dibond", recorded)
+        monkeypatch.setattr(solver, "_reach_within", counted)
         for _ in range(200):
             d = random_weak_digraph(rng)
             f = frozenset(e for e in range(d.m) if rng.random() < 0.3)
@@ -338,18 +334,22 @@ class TestStallRule:
             closures = {reach(plus, v) for v in d.vertices}
             closures |= {d.vertices - reach(plus, v, backward=True) for v in d.vertices}
             closures -= trivial
+            assert ends <= closures
             for on in (False, True):
-                used.clear()
-                missed = solver._missed_dibonds(d, _successor_bits(plus), on)
-                shores = set(used)
-                assert len(shores) == len(used)
-                assert shores == (closures if on else ends)
-                assert ends <= shores
+                shores = closures if on else ends
                 for shore in shores:
-                    assert shore and shore != d.vertices
                     assert not entering_and_leaving(plus, shore)[1]
+                searches.clear()
+                missed = solver._missed_dibonds(d, _successor_bits(plus), on)
+                # One search per separated shore, on the side not known
+                # to be connected.
+                assert len(searches) == len(shores)
+                firsts = {decompose_dicut(Dicut(d, shore))[0] for shore in shores}
+                assert len(set(missed)) == len(missed)
+                assert {(m.shore_mask, m.edge_mask) for m in missed} == {
+                    (m.shore_mask, m.edge_mask) for m in firsts
+                }
                 assert bool(missed) == (len(comps) > 1)
-                assert len({m.shore_mask for m in missed}) == len(missed)
                 for member in missed:
                     entering, leaving = entering_and_leaving(d, member.in_shore)
                     assert member.edge_set == entering and not leaving
@@ -357,26 +357,20 @@ class TestStallRule:
 
 
 class TestFirstDibond:
-    def test_two_searches_give_the_first_part_of_the_decomposition(self):
-        # Every dicut of each draw, shores disconnected on either side included.
-        rng = random.Random("implicit:first-dibond")
-        split_in = split_out = 0
-        for _ in range(150):
-            d = random_weak_digraph(rng, max_n=8, max_extra=8)
-            for cut in brute_dicuts(d):
-                first = decompose_dicut(cut)[0]
-                part = solver._first_dibond(d, cut.shore_mask, cut.edge_mask)
-                assert (part.shore_mask, part.edge_mask) == (first.shore_mask, first.edge_mask)
-                split_in += not connected_subset(d, cut.in_shore)
-                split_out += not connected_subset(d, cut.out_shore)
-        assert split_in > 100 and split_out > 100
-
-    def test_a_dibond_is_its_own_first_part_and_keeps_its_edge_mask(self, monkeypatch):
+    def test_dibond_shores_keep_their_edge_masks(self, monkeypatch):
+        # Every shore either round separates on the diamond is a dibond,
+        # so no edge mask is read off again.
         def no_cut_masks(*args):
             raise AssertionError("the edges of a dibond were read off again")
 
         d = Digraph.from_edges(DIAMOND)
-        bond = next(c for c in enumerate_dibonds(d) if c.in_shore == {"a", "t"})
+        bonds = {c.in_shore: c for c in enumerate_dibonds(d)}
         monkeypatch.setattr(solver, "_cut_masks", no_cut_masks)
-        part = solver._first_dibond(d, bond.shore_mask, bond.edge_mask)
-        assert (part.shore_mask, part.edge_mask) == (bond.shore_mask, bond.edge_mask)
+        for on, shores in (
+            (False, [{"t"}, {"a", "b", "t"}]),
+            (True, [{"t"}, {"a", "t"}, {"b", "t"}, {"a", "b", "t"}]),
+        ):
+            missed = solver._missed_dibonds(d, _successor_bits(d), on)
+            assert sorted((m.shore_mask, m.edge_mask) for m in missed) == sorted(
+                (bonds[s].shore_mask, bonds[s].edge_mask) for s in map(frozenset, shores)
+            )

@@ -214,6 +214,25 @@ class TestBlocks:
             ids = sorted(e for block in tree.blocks for e in block)
             assert ids == list(d.edge_ids())
 
+    def test_the_tree_does_not_depend_on_the_edge_order(self):
+        # The sweep's visiting order follows the edge ids; the blocks, the
+        # cut vertices and the tree must not.
+        rng = random.Random(62)
+
+        def labelled(tree, label):
+            blocks = [frozenset(label[e] for e in block) for block in tree.blocks]
+            edges = {(v, blocks[i]) for v, i in tree.tree_edges}
+            return set(blocks), tree.cutvertices, edges
+
+        for _ in range(300):
+            d = random_weak_digraph(rng, max_n=9, max_extra=6)
+            order = list(d.edge_ids())
+            rng.shuffle(order)
+            shuffled = Digraph(d.vertices, [d.edges[e] for e in order])
+            assert labelled(block_cut_tree(shuffled), order) == labelled(
+                block_cut_tree(d), list(d.edge_ids())
+            )
+
     def test_disconnected_input_is_rejected(self):
         for d in (
             Digraph.from_edges([("a", "b")], isolated=("z",)),
