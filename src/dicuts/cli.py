@@ -219,10 +219,10 @@ def _resolve_edge_lines(digraph: Digraph, text: str) -> frozenset:
     return frozenset(ids)
 
 
-def _read_shores(digraph: Digraph, path: str) -> list:
-    """The dicuts of the in-shores that the file lists, one per line as
-    space-separated vertex names. A line that no dicut has as in-shore
-    is refused with the label of the lowest edge leaving it."""
+def _read_shores(digraph: Digraph, path: str, dibonds: bool = False) -> list:
+    """The dicuts of the in-shores the file lists, one per line as vertex
+    names. A line that no dicut has as in-shore is refused with the label of
+    the lowest edge leaving it; with `dibonds`, so is one whose dicut is no dibond."""
     cuts = []
     for lineno, names in _lines(_read_text(path)):
         unknown = [v for v in names if v not in digraph.vertices]
@@ -234,7 +234,10 @@ def _read_shores(digraph: Digraph, path: str) -> list:
         if leaving:
             edge = _edge_labels(digraph)[(leaving & -leaving).bit_length() - 1]
             raise ParseError(lineno, f"{edge} leaves the in-shore {_shore_label(shore)}; not a dicut")
-        cuts.append(Dicut._known(digraph, mask, entering))
+        cut = Dicut._known(digraph, mask, entering)
+        if dibonds and not cut.is_dibond:
+            raise ParseError(lineno, f"in-shore {_shore_label(shore)} is no dibond")
+        cuts.append(cut)
     return cuts
 
 
@@ -242,7 +245,7 @@ def _class_from_args(digraph: Digraph, args) -> DibondClass:
     """The class file's class, or else the implicit full class, which the
     solvers decide by D/F strong connectivity without listing it."""
     if args.class_file:
-        return DibondClass.from_members(digraph, _read_shores(digraph, args.class_file))
+        return DibondClass.from_members(digraph, _read_shores(digraph, args.class_file, True))
     return DibondClass.full(digraph, args.cap)
 
 

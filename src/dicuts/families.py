@@ -37,7 +37,6 @@ from math import prod
 from typing import Callable, Iterable, Optional
 
 from .core import (
-    Dicut,
     Digraph,
     _edge_mask,
     bit_positions,
@@ -56,6 +55,7 @@ from .solver import (
     _picks,
     _set_key,
     _sorted_dibonds,
+    _tight_picks,
     is_dijoin,
     maximal_nested_disjoint_family,
 )
@@ -429,28 +429,15 @@ def nested_extension_search(
     when |F| = τ, uncrosses into the selection. The selection it returns
     is a valid one, not necessarily the one the search below would pick.
 
-    Any other set is searched for among the window dibonds that meet it
-    in one edge, so only that search lists the window and meets the cap;
-    a cap it passes raises CapExceeded.
+    Any other set gets solver._tight_picks over the window dibonds, with
+    nested as the pair test: the one search for one dibond per edge of F
+    that the full-class certificate also runs. Only that search lists the
+    window and meets the cap; a cap it passes raises CapExceeded.
     """
     edge_set = _named_ids(w, set_name)
     if _meets_every_dibond(w.digraph, edge_set):
         return _dijoin_selection(w.digraph, edge_set)
-    named = _edge_mask(w.digraph, edge_set)
-    # A dibond is a candidate for the one named edge it meets, if any.
-    candidates: dict = {e: [] for e in edge_set}
-    for b in finite_dibonds_in_window(w, cap):
-        hit = b.edge_mask & named
-        if hit and not hit & (hit - 1):
-            candidates[hit.bit_length() - 1].append(b)
-    # Fewest candidates first, so an edge without any ends the search at once.
-    order = sorted(edge_set, key=lambda e: (len(candidates[e]), e))
-
-    def compatible(picked: list, b: Dicut) -> bool:
-        return all(not b.edge_mask & c.edge_mask and nested(b, c) for c in picked)
-
-    pick = next(_picks([candidates[e] for e in order], compatible), None)
-    return None if pick is None else dict(zip(order, pick))
+    return _tight_picks(finite_dibonds_in_window(w, cap), _edge_mask(w.digraph, edge_set), nested)
 
 
 def _window_members(

@@ -21,6 +21,7 @@ lexicographic order (solver._picks), that meets every hyperedge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .core import Digraph
@@ -51,6 +52,13 @@ class Hypergraph:
             verts |= h
         return Hypergraph(vertices=frozenset(verts), hyperedges=edges)
 
+    @cached_property
+    def _matching(self) -> tuple:
+        """The distinct hyperedges in canonical order and their first maximum
+        matching, searched once for konig_property and fin_parameter_check."""
+        edges = sorted(set(self.hyperedges), key=_set_key)
+        return edges, [edges[i] for i in exact_max_set_packing(edges)]
+
 
 @dataclass(frozen=True, eq=False)
 class KonigPair:
@@ -70,8 +78,7 @@ def konig_property(hypergraph: Hypergraph) -> Optional[KonigPair]:
     least cover meets each of the nu disjoint members of every maximum
     matching and has only nu vertices, so it meets each exactly once.
     """
-    edges = sorted(set(hypergraph.hyperedges), key=_set_key)
-    members = [edges[i] for i in exact_max_set_packing(edges)]
+    edges, members = hypergraph._matching
     slots = [sorted(m) for m in members]
     cover = next(_picks(slots, _meets_all(slots, edges)), None)
     if cover is None:
@@ -149,14 +156,13 @@ def fin_parameter_check(hypergraph: Hypergraph) -> bool:
     is a cover. Both hold on every finite hypergraph; the check exists to
     validate the solvers against each other.
     """
-    edges = sorted(set(hypergraph.hyperedges), key=_set_key)
+    edges, matching = hypergraph._matching
     if not edges:
         return True
-    matching_size = len(exact_max_set_packing(edges))
     cover_size = len(exact_min_hitting_set(edges))
     union: set = set()
     for h in edges:
         if not (h & union):
             union |= h
     union_covers = all(h & union for h in edges)
-    return cover_size >= matching_size and union_covers
+    return cover_size >= len(matching) and union_covers

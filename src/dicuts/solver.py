@@ -41,13 +41,13 @@ on random DAGs it otherwise solves in milliseconds.
 
 The certificate is |F| disjoint dicuts each met once by F. By
 complementary slackness such a family has, for each edge e of F, a
-member meeting F only in e, so _picks fills one slot per edge of F with
-the constraints that meet F only there. If that fails, the class is
-listed and its members tight to F are packed; a shortfall there raises
-DualityGapDetected. A crossing family is uncrossed with the D/F test as
-its dijoin check. Whether a family is cross-free is one near-linear
-test (_pairwise_nested): with every shore that holds a fixed vertex
-complemented, the family is cross-free exactly when it is laminar.
+member meeting F only in e, so _tight_picks fills one slot per edge of
+F with the constraints that meet F only there, or else with the listed
+class's members; if both fail, DualityGapDetected is raised. A crossing
+family is uncrossed with the D/F test as its dijoin check. Whether a
+family is cross-free is one near-linear test (_pairwise_nested): with
+every shore that holds a fixed vertex complemented, the family is
+cross-free exactly when it is laminar.
 
 A dijoin F has a nested selection, one dibond through each of its edges
 meeting F only there, all disjoint and nested, exactly when |F| is the
@@ -726,34 +726,37 @@ def _cutting_planes(digraph: Digraph) -> tuple:
         stalled = f.bit_count() == size
 
 
-def _tight_picks(candidates: list, f: int) -> Optional[list]:
-    """|F| pairwise disjoint candidates, each meeting F in one edge, or
-    None: a _picks search with one slot per edge of F, holding the
-    candidates that meet F only there, smallest slot first."""
+def _tight_picks(candidates: list, f: int, also=None) -> Optional[dict]:
+    """{edge id: candidate}, pairwise disjoint candidates each meeting F
+    only in its edge, or None: a _picks search with one slot per edge of
+    F, smallest slot first, ties in edge order. `also` tests two picks."""
     slots: dict = {1 << e: [] for e in bit_positions(f)}
     for c in candidates:
         slot = slots.get(c.edge_mask & f)
         if slot is not None:
             slot.append(c)
+    order = sorted(slots, key=lambda bit: len(slots[bit]))
 
     def fits(picked: list, item: Dicut) -> bool:
-        return not any(item.edge_mask & p.edge_mask for p in picked)
+        return not any(item.edge_mask & p.edge_mask for p in picked) and (
+            also is None or all(also(p, item) for p in picked)
+        )
 
-    return next(_picks(sorted(slots.values(), key=len), fits), None)
+    pick = next(_picks([slots[bit] for bit in order], fits), None)
+    return None if pick is None else {bit.bit_length() - 1: c for bit, c in zip(order, pick)}
 
 
 def _implicit_optimum(klass: DibondClass) -> tuple:
     """(dijoin, family) of the implicit full class: the loop, the
     certificate and the fallback of the module docstring."""
-    digraph = klass.digraph
-    f, constraints = _cutting_planes(digraph)
-    family = _tight_picks(constraints, f)
-    if family is None:
-        tight = [m for m in klass.members if (m.edge_mask & f).bit_count() == 1]
-        family = [tight[i] for i in _largest_disjoint([m.edge_mask for m in tight], f.bit_count())]
-        if len(family) < f.bit_count():
-            raise DualityGapDetected(f.bit_count(), len(family))
-    return frozenset(bit_positions(f)), family
+    f, constraints = _cutting_planes(klass.digraph)
+    picks = _tight_picks(constraints, f)
+    if picks is None:
+        picks = _tight_picks(klass.members, f)
+    if picks is None:
+        # |F| disjoint members would each be met once by the minimum F.
+        raise DualityGapDetected(f.bit_count(), len(_disjoint_members(klass, f.bit_count())))
+    return frozenset(bit_positions(f)), list(picks.values())
 
 
 def _pairwise_disjoint(family: Iterable[Dicut]) -> bool:

@@ -22,7 +22,7 @@ from dicuts import (
     serialize_digraph,
     window,
 )
-from dicuts import cli, enumerate_dicuts, enumeration, solver
+from dicuts import cli, enumerate_dicuts, enumeration, hypergraph, solver
 from dicuts.cli import EXIT_ERROR, EXIT_OK, EXIT_REFUTED
 
 from .oracles import entering_and_leaving, meets_every_dicut, random_dag
@@ -304,6 +304,25 @@ class TestShoreFiles:
             run("solve", {"input": str(path), "class_file": str(shores)})
         assert str(exc.value) == "line 3: s->a#0 leaves the in-shore {s}; not a dicut"
 
+    @pytest.mark.parametrize("command", ["solve", "uncross", "quotient"])
+    def test_a_class_line_that_is_no_dibond_is_refused_with_its_line(
+        self, tmp_path, capsys, command
+    ):
+        # {b} of a->b, c->b is a dicut whose in-shore {b} leaves a and c
+        # apart, so it is no dibond; {b, c} is one. quotient's generators
+        # may be any dicuts.
+        path = tmp_path / "vee.txt"
+        path.write_text("a b\nc b\n", encoding="utf-8")
+        shores = tmp_path / "shores.txt"
+        shores.write_text("b c\nb\n", encoding="utf-8")
+        rc = main([command, "--input", str(path), "--class-file", str(shores)])
+        out = capsys.readouterr().out
+        if command == "quotient":
+            assert rc == 0 and "generators: 2\n" in out
+        else:
+            assert rc == EXIT_ERROR
+            assert out == f"command: {command}\nerror: ParseError: line 2: in-shore {{b}} is no dibond\n"
+
 
 class TestBlocksCommand:
     def test_two_block_digraph(self, tmp_path):
@@ -322,6 +341,21 @@ class TestHypergraphCommand:
         got = lines_dict(run("hypergraph", {"input": str(path)}))
         assert got["konig"] == ["absent"]
         assert got["fin_check"] == ["true"]
+
+    def test_one_report_packs_the_hyperedges_once(self, tmp_path, monkeypatch):
+        # konig_property and fin_parameter_check share one maximum matching.
+        calls = []
+        packing = hypergraph.exact_max_set_packing
+
+        def counted(sets):
+            calls.append(sets)
+            return packing(sets)
+
+        monkeypatch.setattr(hypergraph, "exact_max_set_packing", counted)
+        path = tmp_path / "hg.txt"
+        path.write_text("a b\nb c\nc a\nc d\n", encoding="utf-8")
+        got = lines_dict(run("hypergraph", {"input": str(path)}))
+        assert got["fin_check"] == ["true"] and len(calls) == 1
 
     def test_menger_mode(self, tmp_path):
         path = tmp_path / "g.txt"

@@ -223,7 +223,16 @@ class TestVerifiedOnce:
 class TestCertificate:
     def test_the_listed_fallback_packs_the_tight_members(self, monkeypatch):
         rng = random.Random("implicit:fallback")
-        monkeypatch.setattr(solver, "_tight_picks", lambda candidates, f: None)
+        tight_picks = solver._tight_picks
+        klass = None
+
+        def members_only(candidates, f, also=None):
+            # Only the fallback's call, on the members it just listed, searches.
+            if candidates is vars(klass).get("members"):
+                return tight_picks(candidates, f, also)
+            return None
+
+        monkeypatch.setattr(solver, "_tight_picks", members_only)
         for _ in range(40):
             d = random_weak_digraph(rng)
             klass = DibondClass.full(d)
@@ -234,7 +243,7 @@ class TestCertificate:
 
     def test_a_short_fallback_packing_is_a_duality_gap(self, monkeypatch):
         d = Digraph.from_edges([("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")])
-        monkeypatch.setattr(solver, "_tight_picks", lambda candidates, f: None)
+        monkeypatch.setattr(solver, "_tight_picks", lambda candidates, f, also=None: None)
         monkeypatch.setattr(solver, "_largest_disjoint", lambda masks, stop=None, also=None: [0])
         with pytest.raises(DualityGapDetected) as info:
             optimal_pair(d, DibondClass.full(d))
