@@ -14,15 +14,17 @@ Reports are deterministic `key: value` lines. Exit codes: 0 for success,
 implicit full class: the solvers find its optimal pair by cutting planes
 and decide a dijoin by D/F strong connectivity, so they list no dibond,
 and `solve` prints class_size only for a class file. `blocks` hands the
-full class to split_solve_merge, which lists it to split it by block
-and verifies the merged pair by D/F. `--cap` bounds only a listing:
-`enumerate`, `blocks` and `selftest` list the full class, and the
-solvers list it only when the certificate search falls back to it. A
-`family` check `finitary:<set>` lists the window's class only for a set
-that misses a dibond, to name the first one missed, and `nested:<set>`
-decides a set that meets every dibond by the min-max, without listing;
-only a set that is no dijoin is searched for among the listed window
-dibonds.
+full class to split_solve_merge, which solves each block's minor on the
+minor's implicit full class and verifies the merged pair by D/F, so it
+lists no dibond either. `--cap` bounds only a listing: `enumerate` and
+`selftest` list the full class, and the solvers list it only when the
+certificate search falls back to it. A block's fallback listing has the
+default cap, as the optimal_pair of a `nested:` check has, so `--cap`
+does not bound `blocks`. A `family` check `finitary:<set>` lists the
+window's class only for a set that misses a dibond, to name the first
+one missed, and `nested:<set>` decides a set that meets every dibond by
+the min-max, without listing; only a set that is no dijoin is searched
+for among the listed window dibonds.
 
 `main(argv)` and `run(command, flags)` run the same command line in
 process. They share one parser, built on the first command of the process
@@ -364,7 +366,7 @@ def _cmd_blocks(args) -> RunReport:
         lines.append(("block", f"{i} edges={_edge_set_label(labels, block)}"))
     for v, b in tree.tree_edges:
         lines.append(("tree_edge", f"{v} - block {b}"))
-    pair = split_solve_merge(digraph, DibondClass.full(digraph, args.cap))
+    pair = split_solve_merge(digraph, DibondClass.full(digraph))
     if pair is None:
         lines.append(("optimal_pair", "absent"))
     else:
@@ -649,6 +651,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--cap", type=_cap, default=DEFAULT_CAP,
             help="most members a listing may hold; solve and uncross list none "
                  "unless their certificate search falls back to the full class, "
+                 "blocks lists none and ignores it, "
                  "and a family nested: check lists only for a set that is no dijoin",
         )
 

@@ -18,16 +18,17 @@ dijoin. Tarjan's walk over vertex bits, on lists indexed by bit, finds
 the strong components in one pass and completes them in reverse
 topological order, each after every component it reaches. The
 components are indexed by least vertex, ascending, and each gets the
-int masks of its DAG successors, predecessors and undirected
-neighbours, of its vertices (bit j for the j-th largest vertex) and,
-from the digraph's end masks, of the edges (bit e for edge e) whose
-tail, and whose head, lies in it. One pass in completion order
-gives each component its descendant closure, and one in the reverse
-order its ancestor closure, each with the union of each mask over it.
-Every set of components is a mask, bit i for the i-th component, so
-every branch order is that of the component indices. Strong components
-are connected, so the component graph is weakly connected exactly when
-the digraph is, and the dibond walk checks that with one mask search.
+int masks of its DAG successors and predecessors, of its vertices (bit
+j for the j-th largest vertex) and, from the digraph's end masks, of
+the edges (bit e for edge e) whose tail, and whose head, lies in it.
+Only the dibond walk ORs the first two into undirected neighbours. One
+pass in completion order gives each component its descendant closure,
+and one in the reverse order its ancestor closure, each with the union
+of each mask over it. Every set of components is a mask, bit i for the
+i-th component, so every branch order is that of the component indices.
+Strong components are connected, so the component graph is weakly
+connected exactly when the digraph is, and the dibond walk checks that
+with one mask search.
 The search is core's _reach_within, the one every connectivity test
 runs, here on the table of component neighbours.
 
@@ -176,7 +177,7 @@ def condensation(digraph: Digraph) -> Condensation:
 
 def _walk_tables(digraph: Digraph, out: Optional[list] = None) -> Optional[tuple]:
     """The masks that both walks start from, described in the module
-    docstring: succ, pred, und, verts, tails and heads per component,
+    docstring: succ, pred, verts, tails and heads per component,
     verts over the digraph's vertex_order, then the component indices in
     the order Tarjan's walk completed them, each after every component it
     reaches. None when there is at most one strong component, before any
@@ -218,8 +219,7 @@ def _walk_tables(digraph: Digraph, out: Optional[list] = None) -> Optional[tuple
             if d != c:
                 succ[c] |= 1 << d
                 pred[d] |= 1 << c
-    und = list(map(or_, succ, pred))
-    return succ, pred, und, verts, tails, heads, completed
+    return succ, pred, verts, tails, heads, completed
 
 
 def _closures(step: list, tables: tuple, order) -> list:
@@ -270,7 +270,7 @@ def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
     tables = _walk_tables(digraph)
     if tables is None:
         return []
-    succ, pred, _und, verts, tails, heads, completed = tables
+    succ, pred, verts, tails, heads, completed = tables
     k = len(succ)
     desc = _closures(succ, (verts, tails, heads), completed)
     anc = [closure[0] for closure in _closures(pred, (), reversed(completed))]
@@ -306,7 +306,8 @@ def _dibond_masks(digraph: Digraph, cap: int, edge: Optional[EdgeId] = None) -> 
     tables = _walk_tables(digraph)
     if tables is None:
         return []
-    _succ, pred, und, verts, tails, heads, completed = tables
+    succ, pred, verts, tails, heads, completed = tables
+    und = list(map(or_, succ, pred))
     k = len(und)
     full = (1 << k) - 1
     # Strong components are connected, so the component graph is weakly

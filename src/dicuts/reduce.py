@@ -5,8 +5,10 @@ family member); the quotient keeps exactly the non-internal edges and every
 generating cut survives with an identical edge set. Contracting to an edge
 set N collapses each weak component of the digraph minus N, and cuts inside
 N correspond exactly between the digraph and the minor. Dibonds live in
-single 2-blocks of the underlying multigraph, which yields a split, solve
-per block, and merge pipeline whose result is re-verified independently.
+single 2-blocks of the underlying multigraph, and a block's contraction
+minor is the block itself, which yields a pipeline that solves each
+block's minor, lifts and merges the pairs, and re-verifies the result
+independently.
 """
 
 from __future__ import annotations
@@ -239,45 +241,53 @@ def block_cut_tree(digraph: Digraph) -> BlockTree:
 
 
 def split_solve_merge(digraph: Digraph, klass: DibondClass) -> Optional[OptimalPair]:
-    """Solve per 2-block and merge, re-verifying against the whole class.
+    """Solve each 2-block as its own digraph and merge, re-verifying against the whole class.
 
-    Every dibond lies inside exactly one block, so the class splits by
-    block; each sub-class is solved for a nested optimal pair on the full
-    digraph and the pieces are concatenated. Members in different blocks
-    are automatically disjoint and nested, which the final verification
-    re-checks rather than assumes. Each block's sub-class keeps the class
-    order and inherits corner_closed instead of checking every pair of
-    members again. A corner-closed class gives corner-closed sub-classes,
-    since the corners of two dibonds of one block have their edges in that
-    block. A sub-class of any other class reads False even when it is
-    closed itself; that only skips the defect check there, since a closed
-    sub-class has no gap. Returns None exactly when nested_optimal_pair
-    does on some block: a genuine duality gap, or no nested pair of the
-    dijoin's size, both possible only when the class is not corner-closed.
+    Every dibond lies inside one block B, and contract_to(digraph, B) is B
+    itself, whose dibonds are exactly the digraph's dibonds inside B
+    (verify_cut_lift). An implicit class is solved on each minor's
+    implicit full class, so no dibond is listed. Any other class gives
+    each minor its members inside B, projected; minor edge ids follow the
+    digraph's, so they keep the class order. They inherit corner_closed:
+    the corners of two dibonds of one block have their edges in that
+    block, and a closed sub-class that reads False only skips the defect
+    check. Each block's pair is lifted back, a minor vertex standing for
+    its class. Members in different blocks are automatically disjoint and
+    nested, which the final verification re-checks rather than assumes.
+    Returns None exactly when nested_optimal_pair does on some block: a
+    genuine duality gap, or no nested pair of the dijoin's size, both
+    possible only when the class is not corner-closed.
     """
     if klass.digraph != digraph:
         raise PreconditionViolated("class belongs to a different digraph")
-    tree = block_cut_tree(digraph)
-    block_masks = [_edge_mask(digraph, block) for block in tree.blocks]
-    by_block: dict = {}  # each block's members, kept in class order
-    for member in klass.members:
-        home = None
-        for i, block in enumerate(block_masks):
-            if not member.edge_mask & ~block:
-                home = i
-                break
-        if home is None:
-            raise RuntimeError("internal error: a class member spans multiple blocks")
-        by_block.setdefault(home, []).append(member)
     dijoin: set = set()
     family: list = []
-    for i in sorted(by_block):
-        sub = DibondClass._known(digraph, tuple(by_block[i]), klass.corner_closed)
-        pair = nested_optimal_pair(digraph, sub)
+    for block in block_cut_tree(digraph).blocks:
+        qm = contract_to(digraph, block)
+        minor = qm.quotient
+        sub = None
+        if not klass.implicit:
+            mask = _edge_mask(digraph, block)
+            inside = tuple(
+                Dicut(minor, _project_in_shore(qm, member.in_shore))
+                for member in klass.members
+                if not member.edge_mask & ~mask
+            )
+            sub = DibondClass._known(minor, inside, klass.corner_closed)
+        pair = nested_optimal_pair(minor, sub)
         if pair is None:
             return None
-        dijoin |= pair.dijoin
-        family.extend(pair.family)
+        # Per minor vertex bit, the mask of the digraph's vertices it stands
+        # for. The masks are disjoint, and so are the edge bits: sums are ORs.
+        lift = [0] * minor.n
+        for v, c in qm.class_of.items():
+            lift[minor.vertex_bit[c]] |= 1 << digraph.vertex_bit[v]
+        provenance = qm.edge_provenance
+        dijoin.update(provenance[e] for e in pair.dijoin)
+        for member in pair.family:
+            shore = sum(lift[j] for j in bit_positions(member.shore_mask))
+            edges = sum(1 << provenance[e] for e in bit_positions(member.edge_mask))
+            family.append(Dicut._known(digraph, shore, edges))
     merged = OptimalPair(dijoin=frozenset(dijoin), family=family, nested=True)
     verify_optimal_pair(digraph, klass, merged)
     return merged

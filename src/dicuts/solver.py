@@ -665,7 +665,7 @@ def _missed_dibonds(digraph: Digraph, out: list, closures: bool = False) -> list
     tables = _walk_tables(digraph, out)
     if tables is None:
         return []
-    succ, pred, _und, verts, tails, heads, completed = tables
+    succ, pred, verts, tails, heads, completed = tables
     if closures:
         masks = (verts, tails, heads)
         below = _closures(succ, masks, completed)

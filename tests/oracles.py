@@ -30,7 +30,10 @@ earlier per-edge query, which filters every dibond of the package's
 walk on its edge mask. `nested_by_shores` is the earlier frozenset
 test of nestedness, the reference for the one on shore masks, and
 `corner_closure_by_passes` closes a seed by whole passes over every pair,
-on the package's meet, join and split. `component_labels` is the
+on the package's meet, join and split. `split_solve_merge_by_members` is
+the earlier 2-block split, which sorts the members by block and solves
+each block's share on the whole digraph, the reference for the split
+that solves each block's minor. `component_labels` is the
 package's earlier set-based search, kept unchanged as the reference for
 the vertex-mask one, and the references built on it below are the
 earlier set versions of weak connectivity, dibonds, dicut
@@ -47,9 +50,12 @@ from collections import deque
 
 from dicuts import (
     CapExceeded,
+    DibondClass,
     Dicut,
     Digraph,
+    OptimalPair,
     PreconditionViolated,
+    block_cut_tree,
     condensation,
     decompose_dicut,
     exact_max_set_packing,
@@ -59,8 +65,10 @@ from dicuts import (
     maximal_nested_disjoint_family,
     meet,
     nested,
+    nested_optimal_pair,
+    verify_optimal_pair,
 )
-from dicuts.core import bit_positions
+from dicuts.core import _edge_mask, bit_positions
 from dicuts.enumeration import DEFAULT_CAP, Condensation, _build, _dibond_masks
 
 
@@ -664,6 +672,39 @@ def corner_closure_by_passes(seed):
         if not new:
             return sorted(members.values(), key=lambda c: (len(c.edge_set), sorted(c.edge_set)))
         members.update(new)
+
+
+def split_solve_merge_by_members(digraph, klass):
+    """The package's earlier `reduce.split_solve_merge`: the members are
+    split by block, each block's share is solved on the whole digraph as
+    a sub-class in class order that inherits corner_closed, and the
+    merged pair is verified against the whole class."""
+    if klass.digraph != digraph:
+        raise PreconditionViolated("class belongs to a different digraph")
+    tree = block_cut_tree(digraph)
+    block_masks = [_edge_mask(digraph, block) for block in tree.blocks]
+    by_block: dict = {}  # each block's members, kept in class order
+    for member in klass.members:
+        home = None
+        for i, block in enumerate(block_masks):
+            if not member.edge_mask & ~block:
+                home = i
+                break
+        if home is None:
+            raise RuntimeError("internal error: a class member spans multiple blocks")
+        by_block.setdefault(home, []).append(member)
+    dijoin: set = set()
+    family: list = []
+    for i in sorted(by_block):
+        sub = DibondClass._known(digraph, tuple(by_block[i]), klass.corner_closed)
+        pair = nested_optimal_pair(digraph, sub)
+        if pair is None:
+            return None
+        dijoin |= pair.dijoin
+        family.extend(pair.family)
+    merged = OptimalPair(dijoin=frozenset(dijoin), family=family, nested=True)
+    verify_optimal_pair(digraph, klass, merged)
+    return merged
 
 
 # ---------------------------------------------------------------------------

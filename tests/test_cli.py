@@ -211,8 +211,8 @@ def check_full_class_pair(digraph, report):
 
 
 class TestFullClassIsNotListed:
-    """solve and uncross run on the implicit full class: with the dibond
-    walk patched to raise, any listing of a class fails."""
+    """solve, uncross and blocks run on the implicit full class: with the
+    dibond walk patched to raise, any listing of a class fails."""
 
     @pytest.fixture(autouse=True)
     def no_walk(self, monkeypatch):
@@ -239,6 +239,16 @@ class TestFullClassIsNotListed:
         assert got["nested_after" if command == "uncross" else "verified"] == ["true"]
         assert "class_size" not in got
         assert check_full_class_pair(parse_digraph(text), report) == size
+
+    def test_blocks_solves_each_block_as_solve_does(self, tmp_path, capsys):
+        path = tmp_path / "probe120.txt"
+        path.write_text(serialize_digraph(random_dag(random.Random("probe:120:0"), 120, 120)), "utf-8")
+        sizes = []
+        for command in ("solve", "blocks"):
+            assert main([command, "--input", str(path)]) == EXIT_OK
+            out = capsys.readouterr().out.splitlines()
+            sizes.append([line for line in out if line.startswith("min_dijoin_size: ")])
+        assert len(sizes[0]) == 1 and sizes[1] == sizes[0]
 
     def test_cap_bounds_no_listing(self, tmp_path, capsys):
         path = tmp_path / "zigzag10.txt"

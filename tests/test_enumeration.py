@@ -274,14 +274,14 @@ class TestMaskBuiltMembers:
         walk_tables = enumeration._walk_tables
 
         def with_phantom_edge(digraph):
-            succ, pred, und, verts, tails, heads, completed = walk_tables(digraph)
+            succ, pred, verts, tails, heads, completed = walk_tables(digraph)
 
             def comp(v):
                 return next(i for i, m in enumerate(verts) if m >> digraph.vertex_bit[v] & 1)
 
             tails[comp("t")] |= 1 << digraph.m
             heads[comp("s")] |= 1 << digraph.m
-            return succ, pred, und, verts, tails, heads, completed
+            return succ, pred, verts, tails, heads, completed
 
         monkeypatch.setattr(enumeration, "_walk_tables", with_phantom_edge)
         for enumerate_cuts in (enumerate_dicuts, enumerate_dibonds):
@@ -456,8 +456,9 @@ class TestSetupAgreesWithTheEarlierOne:
                 continue
             walked += 1
             *tables, completed = got
-            assert tables == list(want)
-            succ, pred, und, verts, tails, heads = tables
+            succ, pred, und, verts, tails, heads = want
+            # und is the dibond walk's own OR of succ and pred.
+            assert tables == [succ, pred, verts, tails, heads]
             # completed lists the indices in the order the walk completed
             # them, which the earlier condensation kept as its dict order.
             members = condensation_by_dicts(d).component_members

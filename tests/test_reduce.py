@@ -17,6 +17,7 @@ from dicuts import (
     contract_to,
     enumerate_dibonds,
     enumerate_dicuts,
+    enumeration,
     equivalence_classes,
     is_weakly_connected,
     nested,
@@ -28,7 +29,7 @@ from dicuts import (
     verify_optimal_pair,
 )
 
-from .oracles import kosaraju_scc, random_weak_digraph
+from .oracles import kosaraju_scc, random_dag, random_weak_digraph, split_solve_merge_by_members
 
 
 def diamond():
@@ -279,6 +280,48 @@ class TestSplitSolveMerge:
             assert len(merged.family) == len(direct.family)
             assert merged.nested
             verify_optimal_pair(d, klass, merged)
+
+    def test_the_full_class_is_solved_per_block_without_listing(self, monkeypatch):
+        def walk(*args, **kwargs):
+            raise AssertionError("the dibond walk ran")
+
+        monkeypatch.setattr(enumeration, "_dibond_masks", walk)
+        digraphs = [random_dag(random.Random(f"probe:120:{s}"), 120, 120) for s in range(3)]
+        rng = random.Random(71)
+        while len(digraphs) < 43:
+            d = random_weak_digraph(rng)
+            if len(block_cut_tree(d).blocks) >= 2:
+                digraphs.append(d)
+        for d in digraphs:
+            pair = split_solve_merge(d, DibondClass.full(d))
+            assert pair is not None and pair.nested
+            verify_optimal_pair(d, None, pair)
+            assert len(pair.dijoin) == len(optimal_pair(d).dijoin)
+
+    def test_listed_classes_keep_the_answers_of_the_member_split(self):
+        # 800 classes: each draw's listed full class and three sub-families,
+        # two of which have no nested optimal pair.
+        rng = random.Random(75)
+        seen = gaps = 0
+        while seen < 200:
+            d = random_weak_digraph(rng)
+            if len(block_cut_tree(d).blocks) < 2:
+                continue
+            seen += 1
+            listed = DibondClass.full(d).members
+            klasses = [DibondClass._known(d, listed, True)]
+            for _ in range(3):
+                klasses.append(DibondClass(d, rng.sample(listed, rng.randint(0, len(listed)))))
+            for klass in klasses:
+                got = split_solve_merge(d, klass)
+                want = split_solve_merge_by_members(d, klass)
+                if want is None:
+                    gaps += 1
+                    assert got is None
+                else:
+                    assert got.dijoin == want.dijoin
+                    assert [m.shore_mask for m in got.family] == [m.shore_mask for m in want.family]
+        assert gaps > 0
 
 
 class TestQuotientLift:
