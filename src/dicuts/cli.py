@@ -11,9 +11,11 @@ Reports are deterministic `key: value` lines. Exit codes: 0 for success,
 2 when a family check refutes a registered claim, 1 for errors.
 
 `solve` and `uncross` without a class file run on DibondClass.full, the
-implicit full class: the solvers find its optimal pair by cutting planes
-and decide a dijoin by D/F strong connectivity, so they list no dibond,
-and `solve` prints class_size only for a class file. `blocks` hands the
+implicit full class: the solvers find its optimal pair as an optimum
+branching when the digraph has one source or one sink strong component,
+and by cutting planes otherwise, and decide a dijoin by D/F strong
+connectivity, so they list no dibond, and `solve` prints class_size
+only for a class file. `blocks` hands the
 full class to split_solve_merge, which solves each block's minor on the
 minor's implicit full class and verifies the merged pair by D/F, so it
 lists no dibond either. `--cap` bounds only a listing: `enumerate` and
@@ -575,15 +577,16 @@ def _cmd_selftest(args) -> RunReport:
     for _ in range(25):
         digraph = _random_digraph(rng)
         # The listed reference: solved by searching its members, not by
-        # cutting planes.
+        # the branching or cutting planes.
         klass = DibondClass._known(digraph, tuple(_sorted_dibonds(digraph, args.cap)), True)
         if len(klass) == 0:
             continue
         pair = nested_optimal_pair(digraph, klass)
         if pair is None:
             raise VerificationFailed("selftest: missing optimal pair")
-        # The full class solved by cutting planes must give a pair of the
-        # listed pair's size that is optimal for the listed class.
+        # The implicit full class, solved by the branching or by cutting
+        # planes, must give a pair of the listed pair's size that is
+        # optimal for the listed class.
         implicit = nested_optimal_pair(digraph)
         try:
             verify_optimal_pair(digraph, klass, implicit)

@@ -14,7 +14,8 @@ that edge, so a per-edge query walks only towards the dibonds it returns.
 
 One set-up pass serves both walks, and the solver's cutting-plane
 rounds too, which run it on D plus the reversed edges of a candidate
-dijoin. Tarjan's walk over vertex bits, on lists indexed by bit, finds
+dijoin, as do the rounds of the branching's dual ascent, on the
+reversed D plus its tight edges. Tarjan's walk over vertex bits, on lists indexed by bit, finds
 the strong components in one pass and completes them in reverse
 topological order, each after every component it reaches. The
 components are indexed by least vertex, ascending, and each gets the
@@ -186,7 +187,8 @@ def _walk_tables(digraph: Digraph, out: Optional[list] = None) -> Optional[tuple
     The components are those of `out`, successor bits as _successor_bits
     gives them, by default the digraph's own; tails and heads always
     come from the digraph's end masks. The cutting-plane rounds pass D
-    plus the reversed F (solver._missed_dibonds).
+    plus the reversed F (solver._missed_dibonds), and the ascent's rounds
+    the reversed D plus its tight edges (solver._rooted_optimum).
     """
     if out is None:
         out = _successor_bits(digraph)

@@ -14,8 +14,40 @@ they are first read. optimal_pair, nested_optimal_pair,
 verify_optimal_pair and uncross never list it, and is_dijoin lists it
 only to name the member that a failing set misses. F meets every dibond
 of a weakly connected D exactly when D/F is strongly connected
-(Schrijver, Combinatorial Optimization, ch. 55), so it is solved by
-cutting planes. Each round condenses D plus the reversed edges of F, and
+(Schrijver, Combinatorial Optimization, ch. 55).
+
+A rooted D, one with exactly one source strong component, is solved as
+an optimum branching (Edmonds, "Optimum branchings", 1967), whose dual
+is a packing of rooted cuts (Fulkerson, "Packing rooted directed cuts in
+a weighted directed graph", Math. Programming 1974; Schrijver chs. 52
+and 55). A vertex r of that component reaches every vertex of D, so F
+is a dijoin exactly when r reaches every vertex in the reversed D plus
+F. _rooted_optimum runs a dual ascent on Z, which holds the reversed
+edges of D and the tight edges of D, none at first. Each round takes
+the strong components of Z and raises every source component S but r's,
+making tight every edge of D that enters S; a round that raises nothing
+ends the ascent. Z only grows, so the raised sets are laminar. Nothing
+enters S in Z, so no edge of D leaves S: S is the in-shore of a dicut
+of D. A raise needs every edge entering S to be not yet tight, so the
+raised dicuts are pairwise edge-disjoint, and each tight edge enters
+exactly one raised set. Each raised dicut is a dibond: S is strongly
+connected in Z, and every vertex outside S reaches r in the reversed D
+by a path that never enters S, so both shores are connected. The
+expansion is Edmonds': a search from r in the final Z, with each
+largest raised set contracted and entered once, recursing into each set
+from the vertex it was entered at. An edge of Z entering a raised set
+is a tight edge of D that enters no raised set inside it, so F, the
+edges the search enters the raised sets by, meets each raised dicut
+exactly once, and |F| is their number. By weak duality both are
+optimal, and the family is nested by construction: nothing is listed
+and nothing is uncrossed. A D with more source components but exactly
+one sink component is solved on its reversal, whose dicuts are D's with
+the shores swapped. _rooting tells the cases apart from D's strong
+components, which the first round of the ascent, or of the cutting
+planes below, reuses, so the choice costs no extra pass.
+
+Every other D is solved by cutting planes. Each round condenses D plus
+the reversed edges of F, and
 each sink and each source component bounds a dicut that F misses; the
 first dibond of its decomposition joins the constraints, kept in class
 order. The round reads each dicut's edges off the component tables of
@@ -116,6 +148,7 @@ from .core import (
     Dicut,
     _cut_masks,
     _edge_mask,
+    _neighbours,
     _reach_within,
     _require_edge_ids,
     _select,
@@ -630,10 +663,10 @@ def max_disjoint_dicuts(digraph: Digraph, klass: DibondClass) -> list:
     return _disjoint_members(klass, len(min_dijoin(digraph, klass)))
 
 
-def _missed_dibonds(digraph: Digraph, out: list, closures: bool = False) -> list:
+def _missed_dibonds(digraph: Digraph, tables: Optional[tuple], closures: bool = False) -> list:
     """The first dibond of each dicut of D that F misses and this round
-    separates, given the successor bits `out` of D plus the reversed F;
-    none when that is strongly connected.
+    separates, given the enumeration._walk_tables of D plus the reversed
+    F; none when that is strongly connected (the tables are None).
 
     A vertex set other than the empty set and V that no edge of D plus
     the reversed F leaves is the in-shore of a dicut of D that F misses:
@@ -647,8 +680,7 @@ def _missed_dibonds(digraph: Digraph, out: list, closures: bool = False) -> list
     components they separate at once the dicuts that sink and source
     rounds reach one link at a time.
 
-    The components and their masks come from enumeration._walk_tables,
-    run on `out`, and the closures from enumeration._closures in its
+    The closures come from enumeration._closures in the tables'
     completion order. A shore with tail mask T and head mask H is entered
     by the edges H & ~T, so the complement of a set with masks T and H is
     entered by T & ~H, and no shore's edges are read off its vertices.
@@ -662,7 +694,6 @@ def _missed_dibonds(digraph: Digraph, out: list, closures: bool = False) -> list
     component of S touches K in the weakly connected D. Its edges are
     read off again only when S - C is not empty.
     """
-    tables = _walk_tables(digraph, out)
     if tables is None:
         return []
     succ, pred, verts, tails, heads, completed = tables
@@ -691,10 +722,13 @@ def _missed_dibonds(digraph: Digraph, out: list, closures: bool = False) -> list
     return [Dicut._known(digraph, y, entering) for y, entering in parts.items()]
 
 
-def _cutting_planes(digraph: Digraph) -> tuple:
+def _cutting_planes(digraph: Digraph, base: list, tables: Optional[tuple]) -> tuple:
     """The edge mask of a minimum dijoin F of the full class, and the
     dibonds found on the way to it, its constraints, in class order: the
-    loop and the warm start of the module docstring.
+    loop and the warm start of the module docstring. `base` is D's
+    _successor_bits and `tables` its enumeration._walk_tables, which
+    serve the first round, with F empty; each later round builds those
+    of D plus the reversed F from a copy of `base`.
 
     `stalled` records whether the last re-solve returned the previous
     optimum size. Only the round after such a re-solve separates with
@@ -707,16 +741,11 @@ def _cutting_planes(digraph: Digraph) -> tuple:
     """
     bit = digraph.vertex_bit
     ends = [(bit[t], bit[h]) for t, h in digraph.edges]
-    base = _successor_bits(digraph)
     pool: list = []  # (_member_key(constraint), constraint)
     f = 0
     stalled = False
     while True:
-        out = [list(nexts) for nexts in base]
-        for e in bit_positions(f):
-            t, h = ends[e]
-            out[h].append(t)
-        missed = _missed_dibonds(digraph, out, stalled)
+        missed = _missed_dibonds(digraph, tables, stalled)
         if not missed:
             return f, [c for _, c in pool]
         pool += [(_member_key(part), part) for part in missed]
@@ -724,6 +753,11 @@ def _cutting_planes(digraph: Digraph) -> tuple:
         size = f.bit_count()
         f = _min_hitting_mask([c.edge_mask for _, c in pool], size, f)
         stalled = f.bit_count() == size
+        out = [list(nexts) for nexts in base]
+        for e in bit_positions(f):
+            t, h = ends[e]
+            out[h].append(t)
+        tables = _walk_tables(digraph, out)
 
 
 def _tight_picks(candidates: list, f: int, also=None) -> Optional[dict]:
@@ -746,10 +780,133 @@ def _tight_picks(candidates: list, f: int, also=None) -> Optional[dict]:
     return None if pick is None else {bit.bit_length() - 1: c for bit, c in zip(order, pick)}
 
 
+def _rooting(tables: Optional[tuple]) -> Optional[tuple]:
+    """(root, flip) when D, whose enumeration._walk_tables these are, is
+    rooted, else None: the vertex bit of one vertex of D's only source
+    component, and flip False; or, when D has more sources but only one
+    sink component, a vertex bit of that, and flip True. A D with at most
+    one strong component (no tables) is rooted anywhere."""
+    if tables is None:
+        return 0, False
+    succ, pred, verts = tables[:3]
+    for flip, links in ((False, pred), (True, succ)):
+        if links.count(0) == 1:
+            root = verts[links.index(0)]
+            return root & -root, flip
+    return None
+
+
+def _rooted_optimum(digraph: Digraph, tables: Optional[tuple], root: int, flip: bool) -> tuple:
+    """(dijoin, family) of the full class of a rooted D, given its
+    enumeration._walk_tables and _rooting's answer: the ascent and the
+    expansion of the module docstring.
+
+    With flip, the ascent runs on the reversed D, whose dicuts are D's
+    with their shores swapped, so each raised shore is complemented.
+    `ends` holds each edge as (a, b) in the orientation the ascent runs
+    on; Z's successor lists start with each b -> a and gain a -> b once
+    the edge is tight. The first round reads D's own tables: Z before
+    any edge is tight is the reversal of that orientation, with D's
+    components, and a component's predecessors in Z are its successors
+    in D, or with flip its predecessors.
+    """
+    if tables is None:
+        return frozenset(), []
+    bit = digraph.vertex_bit
+    ends = [(bit[h], bit[t]) if flip else (bit[t], bit[h]) for t, h in digraph.edges]
+    out: list = [[] for _ in range(digraph.n)]
+    for a, b in ends:
+        out[b].append(a)
+    succ, pred, verts, tails, heads, _ = tables
+    above = pred if flip else succ  # per component, its predecessors in Z
+    shores: list = []
+    entering: list = []
+    while True:
+        if flip:
+            tails, heads = heads, tails
+        raised = [
+            (v, h & ~t) for v, p, t, h in zip(verts, above, tails, heads) if not p and not v & root
+        ]
+        if not raised:
+            break
+        for shore, edges in raised:
+            shores.append(shore)
+            entering.append(edges)
+            for e in bit_positions(edges):
+                a, b = ends[e]
+                out[a].append(b)
+        tables = _walk_tables(digraph, out)
+        if tables is None:
+            break
+        _, above, verts, tails, heads, _ = tables
+
+    # The laminar tree, in raise order, which puts every set after the
+    # sets inside it: `inner` is the union of a set's children, the
+    # largest earlier sets inside it, and `reach` the Z successors of all
+    # its vertices; `owner` gives each vertex the least set holding it.
+    # The sets that are largest so far are kept by their lowest vertex.
+    step_of = [reduce(or_, [1 << w for w in nexts], 0) for nexts in out]
+    owner = [-1] * digraph.n
+    inner: list = []
+    reach: list = []
+    tops: dict = {}
+    lows = 0
+    for i, shore in enumerate(shores):
+        kids = [tops.pop(p) for p in bit_positions(shore & lows)]
+        lows &= ~shore
+        inner.append(reduce(or_, [shores[j] for j in kids], 0))
+        own = shore ^ inner[i]
+        for p in bit_positions(own):
+            owner[p] = i
+        reach.append(reduce(or_, [reach[j] for j in kids], _neighbours(step_of, own)))
+        low = shore & -shore
+        tops[low.bit_length() - 1] = i
+        lows |= low
+    # A frame is a raised set, or V, with the vertex bit it is entered at
+    # and the union of its children: its search steps from each vertex
+    # reached, and takes each child whole, by one edge, the first time
+    # the child is reached.
+    full = (1 << digraph.n) - 1
+    f = 0
+    frames = [(full, root, reduce(or_, [shores[j] for j in tops.values()], 0))]
+    while frames:
+        region, seen, inside = frames.pop()
+        front, fresh = seen, []
+        while front or fresh:
+            step = reduce(or_, [reach[j] for j in fresh], _neighbours(step_of, front))
+            step &= region & ~seen
+            fresh = []
+            # Every Z arc into a raised set ends at a vertex of no set
+            # inside it, so each vertex reached in a child names the child.
+            hit = step & inside
+            while hit:
+                j = owner[(hit & -hit).bit_length() - 1]
+                hit &= ~shores[j]
+                fresh.append(j)
+                # The lowest edge entering the set from a vertex already reached.
+                e = next(e for e in bit_positions(entering[j]) if seen >> ends[e][0] & 1)
+                f |= 1 << e
+                frames.append((shores[j], 1 << ends[e][1], inner[j]))
+            front = step & ~inside
+            seen |= step | reduce(or_, [shores[j] for j in fresh], 0)
+    family = [
+        Dicut._known(digraph, full ^ shore if flip else shore, edges, True)
+        for shore, edges in zip(shores, entering)
+    ]
+    return frozenset(bit_positions(f)), family
+
+
 def _implicit_optimum(klass: DibondClass) -> tuple:
-    """(dijoin, family) of the implicit full class: the loop, the
-    certificate and the fallback of the module docstring."""
-    f, constraints = _cutting_planes(klass.digraph)
+    """(dijoin, family) of the implicit full class: the branching when D
+    is rooted, else the loop, the certificate and the fallback of the
+    module docstring. D's strong components decide which, and serve the
+    first round of either."""
+    base = _successor_bits(klass.digraph)
+    tables = _walk_tables(klass.digraph, base)
+    rooting = _rooting(tables)
+    if rooting is not None:
+        return _rooted_optimum(klass.digraph, tables, *rooting)
+    f, constraints = _cutting_planes(klass.digraph, base, tables)
     picks = _tight_picks(constraints, f)
     if picks is None:
         picks = _tight_picks(klass.members, f)
@@ -861,7 +1018,10 @@ def optimal_pair(
 
     No class means DibondClass.full(digraph), which is solved without
     listing it, so its dijoin may differ from min_dijoin's on the listed
-    class; both are minimum.
+    class; both are minimum. On a digraph with one source or one sink
+    strong component the full class is solved as an optimum branching,
+    whose family is a nested family of dibonds by construction; on any
+    other, by cutting planes (see the module docstring).
     """
     klass = _class_for(digraph, klass)
     if klass.implicit:

@@ -40,6 +40,9 @@ earlier set versions of weak connectivity, dibonds, dicut
 reconstruction and the split of a dicut; `meets_every_dibond_by_contraction`
 is the earlier D/F test, which contracts F into a new digraph and
 counts its strong components with the package's condensation.
+`end_component_counts` counts source and sink strong components on
+`kosaraju_scc`, which tells the rooted digraphs, solved by the
+branching, from the others.
 """
 
 from __future__ import annotations
@@ -255,6 +258,24 @@ def kosaraju_scc(digraph):
                     queue.append(w)
         comps.append(frozenset(comp))
     return frozenset(comps)
+
+
+def end_component_counts(digraph):
+    """(source, sink) strong component counts: the components with no
+    entering edge, and those with no leaving edge, by kosaraju_scc."""
+    cuts = [entering_and_leaving(digraph, comp) for comp in kosaraju_scc(digraph)]
+    return sum(not entering for entering, _ in cuts), sum(not leaving for _, leaving in cuts)
+
+
+def unrooted_weak_digraphs(rng, count, **kwargs):
+    """`count` random_weak_digraph draws, with the given keywords, that
+    have at least two source and two sink strong components."""
+    found = []
+    while len(found) < count:
+        d = random_weak_digraph(rng, **kwargs)
+        if min(end_component_counts(d)) >= 2:
+            found.append(d)
+    return found
 
 
 def meets_every_dicut(digraph, edge_ids):

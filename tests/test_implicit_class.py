@@ -1,5 +1,6 @@
-"""The implicit full class: cutting planes, the warm-started master and the
-tight packing, checked against the listed class."""
+"""The implicit full class: the branching on rooted digraphs, cutting
+planes, the warm-started master and the tight packing, checked against
+the listed class and brute force."""
 
 from __future__ import annotations
 
@@ -31,18 +32,24 @@ from dicuts import (
 )
 from dicuts import enumeration, solver
 from dicuts.core import bit_positions
-from dicuts.enumeration import _successor_bits
+from dicuts.enumeration import _successor_bits, _walk_tables
 from dicuts.solver import _min_hitting_mask
 
 from .oracles import (
+    brute_dicuts,
+    brute_max_packing,
+    brute_min_dijoin,
     dibond_by_labels,
     disconnected_digraphs,
+    end_component_counts,
     entering_and_leaving,
     kosaraju_scc,
     meets_every_dicut,
     min_hitting_mask_by_rows,
     random_dag,
+    random_multigraph_edges,
     random_weak_digraph,
+    unrooted_weak_digraphs,
 )
 
 DIAMOND = [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")]
@@ -96,16 +103,26 @@ def check_pair(d, pair):
 
 class TestAgainstTheListedClass:
     def test_same_size_and_both_classes_verify(self, monkeypatch):
+        self.check_against_the_listed_class(monkeypatch)
+
+    def test_cutting_planes_agree_on_rooted_inputs_too(self, monkeypatch):
+        # Most inputs above are rooted and take the branching; here every
+        # input takes the cutting-plane loop.
+        monkeypatch.setattr(solver, "_rooting", lambda tables: None)
+        self.check_against_the_listed_class(monkeypatch)
+
+    def check_against_the_listed_class(self, monkeypatch):
         inputs = list(differential_inputs())
         listed = [listed_full(d) for _name, d in inputs]
         taus = [len(min_dijoin(d, klass)) for (_name, d), klass in zip(inputs, listed)]
+        dibond_masks = enumeration._dibond_masks
 
         def walk(*args, **kwargs):
             raise AssertionError("the dibond walk ran")
 
         monkeypatch.setattr(enumeration, "_dibond_masks", walk)
         pairs = [nested_optimal_pair(d, DibondClass.full(d)) for _name, d in inputs]
-        monkeypatch.undo()
+        monkeypatch.setattr(enumeration, "_dibond_masks", dibond_masks)
         for (name, d), klass, tau, pair in zip(inputs, listed, taus, pairs):
             assert len(pair.dijoin) == len(pair.family) == tau, name
             check_pair(d, pair)
@@ -195,9 +212,10 @@ class TestFailedDijoinIsNotListed:
 
 
 class TestVerifiedOnce:
-    # A digraph whose tight packing from the constraints crosses.
-    CROSSING = [("v1", "v0"), ("v2", "v1"), ("v0", "v3"), ("v4", "v3"),
-                ("v3", "v5"), ("v6", "v4"), ("v2", "v6")]
+    # A digraph with two source and two sink components, so solved by
+    # cutting planes, whose tight packing from the constraints crosses.
+    CROSSING = [("v1", "v0"), ("v1", "v2"), ("v2", "v3"), ("v3", "v4"),
+                ("v5", "v3"), ("v3", "v6"), ("v0", "v7"), ("v7", "v4")]
 
     def test_each_pair_is_verified_once_per_solve(self, monkeypatch):
         calls = []
@@ -233,8 +251,8 @@ class TestCertificate:
             return None
 
         monkeypatch.setattr(solver, "_tight_picks", members_only)
-        for _ in range(40):
-            d = random_weak_digraph(rng)
+        # Rooted draws would be solved by the branching, with no fallback.
+        for d in unrooted_weak_digraphs(rng, 40):
             klass = DibondClass.full(d)
             pair = nested_optimal_pair(d, klass)
             assert len(pair.dijoin) == len(min_dijoin(d, listed_full(d)))
@@ -242,7 +260,8 @@ class TestCertificate:
             assert "members" in vars(klass)
 
     def test_a_short_fallback_packing_is_a_duality_gap(self, monkeypatch):
-        d = Digraph.from_edges([("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")])
+        # Two sources and two sinks, so solved by cutting planes; tau = 2.
+        d = Digraph.from_edges([("s", "t"), ("s", "u"), ("r", "t"), ("r", "u")])
         monkeypatch.setattr(solver, "_tight_picks", lambda candidates, f, also=None: None)
         monkeypatch.setattr(solver, "_largest_disjoint", lambda masks, stop=None, also=None: [0])
         with pytest.raises(DualityGapDetected) as info:
@@ -284,6 +303,69 @@ class TestScale:
 
 
 
+def reversed_digraph(d):
+    """D with every edge turned round, edge ids kept."""
+    return Digraph(d.vertices, [(h, t) for t, h in d.edges])
+
+
+class TestRootedBranching:
+    """A digraph with one source or one sink strong component is solved by
+    the branching's ascent and expansion, every other by cutting planes."""
+
+    def small_inputs(self):
+        rng = random.Random("implicit:rooted")
+        for _ in range(150):
+            yield random_weak_digraph(rng, max_n=6, max_extra=6)
+            vertices, edges = random_multigraph_edges(rng, max_n=6, max_m=9)
+            # Random orientations give parallel and antiparallel edges.
+            yield Digraph(vertices, [e if rng.random() < 0.5 else e[::-1] for e in edges])
+        yield Digraph.from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")])
+        yield Digraph.from_edges([("a", "b")])
+        yield Digraph.from_edges([("a", "b"), ("b", "a"), ("a", "b")])
+
+    def test_agrees_with_brute_force_in_both_orientations(self, monkeypatch):
+        calls = []
+        rooted_optimum = solver._rooted_optimum
+
+        def counted(*args):
+            calls.append(args)
+            return rooted_optimum(*args)
+
+        monkeypatch.setattr(solver, "_rooted_optimum", counted)
+        rooted = unrooted = 0
+        for d in self.small_inputs():
+            for dd in (d, reversed_digraph(d)):
+                calls.clear()
+                pair = nested_optimal_pair(dd)
+                # Exactly the rooted inputs take the branching.
+                assert bool(calls) == (1 in end_component_counts(dd)), dd.edges
+                cuts = [c for c in brute_dicuts(dd) if c.edge_set]
+                tau = len(brute_min_dijoin(dd, cuts))
+                assert len(pair.dijoin) == len(pair.family) == tau == len(brute_max_packing(cuts))
+                check_pair(dd, pair)
+                if not calls:
+                    unrooted += 1
+                    continue
+                rooted += 1
+                assert all(dibond_by_labels(m) for m in pair.family)
+                assert solver._pairwise_nested(list(pair.family))
+        assert rooted > 400 and unrooted > 50
+
+    def test_probe_dags_that_stall_the_cutting_planes(self, no_walk, monkeypatch):
+        # Cutting planes gave no answer in 15 s on each of these.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rooted digraph reached the loop or uncross")
+
+        monkeypatch.setattr(solver, "_cutting_planes", refuse)
+        monkeypatch.setattr(solver, "uncross", refuse)
+        taus = {(300, 1): 84, (300, 2): 97, (400, 0): 116, (400, 1): 114, (600, 0): 184}
+        for (n, s), tau in taus.items():
+            d = random_dag(random.Random(f"probe:{n}:{s}"), n, n)
+            pair = nested_optimal_pair(d)
+            assert len(pair.dijoin) == len(pair.family) == tau, (n, s)
+            check_pair(d, pair)
+
+
 def plus_reversed(d, f):
     """D plus the reverse of each edge of F, on D's vertices."""
     return Digraph(d.vertices, d.edges + tuple((d.head(e), d.tail(e)) for e in sorted(f)))
@@ -306,6 +388,8 @@ class TestStallRule:
     def test_zigzag_windows_take_at_most_three_master_calls(self, no_walk, monkeypatch):
         # Each sink-and-source round adds two constraints while |F| = n
         # stays put, so the parent loop called the master n/2 + 1 times.
+        # Zigzag windows are rooted, so the branching is turned off here.
+        monkeypatch.setattr(solver, "_rooting", lambda tables: None)
         calls = []
 
         def counted(*args):
@@ -349,7 +433,7 @@ class TestStallRule:
                 for shore in shores:
                     assert not entering_and_leaving(plus, shore)[1]
                 searches.clear()
-                missed = solver._missed_dibonds(d, _successor_bits(plus), on)
+                missed = solver._missed_dibonds(d, _walk_tables(d, _successor_bits(plus)), on)
                 # One search per separated shore, on the side not known
                 # to be connected.
                 assert len(searches) == len(shores)
@@ -379,7 +463,7 @@ class TestFirstDibond:
             (False, [{"t"}, {"a", "b", "t"}]),
             (True, [{"t"}, {"a", "t"}, {"b", "t"}, {"a", "b", "t"}]),
         ):
-            missed = solver._missed_dibonds(d, _successor_bits(d), on)
+            missed = solver._missed_dibonds(d, _walk_tables(d), on)
             assert sorted((m.shore_mask, m.edge_mask) for m in missed) == sorted(
                 (bonds[s].shore_mask, bonds[s].edge_mask) for s in map(frozenset, shores)
             )
