@@ -421,13 +421,11 @@ def nested_extension_search(
     Combinatorial Optimization, ch. 55): the selection is |F| disjoint
     dicuts, at most τ of them by the min-max, and F is a dijoin, so
     τ <= |F|. solver._dijoin_selection decides that without listing a
-    dibond. It returns None when some F - e is still a dijoin, so that
-    |F| > τ. It returns the least, or else the greatest, dibonds through
-    each edge that meet F there only, when those are pairwise disjoint
-    and nested: they are |F| disjoint dicuts, so |F| = τ. Otherwise
-    optimal_pair's τ decides, and its family, met once per member by F
-    when |F| = τ, uncrosses into the selection. The selection it returns
-    is a valid one, not necessarily the one the search below would pick.
+    dibond: it returns None when |F| differs from the dijoin size of
+    nested_optimal_pair, and otherwise that pair's nested family, whose
+    members F meets once each, keyed by the edge of F each holds. The
+    selection it returns is a valid one, not necessarily the one the
+    search below would pick.
 
     Any other set gets solver._tight_picks over the window dibonds, with
     nested as the pair test: the one search for one dibond per edge of F

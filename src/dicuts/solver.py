@@ -83,11 +83,11 @@ cross-free exactly when it is laminar.
 
 A dijoin F has a nested selection, one dibond through each of its edges
 meeting F only there, all disjoint and nested, exactly when |F| is the
-minimum dijoin size. _dijoin_selection decides that for the window
-checks with two searches per edge of F, on the tables of D plus the
-reversed F that the D/F test builds (_arc_masks), and calls
-optimal_pair only when neither the least nor the greatest shores those
-searches find give a selection.
+minimum dijoin size τ (Lucchesi and Younger 1978). _dijoin_selection
+decides that for the window checks by τ alone: it compares |F| with
+nested_optimal_pair's dijoin and, when they agree, keys that pair's
+members by the edge of F each holds. Each member is then met exactly
+once by the dijoin F, so it is a dibond.
 
 Both searches work on int masks, and every tie-break and branch order is
 that of the lowest bit position. On the class path the masks are the
@@ -151,7 +151,6 @@ from .core import (
     _neighbours,
     _reach_within,
     _require_edge_ids,
-    _select,
     bit_positions,
     decompose_dicut,
     is_weakly_connected,
@@ -1043,7 +1042,6 @@ def uncross(
     dijoin: Iterable[int],
     family: Iterable[Dicut],
     klass: Optional[DibondClass] = None,
-    refine_to_dibonds: bool = False,
 ) -> list:
     """Repeatedly replace the first crossing pair by its meet and join until nested.
 
@@ -1056,9 +1054,7 @@ def uncross(
 
     Each replacement preserves pairwise disjointness and the exactly-once
     counts, and strictly increases the sum of squared in-shore sizes, so
-    the loop terminates. With refine_to_dibonds, each resulting dicut is
-    replaced by the dibond of its decomposition carrying its dijoin edge,
-    and the refined family is re-checked for nestedness.
+    the loop terminates.
     """
     f = frozenset(dijoin)
     fam = list(family)
@@ -1085,15 +1081,6 @@ def uncross(
         if (f_mask & lo.edge_mask).bit_count() != 1 or (f_mask & hi.edge_mask).bit_count() != 1:
             raise PreconditionViolated("dijoin does not meet a corner dicut exactly once")
         fam[i], fam[j] = lo, hi
-
-    if refine_to_dibonds:
-        refined = []
-        for member in fam:
-            edge = f_mask & member.edge_mask
-            refined.append(next(p for p in decompose_dicut(member) if p.edge_mask & edge))
-        if not _pairwise_nested(refined):
-            raise VerificationFailed("refined dibonds are not pairwise nested")
-        fam = refined
     return fam
 
 
@@ -1134,65 +1121,19 @@ def _dijoin_selection(digraph: Digraph, f: frozenset) -> Optional[dict]:
     """A nested selection for a dijoin F of the weakly connected digraph,
     {edge id: dibond}, or None when there is none; no dibond is listed.
 
-    A selection is |F| disjoint dibonds, so it exists only when |F| is
-    the minimum dijoin size τ. For each edge e = (t, h) of F, an in-shore
-    whose dicut F meets only in e is a set that holds h but not t, and
-    that no arc of D plus the reversed F - e leaves. The least such set
-    L_e is what h reaches there; if that is all of V, t included, then
-    F - e is a dijoin, |F| > τ, and there is no selection. Otherwise
-    L_e, and G_e, the complement of what reaches t, are the least and
-    greatest such shores. Their dicuts meet F only in e, and since F
-    meets every dicut, each is a dibond. When the least shores' dibonds,
-    or else the greatest shores', are pairwise disjoint and nested, they
-    are the selection, and their |F| disjoint dicuts prove |F| = τ.
-    Otherwise optimal_pair gives τ: when |F| = τ, each of its τ disjoint
-    dibonds meets F exactly once (complementary slackness), and uncross
-    with refine_to_dibonds makes a crossing family nested.
-
-    h's successor and t's predecessor masks are rebuilt from D's edges
-    and the reversed arcs of F - e, so a parallel or antiparallel twin of
-    e keeps its arcs.
+    A selection is |F| disjoint dicuts, so it exists only when |F| is the
+    minimum dijoin size τ, and nested_optimal_pair gives τ. When |F| = τ,
+    F meets each of the pair's τ disjoint nested members, hence each
+    exactly once, and a dicut that a dijoin meets exactly once is a
+    dibond: were it a union of several, F would meet each of them. So
+    the family, keyed by the edge of F each member holds, is the
+    selection.
     """
-    bit = digraph.vertex_bit
-    tail_bits = [1 << bit[t] for t, _ in digraph.edges]
-    head_bits = [1 << bit[h] for _, h in digraph.edges]
-    ends = digraph.end_masks
-    full = (1 << digraph.n) - 1
-    f_mask = _edge_mask(digraph, f)
-    edges = bit_positions(f_mask)
-    own_succ, own_pred = _arc_masks(digraph, ())
-    succ, pred = _arc_masks(digraph, f)
-
-    def reach_without(e: int, forward: bool) -> int:
-        """What h reaches (forward, stopping once it meets t) or what
-        reaches t, in D plus the reversed F - e."""
-        keep = f_mask ^ (1 << e)
-        if forward:
-            table, j, start, stop = succ, head_bits[e].bit_length() - 1, head_bits[e], tail_bits[e]
-            entry = own_succ[j] | reduce(or_, _select(tail_bits, ends[j][1] & keep), 0)
-        else:
-            table, j, start, stop = pred, tail_bits[e].bit_length() - 1, tail_bits[e], full
-            entry = own_pred[j] | reduce(or_, _select(head_bits, ends[j][0] & keep), 0)
-        saved, table[j] = table[j], entry
-        reach = _reach_within(table, full, start, stop)
-        table[j] = saved
-        return reach
-
-    least = []
-    for e in edges:
-        shore = reach_without(e, True)
-        if shore & tail_bits[e]:
-            return None
-        least.append(shore)
-    for shores in (least, (full ^ reach_without(e, False) for e in edges)):
-        cuts = [Dicut._known(digraph, y, _cut_masks(digraph, y)[0], True) for y in shores]
-        if _pairwise_disjoint(cuts) and _pairwise_nested(cuts):
-            return dict(zip(edges, cuts))
-    pair = optimal_pair(digraph)
-    if len(pair.dijoin) != len(edges):
+    pair = nested_optimal_pair(digraph)
+    if len(pair.dijoin) != len(f):
         return None
-    family = pair.family if pair.nested else uncross(digraph, f, pair.family, refine_to_dibonds=True)
-    return {(m.edge_mask & f_mask).bit_length() - 1: m for m in family}
+    f_mask = _edge_mask(digraph, f)
+    return {(m.edge_mask & f_mask).bit_length() - 1: m for m in pair.family}
 
 
 def corner_closure(

@@ -10,9 +10,7 @@ helper.  The exceptions are `finitary_by_scan`,
 read the package's own window dibonds (checked against `brute_dibonds` in
 the enumeration tests) because brute force cannot reach family windows;
 the last also takes the package's nested family. `selection_fault`
-checks a nested selection from its in-shores alone, and `tight_shores`
-finds the least and greatest shores of a dijoin's tight dicuts by plain
-search.
+checks a nested selection from its in-shores alone.
 The set-solver references below are the package's earlier frozenset
 kernels, kept so that the mask kernels can be required to return the
 same answers, tie-breaks included; `min_hitting_mask_by_rows` keeps the
@@ -361,30 +359,6 @@ def selection_fault(digraph, f, selection):
         if not (y1 <= y2 or y2 <= y1 or not y1 & y2 or len(y1 | y2) == digraph.n):
             return "two members cross"
     return None
-
-
-def tight_shores(digraph, f, e):
-    """The least and the greatest in-shore of a dicut that the dijoin f
-    meets only in e = (t, h): what h reaches, and the complement of what
-    reaches t, along the edges of D and the reversed edges of f other
-    than e, by plain search."""
-    arcs = list(digraph.edges) + [(h, t) for x, (t, h) in enumerate(digraph.edges) if x in f and x != e]
-
-    def reach(v, step):
-        seen, stack = {v}, [v]
-        while stack:
-            u = stack.pop()
-            for a, b in arcs:
-                w = step(a, b, u)
-                if w is not None and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(seen)
-
-    t, h = digraph.edges[e]
-    least = reach(h, lambda a, b, u: b if a == u else None)
-    greatest = digraph.vertices - reach(t, lambda a, b, u: a if b == u else None)
-    return least, greatest
 
 
 def dijoin_choices_by_product(w, klass):

@@ -764,9 +764,6 @@ class TestBadEdgeIds:
             ),
             "uncross": lambda: uncross(d, f, crossing_family),
             "uncross with a class": lambda: uncross(d, f, crossing_family, klass=klass),
-            "uncross to dibonds": lambda: uncross(
-                d, f, crossing_family, klass=klass, refine_to_dibonds=True
-            ),
         }
 
     @pytest.mark.parametrize("bad, error, message", BAD_EDGE_IDS)
@@ -851,26 +848,6 @@ class TestUncross:
         d = Digraph.from_edges([("a", "b"), ("c", "d")])
         with pytest.raises(PreconditionViolated, match="weakly connected"):
             uncross(d, {0, 1}, [])
-
-    def test_refinement_to_dibonds(self):
-        d = Digraph.from_edges(
-            [
-                ("s", "m"),
-                ("s", "n"),
-                ("m", "a"),
-                ("m", "b"),
-                ("n", "a"),
-                ("n", "b"),
-            ]
-        )
-        b1, b2 = Dicut(d, {"m", "a", "b"}), Dicut(d, {"n", "a", "b"})
-        klass = DibondClass.from_members(d, [b1, b2])
-        result = uncross(d, {0, 2}, [b1, b2], klass=klass, refine_to_dibonds=True)
-        assert {m.edge_set for m in result} == {
-            frozenset({2, 4}),
-            frozenset({0, 1}),
-        }
-        assert all(m.is_dibond for m in result)
 
 
 class TestCornerClosure:
