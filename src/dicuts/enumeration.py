@@ -187,7 +187,7 @@ def _walk_tables(digraph: Digraph, out: Optional[list] = None) -> Optional[tuple
     The components are those of `out`, successor bits as _successor_bits
     gives them, by default the digraph's own; tails and heads always
     come from the digraph's end masks. The cutting-plane rounds pass D
-    plus the reversed F (solver._missed_dibonds), and the ascent's rounds
+    plus the reversed F (solver._missed_dicuts), and the ascent's rounds
     the reversed D plus its tight edges (solver._rooted_optimum).
     """
     if out is None:

@@ -46,26 +46,22 @@ the shores swapped. _rooting tells the cases apart from D's strong
 components, which the first round of the ascent, or of the cutting
 planes below, reuses, so the choice costs no extra pass.
 
-Every other D is solved by cutting planes. Each round condenses D plus
-the reversed edges of F, and
-each sink and each source component bounds a dicut that F misses; the
-first dibond of its decomposition joins the constraints, kept in class
-order. The round reads each dicut's edges off the component tables of
-the dibond walks (enumeration._walk_tables) and finds that first dibond
-by one search, on the side of the dicut not known to be connected
-(_missed_dibonds), so no dicut is decomposed whole. The hitting set
-search re-solves the constraints, warm started: they only grow, so it
-stops once it reaches the last optimum size, and its first incumbent is
-the last F plus a greedy cover of the new constraints. The loop ends
-when D/F is strongly connected; every optimum was a lower bound, so
-that F is a minimum dijoin.
+Every other D is solved by plain cutting planes (Kelley's loop). Each
+round condenses D plus the reversed edges of F, and each sink and each
+source component bounds a dicut that F misses. That dicut joins the
+constraints whole, kept in class order, with its edges read off the
+component tables of the dibond walks (enumeration._walk_tables,
+_missed_dicuts). The hitting set search then re-solves the constraints
+cold. Every constraint is a dicut, so every optimum is a lower bound;
+the loop ends when D/F is strongly connected, and that F is a minimum
+dijoin.
 
 A re-solve that returns the last optimum size has stalled: the lower
 bound did not rise. The round after a stall separates with every strong
 component instead. No edge of D plus the reversed F leaves a
 component's descendant closure or enters its ancestor closure, so F
 misses the dicut of the first and of the complement of the second
-(_missed_dibonds). On a zigzag window, sink and source rounds add two
+(_missed_dicuts). On a zigzag window, sink and source rounds add two
 constraints each while |F| = n stays put, so they alone would take
 n/2 + 1 master calls; the stall rule takes 3. Closures in every round
 would add many constraints at once, and that stalls the branch and bound
@@ -75,11 +71,14 @@ The certificate is |F| disjoint dicuts each met once by F. By
 complementary slackness such a family has, for each edge e of F, a
 member meeting F only in e, so _tight_picks fills one slot per edge of
 F with the constraints that meet F only there, or else with the listed
-class's members; if both fail, DualityGapDetected is raised. A crossing
-family is uncrossed with the D/F test as its dijoin check. Whether a
-family is cross-free is one near-linear test (_pairwise_nested): with
-every shore that holds a fixed vertex complemented, the family is
-cross-free exactly when it is laminar.
+class's members; if both fail, DualityGapDetected is raised. A
+constraint met once by F is a dibond: a dicut is a disjoint union of
+dibonds, and F meets each of them. So the family holds dibonds although
+the loop separates whole dicuts. A crossing family is uncrossed with
+the D/F test as its dijoin check. Whether a family is cross-free is one
+near-linear test (_pairwise_nested): with every shore that holds a
+fixed vertex complemented, the family is cross-free exactly when it is
+laminar.
 
 A dijoin F has a nested selection, one dibond through each of its edges
 meeting F only there, all disjoint and nested, exactly when |F| is the
@@ -446,7 +445,7 @@ def _greedy_cover(cols: list, live: int) -> int:
     return cover
 
 
-def _min_hitting_mask(masks: list, lower: int = 0, start: int = 0) -> int:
+def _min_hitting_mask(masks: list) -> int:
     """A least mask meeting every given mask, by exact branch and bound.
 
     The masks must be distinct and in canonical set order. A class's member
@@ -459,29 +458,20 @@ def _min_hitting_mask(masks: list, lower: int = 0, start: int = 0) -> int:
     mask, lowest first. The lower bound is a greedy disjoint sub-packing
     of the unhit masks: each pick, the lowest live mask, clears its
     conflict row, the OR of its columns, cached on first use. The first
-    incumbent is `start`, a mask of positions of the masks, extended by a
-    greedy cover of the masks it misses. The search stops once an
-    incumbent has `lower` positions, a lower bound the caller knows: the
-    search only ever replaces its incumbent by a smaller one, so that
-    incumbent is what it would return.
+    incumbent is a greedy cover of the masks.
     """
     if not all(masks):
         raise ValueError("cannot hit an empty set")
     cols = _columns(masks)
     conflicts = [0] * len(masks)
     everything = (1 << len(masks)) - 1
-    hit = reduce(or_, [cols[p] for p in bit_positions(start)], 0)
-    best = start | _greedy_cover(cols, everything & ~hit)
-    if best.bit_count() <= lower:
-        return best
+    best = _greedy_cover(cols, everything)
     stack: list = [(0, 0, everything)]
     while stack:
         chosen, size, live = stack.pop()
         if not live:
             if size < best.bit_count():
                 best = chosen
-                if size <= lower:
-                    return best
             continue
         # The greedy packing stops counting once it is large enough to prune.
         need = best.bit_count() - size
@@ -662,10 +652,10 @@ def max_disjoint_dicuts(digraph: Digraph, klass: DibondClass) -> list:
     return _disjoint_members(klass, len(min_dijoin(digraph, klass)))
 
 
-def _missed_dibonds(digraph: Digraph, tables: Optional[tuple], closures: bool = False) -> list:
-    """The first dibond of each dicut of D that F misses and this round
-    separates, given the enumeration._walk_tables of D plus the reversed
-    F; none when that is strongly connected (the tables are None).
+def _missed_dicuts(digraph: Digraph, tables: Optional[tuple], closures: bool = False) -> list:
+    """Each dicut of D that F misses and this round separates, given the
+    enumeration._walk_tables of D plus the reversed F; none when that is
+    strongly connected (the tables are None).
 
     A vertex set other than the empty set and V that no edge of D plus
     the reversed F leaves is the in-shore of a dicut of D that F misses:
@@ -683,15 +673,6 @@ def _missed_dibonds(digraph: Digraph, tables: Optional[tuple], closures: bool = 
     completion order. A shore with tail mask T and head mask H is entered
     by the edges H & ~T, so the complement of a set with masks T and H is
     entered by T & ~H, and no shore's edges are read off its vertices.
-
-    Each shore has a side K, the component or closure it comes from,
-    that is connected in D, whose edges D plus the reversed F turns
-    either way. decompose_dicut splits the other side S by components
-    and puts first the part with the cut's lowest edge e0. So one search
-    finds C, the component of S holding e0's end, and the first dibond's
-    in-shore is the shore XOR (S - C); V - C is connected, as each
-    component of S touches K in the weakly connected D. Its edges are
-    read off again only when S - C is not empty.
     """
     if tables is None:
         return []
@@ -704,39 +685,28 @@ def _missed_dibonds(digraph: Digraph, tables: Optional[tuple], closures: bool = 
         below = [row for row in zip(succ, verts, tails, heads) if not row[0]]
         above = [row for row in zip(pred, verts, tails, heads) if not row[0]]
     full = (1 << digraph.n) - 1
-    # shore -> (entering edges, S); a shore can come twice, then with both
-    # sides connected, and two dicuts can share their first dibond.
-    cuts = [(k, (h & ~t, full ^ k)) for _, k, t, h in below]
-    cuts += [(full ^ k, (t & ~h, full ^ k)) for _, k, t, h in above]
-    bit = digraph.vertex_bit
-    parts: dict = {}
-    for y, (entering, side) in dict(cuts).items():
-        if not 0 < y < full:
-            continue
-        t, h = digraph.edges[(entering & -entering).bit_length() - 1]
-        start = (1 << bit[t] | 1 << bit[h]) & side
-        part = y ^ side ^ _reach_within(digraph.neighbour_masks, side, start, side)
-        if part not in parts:
-            parts[part] = entering if part == y else _cut_masks(digraph, part)[0]
-    return [Dicut._known(digraph, y, entering) for y, entering in parts.items()]
+    # shore -> entering edges; a shore can come twice, with one edge mask.
+    cuts = {k: h & ~t for _, k, t, h in below}
+    cuts.update((full ^ k, t & ~h) for _, k, t, h in above)
+    return [Dicut._known(digraph, y, entering) for y, entering in cuts.items() if 0 < y < full]
 
 
 def _cutting_planes(digraph: Digraph, base: list, tables: Optional[tuple]) -> tuple:
     """The edge mask of a minimum dijoin F of the full class, and the
-    dibonds found on the way to it, its constraints, in class order: the
-    loop and the warm start of the module docstring. `base` is D's
-    _successor_bits and `tables` its enumeration._walk_tables, which
-    serve the first round, with F empty; each later round builds those
-    of D plus the reversed F from a copy of `base`.
+    dicuts found on the way to it, its constraints, in class order: the
+    loop of the module docstring. `base` is D's _successor_bits and
+    `tables` its enumeration._walk_tables, which serve the first round,
+    with F empty; each later round builds those of D plus the reversed F
+    from a copy of `base`.
 
     `stalled` records whether the last re-solve returned the previous
     optimum size. Only the round after such a re-solve separates with
-    every component's closures (_missed_dibonds). Each of their dicuts is
+    every component's closures (_missed_dicuts). Each of their dicuts is
     one that F misses, so every constraint added is violated by the last
     F, the constraints stay distinct, and the loop still ends only when
     D/F is strongly connected. Each constraint's class-order key is
     computed once, when it is added, and kept beside it; distinct
-    dibonds have distinct keys, so the pool sorts on the keys alone.
+    dicuts have distinct keys, so the pool sorts on the keys alone.
     """
     bit = digraph.vertex_bit
     ends = [(bit[t], bit[h]) for t, h in digraph.edges]
@@ -744,13 +714,13 @@ def _cutting_planes(digraph: Digraph, base: list, tables: Optional[tuple]) -> tu
     f = 0
     stalled = False
     while True:
-        missed = _missed_dibonds(digraph, tables, stalled)
+        missed = _missed_dicuts(digraph, tables, stalled)
         if not missed:
             return f, [c for _, c in pool]
-        pool += [(_member_key(part), part) for part in missed]
+        pool += [(_member_key(cut), cut) for cut in missed]
         pool.sort()
         size = f.bit_count()
-        f = _min_hitting_mask([c.edge_mask for _, c in pool], size, f)
+        f = _min_hitting_mask([c.edge_mask for _, c in pool])
         stalled = f.bit_count() == size
         out = [list(nexts) for nexts in base]
         for e in bit_positions(f):

@@ -1,6 +1,6 @@
 """The implicit full class: the branching on rooted digraphs, cutting
-planes, the warm-started master and the tight packing, checked against
-the listed class and brute force."""
+planes with whole dicuts and a cold master, and the tight packing,
+checked against the listed class and brute force."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from dicuts import (
     OptimalPair,
     PreconditionViolated,
     VerificationFailed,
-    decompose_dicut,
     enumerate_dibonds,
     get_family,
     is_dijoin,
@@ -31,7 +30,6 @@ from dicuts import (
     window,
 )
 from dicuts import enumeration, solver
-from dicuts.core import bit_positions
 from dicuts.enumeration import _successor_bits, _walk_tables
 from dicuts.solver import _min_hitting_mask
 
@@ -45,7 +43,6 @@ from .oracles import (
     entering_and_leaving,
     kosaraju_scc,
     meets_every_dicut,
-    min_hitting_mask_by_rows,
     random_dag,
     random_multigraph_edges,
     random_weak_digraph,
@@ -68,6 +65,18 @@ def no_walk(monkeypatch):
         raise AssertionError("the dibond walk ran")
 
     monkeypatch.setattr(enumeration, "_dibond_masks", walk)
+
+
+@pytest.fixture
+def no_shore_search(monkeypatch):
+    """Make the solver's vertex search and cut read raise, so that
+    separating a shore may only read the walk tables."""
+
+    def search(*args):
+        raise AssertionError("a separated shore was searched")
+
+    monkeypatch.setattr(solver, "_reach_within", search)
+    monkeypatch.setattr(solver, "_cut_masks", search)
 
 
 def differential_inputs():
@@ -269,26 +278,6 @@ class TestCertificate:
         assert (info.value.min_dijoin_size, info.value.max_packing_size) == (2, 1)
 
 
-class TestWarmStart:
-    def test_start_and_lower_keep_the_optimum(self):
-        rng = random.Random("implicit:warm")
-        for _ in range(300):
-            masks = sorted(
-                {sum(1 << p for p in rng.sample(range(9), rng.randint(1, 4)))
-                 for _ in range(rng.randint(1, 10))},
-                key=lambda m: (m.bit_count(), bit_positions(m)),
-            )
-            size = min_hitting_mask_by_rows(masks).bit_count()
-            union = 0
-            for m in masks:
-                union |= m
-            start = sum(1 << p for p in bit_positions(union) if rng.random() < 0.3)
-            for lower in (0, size - 1, size):
-                got = _min_hitting_mask(masks, max(lower, 0), start)
-                assert got.bit_count() == size
-                assert all(got & m for m in masks)
-
-
 class TestScale:
     def test_probe_dags_past_the_listing_wall(self, no_walk):
         # Listing the class of the n=120 draw 0 passes the default cap after about 30 s.
@@ -405,16 +394,27 @@ class TestStallRule:
             check_pair(d, pair)
             assert len(calls) <= 3, (n, len(calls))
 
-    def test_closure_shores_are_closed_and_their_dibonds_are_missed(self, monkeypatch):
+    def test_a_chain_that_is_not_rooted(self, no_walk, monkeypatch):
+        # A zigzag window plus a pendant sink and a pendant source has two
+        # source and two sink components, so it reaches the loop as it is.
+        calls = []
+
+        def counted(masks):
+            calls.append(masks)
+            return _min_hitting_mask(masks)
+
+        monkeypatch.setattr(solver, "_min_hitting_mask", counted)
+        for n in (30, 120):
+            calls.clear()
+            w = window(get_family("zigzag_d1"), n).digraph
+            d = Digraph(w.vertices | {"zsink", "zsrc"}, w.edges + (("a0", "zsink"), ("zsrc", "b3")))
+            pair = nested_optimal_pair(d)
+            assert len(pair.dijoin) == n + 2
+            check_pair(d, pair)
+            assert 0 < len(calls) <= 4, (n, len(calls))
+
+    def test_closure_shores_are_closed_and_their_dicuts_are_missed(self, no_shore_search):
         rng = random.Random("implicit:closures")
-        searches = []
-        search = solver._reach_within
-
-        def counted(nbrs, subset, start, stop):
-            searches.append(subset)
-            return search(nbrs, subset, start, stop)
-
-        monkeypatch.setattr(solver, "_reach_within", counted)
         for _ in range(200):
             d = random_weak_digraph(rng)
             f = frozenset(e for e in range(d.m) if rng.random() < 0.3)
@@ -432,38 +432,48 @@ class TestStallRule:
                 shores = closures if on else ends
                 for shore in shores:
                     assert not entering_and_leaving(plus, shore)[1]
-                searches.clear()
-                missed = solver._missed_dibonds(d, _walk_tables(d, _successor_bits(plus)), on)
-                # One search per separated shore, on the side not known
-                # to be connected.
-                assert len(searches) == len(shores)
-                firsts = {decompose_dicut(Dicut(d, shore))[0] for shore in shores}
-                assert len(set(missed)) == len(missed)
-                assert {(m.shore_mask, m.edge_mask) for m in missed} == {
-                    (m.shore_mask, m.edge_mask) for m in firsts
-                }
+                missed = solver._missed_dicuts(d, _walk_tables(d, _successor_bits(plus)), on)
+                # Each separated shore once, whole, with its entering edges.
+                assert sorted((m.shore_mask, m.edge_mask) for m in missed) == sorted(
+                    (c.shore_mask, c.edge_mask) for c in (Dicut(d, shore) for shore in shores)
+                )
                 assert bool(missed) == (len(comps) > 1)
                 for member in missed:
                     entering, leaving = entering_and_leaving(d, member.in_shore)
                     assert member.edge_set == entering and not leaving
-                    assert dibond_by_labels(member) and not member.edge_set & f
+                    assert member.edge_set and not member.edge_set & f
 
 
-class TestFirstDibond:
-    def test_dibond_shores_keep_their_edge_masks(self, monkeypatch):
+class TestWholeDicuts:
+    def test_dibond_shores_keep_their_edge_masks(self, no_shore_search):
         # Every shore either round separates on the diamond is a dibond,
-        # so no edge mask is read off again.
-        def no_cut_masks(*args):
-            raise AssertionError("the edges of a dibond were read off again")
-
+        # and each comes with the edge mask the tables give.
         d = Digraph.from_edges(DIAMOND)
         bonds = {c.in_shore: c for c in enumerate_dibonds(d)}
-        monkeypatch.setattr(solver, "_cut_masks", no_cut_masks)
         for on, shores in (
             (False, [{"t"}, {"a", "b", "t"}]),
             (True, [{"t"}, {"a", "t"}, {"b", "t"}, {"a", "b", "t"}]),
         ):
-            missed = solver._missed_dibonds(d, _walk_tables(d), on)
+            missed = solver._missed_dicuts(d, _walk_tables(d), on)
             assert sorted((m.shore_mask, m.edge_mask) for m in missed) == sorted(
                 (bonds[s].shore_mask, bonds[s].edge_mask) for s in map(frozenset, shores)
             )
+
+    def test_members_are_dibonds_though_the_loop_separates_dicuts(self, monkeypatch):
+        # A constraint met once by a minimum dijoin is a dibond, since the
+        # dijoin meets each dibond a dicut splits into.
+        rng = random.Random("implicit:whole")
+        missed_dicuts = solver._missed_dicuts
+        split = []
+
+        def recorded(*args):
+            missed = missed_dicuts(*args)
+            split.extend(m for m in missed if not dibond_by_labels(m))
+            return missed
+
+        monkeypatch.setattr(solver, "_missed_dicuts", recorded)
+        for d in unrooted_weak_digraphs(rng, 200):
+            pair = optimal_pair(d)
+            for member in pair.family:
+                assert dibond_by_labels(member) and len(member.edge_set & pair.dijoin) == 1
+        assert split
