@@ -65,6 +65,7 @@ from .enumeration import (
 )
 from .errors import DicutsError, ParseError, VerificationFailed
 from .families import (
+    _windows_coherent,
     check_finitary_dijoin,
     compactness_run,
     dibond_growth,
@@ -72,7 +73,6 @@ from .families import (
     get_family,
     nested_extension_search,
     window,
-    window_coherent,
 )
 from .hypergraph import (
     Hypergraph,
@@ -464,8 +464,12 @@ def _cmd_family(args) -> RunReport:
             return RunReport("family", tuple(lines), EXIT_OK)
         claim = "contracting a larger window reproduces the smaller one"
         n_top = indices[-1]
+        if n_top < 1:
+            raise ValueError("window indices must satisfy 1 <= m <= n")
+        # The top window is built once and compared with each window.
+        w_top = window(spec, n_top)
         for m in indices:
-            ok = window_coherent(spec, m, n_top)
+            ok = _windows_coherent(w_top if m == n_top else window(spec, m), w_top)
             lines.append(("window", f"m={m} n={n_top} coherent={'true' if ok else 'false'}"))
             if not ok and refuted_at is None:
                 refuted_at = m

@@ -13,7 +13,12 @@ is a pure function of its inputs. A digraph builds its vertex order,
 the vertices sorted descending, when it is constructed: bit j of a
 vertex mask stands for the j-th largest vertex, so ids that cannot be
 sorted raise TypeError when the digraph is built. Its undirected
-adjacency is built on first read. A dicut stores two int masks,
+adjacency is built on first read, and so are two results that many
+callers ask of one digraph: whether it is weakly connected
+(is_weakly_connected) and its own successor bits with their strong
+components (enumeration._own_components). Each is computed once per
+digraph and kept in a slot that __init__ sets to None; the kept lists
+are shared, so no caller may change them. A dicut stores two int masks,
 shore_mask over the vertices of its in shore and edge_mask with bit e
 set for each edge e of the cut, and derives the in-shore set and the
 edge set from them on first read, so a search that reads only masks (equality, nestedness,
@@ -65,6 +70,10 @@ class Digraph:
         self._und: Optional[dict] = None
         self._nbrs: Optional[list] = None
         self._ends: Optional[list] = None
+        # Filled on first read by is_weakly_connected and by
+        # enumeration._own_components.
+        self._weak: Optional[bool] = None
+        self._strong: Optional[tuple] = None
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple], isolated: Iterable[Vertex] = ()) -> "Digraph":
@@ -240,9 +249,13 @@ def _components(nbrs: list, mask: int) -> list:
 def is_weakly_connected(digraph: Digraph) -> bool:
     """True iff the underlying undirected graph is connected.
 
-    The empty digraph and a single vertex both count as connected.
+    The empty digraph and a single vertex both count as connected. The
+    verdict is kept in the slot Digraph.__init__ sets, so a digraph is
+    searched once however many callers ask.
     """
-    return len(_components(digraph.neighbour_masks, (1 << digraph.n) - 1)) <= 1
+    if digraph._weak is None:
+        digraph._weak = len(_components(digraph.neighbour_masks, (1 << digraph.n) - 1)) <= 1
+    return digraph._weak
 
 
 def _cut_masks(digraph: Digraph, shore_mask: int) -> tuple:

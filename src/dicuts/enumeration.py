@@ -17,7 +17,10 @@ rounds too, which run it on D plus the reversed edges of a candidate
 dijoin, as do the rounds of the branching's dual ascent, on the
 reversed D plus its tight edges. Tarjan's walk over vertex bits, on lists indexed by bit, finds
 the strong components in one pass and completes them in reverse
-topological order, each after every component it reaches. The
+topological order, each after every component it reaches. A digraph's
+own successor bits and components are found once and kept on it
+(_own_components), so condensation, both walks and the solver's first
+round read one walk. The
 components are indexed by least vertex, ascending, and each gets the
 int masks of its DAG successors and predecessors, of its vertices (bit
 j for the j-th largest vertex) and, from the digraph's end masks, of
@@ -150,12 +153,22 @@ def _strong_components(out: list) -> tuple:
     return k, done_at
 
 
+def _own_components(digraph: Digraph) -> tuple:
+    """(out, k, done_at): the digraph's _successor_bits and their
+    _strong_components, from one walk on the first call, kept in the slot
+    Digraph.__init__ sets and shared by every later call. No caller may
+    change the lists: one that needs other successor lists copies these."""
+    if digraph._strong is None:
+        out = _successor_bits(digraph)
+        digraph._strong = (out, *_strong_components(out))
+    return digraph._strong
+
+
 def condensation(digraph: Digraph) -> Condensation:
-    """Strong components and the DAG between them, from one Tarjan walk
-    over vertex bits (_strong_components); component_members lists the
-    components in the order the walk completes them."""
-    out = _successor_bits(digraph)
-    k, comp = _strong_components(out)
+    """Strong components and the DAG between them, from the digraph's one
+    Tarjan walk over vertex bits (_own_components); component_members
+    lists the components in the order the walk completes them."""
+    out, k, comp = _own_components(digraph)
     members: list = [[] for _ in range(k)]
     # Least vertex first, so each list is sorted and starts at its id.
     for v, c in zip(reversed(digraph.vertex_order), reversed(comp)):
@@ -185,14 +198,17 @@ def _walk_tables(digraph: Digraph, out: Optional[list] = None) -> Optional[tuple
     vertex or edge mask is built: no walk then has anything to emit.
 
     The components are those of `out`, successor bits as _successor_bits
-    gives them, by default the digraph's own; tails and heads always
-    come from the digraph's end masks. The cutting-plane rounds pass D
-    plus the reversed F (solver._missed_dicuts), and the ascent's rounds
-    the reversed D plus its tight edges (solver._rooted_optimum).
+    gives them, by default the digraph's own, whose walk is run once per
+    digraph (_own_components) and so shared with condensation and every
+    later call; tails and heads always come from the digraph's end masks.
+    The cutting-plane rounds pass D plus the reversed F
+    (solver._missed_dicuts), and the ascent's rounds the reversed D plus
+    its tight edges (solver._rooted_optimum).
     """
     if out is None:
-        out = _successor_bits(digraph)
-    k, done_at = _strong_components(out)
+        out, k, done_at = _own_components(digraph)
+    else:
+        k, done_at = _strong_components(out)
     if k <= 1:
         return None
     # Components are indexed as their least vertices come, least first,

@@ -68,7 +68,9 @@ class RawWindow:
     symbolic_edges lists (name, tail, head) over symbolic vertex names;
     class_of maps every symbolic vertex appearing in those edges to its
     window vertex; named_sets maps a distinguished-set name to the tuple
-    of its member edge names that lie inside the window.
+    of its member edge names that lie inside the window. A generator
+    formats each vertex name and each edge name once and reuses the
+    strings: in the edges, in class_of and in the named sets.
     """
 
     symbolic_edges: tuple
@@ -147,31 +149,32 @@ class CompactnessReport:
     unstable_at: Optional[int]
 
 
+def _named_edges(pairs) -> list:
+    """(name, tail, head) for each (tail, head) pair of symbolic vertex
+    names: the edge names are formatted here, once per window."""
+    return [(f"{t}->{h}", t, h) for t, h in pairs]
+
+
 def _zigzag_raw(n: int) -> RawWindow:
-    class_of = {}
-    for i in range(n):
-        class_of[f"a{i}"] = f"a{i}"
-    class_of[f"a{n}"] = "rest"
-    for i in range(n + 1):
-        class_of[f"b{i}"] = f"b{i}"
+    a = [f"a{i}" for i in range(n + 1)]
+    b = [f"b{i}" for i in range(n + 1)]
+    class_of = dict(zip(a, a))
+    class_of[a[n]] = "rest"
+    class_of.update(zip(b, b))
     class_of["r"] = "rest"
-    edges = []
-    for i in range(n + 1):
-        edges.append((f"a{i}->b{i}", f"a{i}", f"b{i}"))
-    for i in range(n):
-        edges.append((f"a{i}->b{i+1}", f"a{i}", f"b{i+1}"))
-    for i in range(n + 1):
-        edges.append((f"b{i}->r", f"b{i}", "r"))
-    verticals = tuple(f"a{i}->b{i}" for i in range(n + 1))
-    spokes = tuple(f"b{i}->r" for i in range(n + 1))
+    verticals = _named_edges(zip(a, b))
+    diagonals = _named_edges(zip(a, b[1:]))
+    spokes = _named_edges((v, "r") for v in b)
+    vertical_names = tuple(name for name, _, _ in verticals)
+    spoke_names = tuple(name for name, _, _ in spokes)
     named = {
-        "verticals": verticals,
-        "diagonals": tuple(f"a{i}->b{i+1}" for i in range(n)),
-        "spokes": spokes,
-        "verticals_and_first_spoke": verticals + ("b0->r",),
-        "spokes_without_first": spokes[1:],
+        "verticals": vertical_names,
+        "diagonals": tuple(name for name, _, _ in diagonals),
+        "spokes": spoke_names,
+        "verticals_and_first_spoke": vertical_names + spoke_names[:1],
+        "spokes_without_first": spoke_names[1:],
     }
-    return RawWindow(tuple(edges), class_of, named)
+    return RawWindow(tuple(verticals + diagonals + spokes), class_of, named)
 
 
 def _grid_ymin(x: int) -> int:
@@ -181,75 +184,56 @@ def _grid_ymin(x: int) -> int:
 
 def _grid_raw(n: int) -> RawWindow:
     depth = max(2, -(-n // 5))
-    core = set()
+    # The core points in sorted order, each with its name.
+    sym = {}
     for x in range(-n, n + 1):
         y0 = _grid_ymin(x)
         for y in range(y0, y0 + depth + 1):
-            core.add((x, y))
-
-    def in_plane(x: int, y: int) -> bool:
-        return x - 2 * y <= 2
-
-    def neighbors(x: int, y: int) -> list:
-        # (x,y+1) and (x-1,y) are always in the half-plane
-        out = [(x, y + 1), (x - 1, y)]
-        if in_plane(x, y - 1):
-            out.append((x, y - 1))
-        if in_plane(x + 1, y):
-            out.append((x + 1, y))
-        return out
-
-    survives = {v: all(u in core for u in neighbors(*v)) for v in core}
-
-    def sym(v: tuple) -> str:
-        return f"({v[0]},{v[1]})"
-
-    class_of = {sym(v): (sym(v) if survives[v] else "rest") for v in core}
+            sym[(x, y)] = f"({x},{y})"
+    class_of = {}
     edges = []
-    for (x, y) in sorted(core):
-        up = (x, y + 1)
-        if up in core:
-            edges.append((f"{sym(up)}->{sym((x, y))}", sym(up), sym((x, y))))
-        left = (x - 1, y)
-        if left in core:
-            edges.append((f"{sym(left)}->{sym((x, y))}", sym(left), sym((x, y))))
+    down = {}  # (x, y) -> the name of the edge (x, y+1) -> (x, y)
+    right = {}  # (x, y) -> the name of the edge (x-1, y) -> (x, y)
+    for (x, y), name in sym.items():
+        up, left = sym.get((x, y + 1)), sym.get((x - 1, y))
+        # A point survives when every half-plane neighbour is a core point:
+        # (x, y+1) and (x-1, y) always lie in the half-plane, (x, y-1)
+        # when x <= 2y and (x+1, y) when x - 2y <= 1.
+        survives = (
+            up is not None
+            and left is not None
+            and (x > 2 * y or (x, y - 1) in sym)
+            and (x - 2 * y > 1 or (x + 1, y) in sym)
+        )
+        class_of[name] = name if survives else "rest"
+        if up is not None:
+            down[(x, y)] = edge = f"{up}->{name}"
+            edges.append((edge, up, name))
+        if left is not None:
+            right[(x, y)] = edge = f"{left}->{name}"
+            edges.append((edge, left, name))
 
     drops = []
     for k in range(-(n // 2) - 1, n // 2 + 2):
-        top, corner = (2 * k, k), (2 * k, k - 1)
-        if top in core and corner in core:
-            drops.append(f"{sym(top)}->{sym(corner)}")
+        if (2 * k, k - 1) in down:
+            drops.append(down[(2 * k, k - 1)])
     steps = []
     for k in range(-(n + 1) // 2 - 1, (n + 1) // 2 + 2):
-        into, corner = (2 * k - 1, k - 1), (2 * k, k - 1)
-        if into in core and corner in core:
-            steps.append(f"{sym(into)}->{sym(corner)}")
-        top, beyond = (2 * k, k), (2 * k + 1, k)
-        if top in core and beyond in core:
-            steps.append(f"{sym(top)}->{sym(beyond)}")
+        if (2 * k, k - 1) in right:
+            steps.append(right[(2 * k, k - 1)])
+        if (2 * k + 1, k) in right:
+            steps.append(right[(2 * k + 1, k)])
     named = {"vertical_drops": tuple(drops), "horizontal_steps": tuple(steps)}
     return RawWindow(tuple(edges), class_of, named)
 
 
 def _ladder_raw(n: int) -> RawWindow:
-    def cls(prefix: str, i: int) -> str:
-        if i == -n:
-            return "left"
-        if i == n:
-            return "right"
-        return f"{prefix}{i}"
-
-    class_of = {}
-    for i in range(-n, n + 1):
-        class_of[f"u{i}"] = cls("u", i)
-        class_of[f"w{i}"] = cls("w", i)
-    edges = []
-    for i in range(-n, n):
-        edges.append((f"u{i}->u{i+1}", f"u{i}", f"u{i+1}"))
-    for i in range(-n, n):
-        edges.append((f"w{i+1}->w{i}", f"w{i+1}", f"w{i}"))
-    for i in range(-n, n + 1):
-        edges.append((f"w{i}->u{i}", f"w{i}", f"u{i}"))
+    u = [f"u{i}" for i in range(-n, n + 1)]
+    w = [f"w{i}" for i in range(-n, n + 1)]
+    class_of = {v: v for pair in zip(u, w) for v in pair}
+    class_of[u[0]] = class_of[w[0]] = "left"
+    class_of[u[-1]] = class_of[w[-1]] = "right"
+    edges = _named_edges(zip(u, u[1:])) + _named_edges(zip(w[1:], w)) + _named_edges(zip(w, u))
     return RawWindow(tuple(edges), class_of, {})
 
 
@@ -326,16 +310,21 @@ def window(spec: FamilySpec, n: int) -> FamilyWindow:
 
     Symbolic edges whose endpoints collapse into the same window vertex
     drop out (a loop never takes part in a cut); every other edge keeps
-    its symbolic name through edge_provenance.
+    its symbolic name through edge_provenance. The generator builds a
+    fresh raw window on every call, so its class_of becomes class_map
+    as it is, without a copy. The weak connectivity verdict is kept on
+    the digraph (core.is_weakly_connected), so the checks that refuse a
+    disconnected digraph do not search the window again.
     """
     if n < 1:
         raise ValueError("window index must be at least 1")
     raw = spec._raw(n)
+    class_of = raw.class_of
     pairs = []
     provenance = {}
     dropped = []
     for name, tail, head in raw.symbolic_edges:
-        ct, ch = raw.class_of[tail], raw.class_of[head]
+        ct, ch = class_of[tail], class_of[head]
         if ct == ch:
             dropped.append(name)
             continue
@@ -353,7 +342,7 @@ def window(spec: FamilySpec, n: int) -> FamilyWindow:
         spec=spec,
         n=n,
         digraph=digraph,
-        class_map=dict(raw.class_of),
+        class_map=class_of,
         edge_provenance=provenance,
         name_to_edge=name_to_edge,
         named_edge_sets=named_edge_sets,
@@ -566,7 +555,12 @@ def window_coherent(spec: FamilySpec, m: int, n: int) -> bool:
     """
     if not 1 <= m <= n:
         raise ValueError("window indices must satisfy 1 <= m <= n")
-    wm, wn = window(spec, m), window(spec, n)
+    return _windows_coherent(window(spec, m), window(spec, n))
+
+
+def _windows_coherent(wm: FamilyWindow, wn: FamilyWindow) -> bool:
+    """window_coherent on two built windows of one family, the smaller
+    first, so a sweep against one top window builds it once."""
     if any(nm not in wn.name_to_edge for nm in wm.name_to_edge):
         return False
     kept = frozenset(wn.name_to_edge[nm] for nm in wm.name_to_edge)

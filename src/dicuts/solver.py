@@ -160,7 +160,7 @@ from .core import (
 from .enumeration import (
     DEFAULT_CAP,
     _closures,
-    _successor_bits,
+    _own_components,
     _walk_tables,
     enumerate_dibonds,
 )
@@ -691,13 +691,14 @@ def _missed_dicuts(digraph: Digraph, tables: Optional[tuple], closures: bool = F
     return [Dicut._known(digraph, y, entering) for y, entering in cuts.items() if 0 < y < full]
 
 
-def _cutting_planes(digraph: Digraph, base: list, tables: Optional[tuple]) -> tuple:
+def _cutting_planes(digraph: Digraph, tables: Optional[tuple]) -> tuple:
     """The edge mask of a minimum dijoin F of the full class, and the
     dicuts found on the way to it, its constraints, in class order: the
-    loop of the module docstring. `base` is D's _successor_bits and
-    `tables` its enumeration._walk_tables, which serve the first round,
-    with F empty; each later round builds those of D plus the reversed F
-    from a copy of `base`.
+    loop of the module docstring. `tables` are D's
+    enumeration._walk_tables, which serve the first round, with F empty;
+    each later round builds those of D plus the reversed F from a copy of
+    D's own successor bits, which enumeration._own_components keeps on D
+    and shares, so they are never changed.
 
     `stalled` records whether the last re-solve returned the previous
     optimum size. Only the round after such a re-solve separates with
@@ -708,6 +709,7 @@ def _cutting_planes(digraph: Digraph, base: list, tables: Optional[tuple]) -> tu
     computed once, when it is added, and kept beside it; distinct
     dicuts have distinct keys, so the pool sorts on the keys alone.
     """
+    base = _own_components(digraph)[0]
     bit = digraph.vertex_bit
     ends = [(bit[t], bit[h]) for t, h in digraph.edges]
     pool: list = []  # (_member_key(constraint), constraint)
@@ -868,14 +870,14 @@ def _rooted_optimum(digraph: Digraph, tables: Optional[tuple], root: int, flip: 
 def _implicit_optimum(klass: DibondClass) -> tuple:
     """(dijoin, family) of the implicit full class: the branching when D
     is rooted, else the loop, the certificate and the fallback of the
-    module docstring. D's strong components decide which, and serve the
-    first round of either."""
-    base = _successor_bits(klass.digraph)
-    tables = _walk_tables(klass.digraph, base)
+    module docstring. D's strong components, found once per digraph
+    (enumeration._own_components), decide which, and serve the first
+    round of either."""
+    tables = _walk_tables(klass.digraph)
     rooting = _rooting(tables)
     if rooting is not None:
         return _rooted_optimum(klass.digraph, tables, *rooting)
-    f, constraints = _cutting_planes(klass.digraph, base, tables)
+    f, constraints = _cutting_planes(klass.digraph, tables)
     picks = _tight_picks(constraints, f)
     if picks is None:
         picks = _tight_picks(klass.members, f)

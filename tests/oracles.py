@@ -40,7 +40,14 @@ is the earlier D/F test, which contracts F into a new digraph and
 counts its strong components with the package's condensation.
 `end_component_counts` counts source and sink strong components on
 `kosaraju_scc`, which tells the rooted digraphs, solved by the
-branching, from the others.
+branching, from the others. `zigzag_raw_by_fstrings`,
+`grid_raw_by_fstrings` and `ladder_raw_by_fstrings`, with `grid_ymin`,
+are the package's earlier window generators, copied verbatim but for
+their names: they format a vertex name each time it is used, and the
+grid tests each point's survival through neighbour closures. They are
+the reference for the generators that name each vertex and edge once,
+and `window_from_raw` is the earlier `window`, which copies class_of,
+on a given raw window.
 """
 
 from __future__ import annotations
@@ -71,6 +78,7 @@ from dicuts import (
 )
 from dicuts.core import _edge_mask, bit_positions
 from dicuts.enumeration import DEFAULT_CAP, Condensation, _build, _dibond_masks
+from dicuts.families import FamilyWindow, RawWindow
 
 
 # ---------------------------------------------------------------------------
@@ -1121,3 +1129,156 @@ def max_disjoint_path_count(edges, a_set, b_set):
             capacity[v][u] += 1
             v = u
         flow += 1
+
+
+# ---------------------------------------------------------------------------
+# family windows
+
+
+def zigzag_raw_by_fstrings(n: int) -> RawWindow:
+    class_of = {}
+    for i in range(n):
+        class_of[f"a{i}"] = f"a{i}"
+    class_of[f"a{n}"] = "rest"
+    for i in range(n + 1):
+        class_of[f"b{i}"] = f"b{i}"
+    class_of["r"] = "rest"
+    edges = []
+    for i in range(n + 1):
+        edges.append((f"a{i}->b{i}", f"a{i}", f"b{i}"))
+    for i in range(n):
+        edges.append((f"a{i}->b{i+1}", f"a{i}", f"b{i+1}"))
+    for i in range(n + 1):
+        edges.append((f"b{i}->r", f"b{i}", "r"))
+    verticals = tuple(f"a{i}->b{i}" for i in range(n + 1))
+    spokes = tuple(f"b{i}->r" for i in range(n + 1))
+    named = {
+        "verticals": verticals,
+        "diagonals": tuple(f"a{i}->b{i+1}" for i in range(n)),
+        "spokes": spokes,
+        "verticals_and_first_spoke": verticals + ("b0->r",),
+        "spokes_without_first": spokes[1:],
+    }
+    return RawWindow(tuple(edges), class_of, named)
+
+
+def grid_ymin(x: int) -> int:
+    # lowest y with (x, y) in the half-plane x - 2y <= 2
+    return (x - 1) // 2
+
+
+def grid_raw_by_fstrings(n: int) -> RawWindow:
+    depth = max(2, -(-n // 5))
+    core = set()
+    for x in range(-n, n + 1):
+        y0 = grid_ymin(x)
+        for y in range(y0, y0 + depth + 1):
+            core.add((x, y))
+
+    def in_plane(x: int, y: int) -> bool:
+        return x - 2 * y <= 2
+
+    def neighbors(x: int, y: int) -> list:
+        # (x,y+1) and (x-1,y) are always in the half-plane
+        out = [(x, y + 1), (x - 1, y)]
+        if in_plane(x, y - 1):
+            out.append((x, y - 1))
+        if in_plane(x + 1, y):
+            out.append((x + 1, y))
+        return out
+
+    survives = {v: all(u in core for u in neighbors(*v)) for v in core}
+
+    def sym(v: tuple) -> str:
+        return f"({v[0]},{v[1]})"
+
+    class_of = {sym(v): (sym(v) if survives[v] else "rest") for v in core}
+    edges = []
+    for (x, y) in sorted(core):
+        up = (x, y + 1)
+        if up in core:
+            edges.append((f"{sym(up)}->{sym((x, y))}", sym(up), sym((x, y))))
+        left = (x - 1, y)
+        if left in core:
+            edges.append((f"{sym(left)}->{sym((x, y))}", sym(left), sym((x, y))))
+
+    drops = []
+    for k in range(-(n // 2) - 1, n // 2 + 2):
+        top, corner = (2 * k, k), (2 * k, k - 1)
+        if top in core and corner in core:
+            drops.append(f"{sym(top)}->{sym(corner)}")
+    steps = []
+    for k in range(-(n + 1) // 2 - 1, (n + 1) // 2 + 2):
+        into, corner = (2 * k - 1, k - 1), (2 * k, k - 1)
+        if into in core and corner in core:
+            steps.append(f"{sym(into)}->{sym(corner)}")
+        top, beyond = (2 * k, k), (2 * k + 1, k)
+        if top in core and beyond in core:
+            steps.append(f"{sym(top)}->{sym(beyond)}")
+    named = {"vertical_drops": tuple(drops), "horizontal_steps": tuple(steps)}
+    return RawWindow(tuple(edges), class_of, named)
+
+
+def ladder_raw_by_fstrings(n: int) -> RawWindow:
+    def cls(prefix: str, i: int) -> str:
+        if i == -n:
+            return "left"
+        if i == n:
+            return "right"
+        return f"{prefix}{i}"
+
+    class_of = {}
+    for i in range(-n, n + 1):
+        class_of[f"u{i}"] = cls("u", i)
+        class_of[f"w{i}"] = cls("w", i)
+    edges = []
+    for i in range(-n, n):
+        edges.append((f"u{i}->u{i+1}", f"u{i}", f"u{i+1}"))
+    for i in range(-n, n):
+        edges.append((f"w{i+1}->w{i}", f"w{i+1}", f"w{i}"))
+    for i in range(-n, n + 1):
+        edges.append((f"w{i}->u{i}", f"w{i}", f"u{i}"))
+    return RawWindow(tuple(edges), class_of, {})
+
+
+def window_from_raw(spec, n, raw):
+    """The package's earlier `window`, copied verbatim but for taking the
+    raw window as an argument: it copies class_of into class_map."""
+    if n < 1:
+        raise ValueError("window index must be at least 1")
+    pairs = []
+    provenance = {}
+    dropped = []
+    for name, tail, head in raw.symbolic_edges:
+        ct, ch = raw.class_of[tail], raw.class_of[head]
+        if ct == ch:
+            dropped.append(name)
+            continue
+        provenance[len(pairs)] = name
+        pairs.append((ct, ch))
+    digraph = Digraph.from_edges(pairs)
+    if not is_weakly_connected(digraph):
+        raise RuntimeError("window construction produced a disconnected digraph")
+    name_to_edge = {name: e for e, name in provenance.items()}
+    named_edge_sets = {
+        set_name: frozenset(name_to_edge[m] for m in members if m in name_to_edge)
+        for set_name, members in raw.named_sets.items()
+    }
+    return FamilyWindow(
+        spec=spec,
+        n=n,
+        digraph=digraph,
+        class_map=dict(raw.class_of),
+        edge_provenance=provenance,
+        name_to_edge=name_to_edge,
+        named_edge_sets=named_edge_sets,
+        dropped_edges=tuple(dropped),
+    )
+
+
+# The reference generator of each family whose generator was rewritten.
+RAW_BY_FSTRINGS = {
+    "zigzag_d1": zigzag_raw_by_fstrings,
+    "grid_d2": grid_raw_by_fstrings,
+    "ladder": ladder_raw_by_fstrings,
+}

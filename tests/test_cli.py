@@ -21,6 +21,7 @@ from dicuts import (
     run,
     serialize_digraph,
     window,
+    window_coherent,
 )
 from dicuts import cli, enumerate_dicuts, enumeration, hypergraph, solver
 from dicuts.cli import EXIT_ERROR, EXIT_OK, EXIT_REFUTED
@@ -491,6 +492,35 @@ class TestFamilyCommand:
         assert report.exit_code == EXIT_OK
         got = lines_dict(report)
         assert "not applicable" in got["evidence"][0]
+
+    @pytest.mark.parametrize(
+        "name, flags, indices",
+        [
+            ("zigzag_d1", {"nmax": 6}, [1, 2, 3, 4, 5, 6]),
+            ("grid_d2", {"nmax": 4}, [1, 2, 3, 4]),
+            ("ladder", {"window": 3}, [3]),
+        ],
+    )
+    def test_coherence_builds_each_window_once(self, monkeypatch, name, flags, indices):
+        built = []
+
+        def counting_window(spec, n):
+            built.append(n)
+            return window(spec, n)
+
+        monkeypatch.setattr(cli, "window", counting_window)
+        report = run("family", {"name": name, "check": "coherence", **flags})
+        assert sorted(built) == indices
+        top = indices[-1]
+        assert lines_dict(report)["window"] == [
+            f"m={m} n={top} coherent={'true' if window_coherent(get_family(name), m, top) else 'false'}"
+            for m in indices
+        ]
+
+    def test_coherence_refuses_window_zero_as_window_coherent_does(self, capsys):
+        argv = ["family", "--name", "zigzag_d1", "--check", "coherence", "--window", "0"]
+        assert main(argv) == EXIT_ERROR
+        assert "error: ValueError: window indices must satisfy 1 <= m <= n\n" in capsys.readouterr().out
 
     def test_compactness_report_lines(self):
         report = run(

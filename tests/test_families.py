@@ -13,6 +13,7 @@ from dicuts import (
     DibondClass,
     Digraph,
     FAMILIES,
+    PreconditionViolated,
     check_finitary_dijoin,
     compactness_run,
     condensation,
@@ -23,15 +24,19 @@ from dicuts import (
     min_dijoin,
     nested,
     nested_extension_search,
+    nested_optimal_pair,
     optimal_pair,
     window,
     window_coherent,
 )
-from dicuts import enumeration, families, solver
+from dicuts import core, enumeration, families, solver
+from dicuts.enumeration import _successor_bits
 
 from .oracles import (
+    RAW_BY_FSTRINGS,
     brute_min_dijoin,
     dijoin_choices_by_product,
+    disconnected_digraphs,
     finitary_by_scan,
     meets_every_dibond_by_contraction,
     nested_extension_by_recursion,
@@ -39,6 +44,8 @@ from .oracles import (
     random_weak_digraph,
     selection_fault,
     unrooted_weak_digraphs,
+    weakly_connected_by_labels,
+    window_from_raw,
 )
 
 
@@ -61,6 +68,126 @@ class TestRegistry:
     def test_window_index_must_be_positive(self):
         with pytest.raises(ValueError):
             window(get_family("zigzag_d1"), 0)
+
+
+def _window_fields(w):
+    """Every field of a built window; the class map as sorted items."""
+    d = w.digraph
+    return (
+        w.spec,
+        w.n,
+        d.vertex_order,
+        d.edges,
+        sorted(w.class_map.items()),
+        list(w.edge_provenance.items()),
+        list(w.name_to_edge.items()),
+        list(w.named_edge_sets.items()),
+        w.dropped_edges,
+    )
+
+
+# The largest window index each family's generator is compared at.
+_REFERENCE_TOPS = {"zigzag_d1": 60, "ladder": 60, "grid_d2": 30, "transitive_tournament": 20}
+
+
+class TestGeneratorsAgreeWithTheEarlierOnes:
+    """The generators that name each vertex and edge once, and window,
+    against the earlier ones kept in the oracles."""
+
+    @pytest.mark.parametrize("family", sorted(RAW_BY_FSTRINGS))
+    def test_raw_windows(self, family):
+        spec = get_family(family)
+        for n in range(1, _REFERENCE_TOPS[family] + 1):
+            got, want = spec._raw(n), RAW_BY_FSTRINGS[family](n)
+            assert got.symbolic_edges == want.symbolic_edges, n
+            assert list(got.named_sets.items()) == list(want.named_sets.items()), n
+            # The earlier grid generator listed class_of in set order.
+            assert sorted(got.class_of.items()) == sorted(want.class_of.items()), n
+
+    @pytest.mark.parametrize("family", sorted(_REFERENCE_TOPS))
+    def test_built_windows(self, family):
+        spec = get_family(family)
+        # The tournament's generator is unchanged; window is compared there.
+        reference = RAW_BY_FSTRINGS.get(family, spec._raw)
+        for n in range(1, _REFERENCE_TOPS[family] + 1):
+            got = window(spec, n)
+            assert _window_fields(got) == _window_fields(window_from_raw(spec, n, reference(n))), n
+
+
+def _counting(monkeypatch, module, name: str) -> list:
+    """Patch module.name to record the arguments of each call; the list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestConnectivityAndComponentsAreKept:
+    """A digraph's weak connectivity verdict and its own strong components
+    are found once and kept on it."""
+
+    @pytest.mark.parametrize(
+        "family, n, set_name",
+        [
+            ("zigzag_d1", 10, "diagonals"),
+            ("zigzag_d1", 6, "spokes_without_first"),
+            ("grid_d2", 6, "horizontal_steps"),
+        ],
+    )
+    def test_one_component_search_per_finitary_check(self, monkeypatch, family, n, set_name):
+        searches = _counting(monkeypatch, core, "_components")
+        check_finitary_dijoin(window(get_family(family), n), set_name)
+        assert len(searches) == 1
+
+    @pytest.mark.parametrize(
+        "family, n, set_name",
+        [
+            ("zigzag_d1", 10, "diagonals"),
+            ("zigzag_d1", 10, "verticals_and_first_spoke"),
+            ("zigzag_d1", 6, "spokes_without_first"),
+            ("grid_d2", 6, "horizontal_steps"),
+        ],
+    )
+    def test_one_component_search_per_nested_check(self, monkeypatch, family, n, set_name):
+        searches = _counting(monkeypatch, core, "_components")
+        nested_extension_search(window(get_family(family), n), set_name)
+        assert len(searches) == 1
+
+    def test_connectivity_verdicts_and_refusals_are_unchanged(self):
+        rng = random.Random(12)
+        digraphs = list(disconnected_digraphs()) + [random_weak_digraph(rng) for _ in range(80)]
+        for d in digraphs:
+            connected = weakly_connected_by_labels(d)
+            # The refusal decides first on a fresh digraph, then reads the slot.
+            for _ in range(2):
+                if connected:
+                    assert DibondClass.full(d).implicit
+                else:
+                    with pytest.raises(PreconditionViolated):
+                        DibondClass.full(d)
+                assert is_weakly_connected(d) is connected
+
+    def test_a_ladder_window_is_condensed_once(self, monkeypatch):
+        walks = _counting(monkeypatch, enumeration, "_strong_components")
+        w = window(get_family("ladder"), 20)
+        assert len(condensation(w.digraph).components) == 1
+        assert finite_dibonds_in_window(w) == []
+        assert len(walks) == 1
+
+    def test_the_cutting_planes_leave_the_kept_successor_bits_alone(self, monkeypatch):
+        loops = _counting(monkeypatch, solver, "_cutting_planes")
+        digraphs = unrooted_weak_digraphs(random.Random(33), 20, max_n=8, max_extra=8)
+        for d in digraphs:
+            before = _successor_bits(d)
+            pair = nested_optimal_pair(d)
+            assert pair.dijoin
+            assert enumeration._own_components(d)[0] == before
+        assert len(loops) == len(digraphs)
 
 
 class TestZigzagWindows:
