@@ -70,6 +70,7 @@ class Digraph:
         self._und: Optional[dict] = None
         self._nbrs: Optional[list] = None
         self._ends: Optional[list] = None
+        self._arcs: Optional[tuple] = None  # solver._arc_masks: D's own masks
         # Filled on first read by is_weakly_connected and by
         # enumeration._own_components.
         self._weak: Optional[bool] = None

@@ -33,14 +33,12 @@ keyed by the window check that tests them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .core import (
     Digraph,
     _edge_mask,
     bit_positions,
-    dicut_from_edge_set,
     is_weakly_connected,
     nested,
 )
@@ -50,7 +48,6 @@ from .reduce import contract_to
 from .solver import (
     DibondClass,
     _dijoin_selection,
-    _meets_all,
     _meets_every_dibond,
     _picks,
     _set_key,
@@ -132,7 +129,7 @@ class WindowRow:
 
 @dataclass(frozen=True)
 class CompactnessReport:
-    """Outcome of threading per-window dijoin choices through restrictions.
+    """Outcome of threading per-window dijoin choices through the windows.
 
     consistent is true when at least one choice thread survives to the
     largest window; stable_dijoin is the canonical surviving choice as
@@ -427,66 +424,55 @@ def nested_extension_search(
     return _tight_picks(finite_dibonds_in_window(w, cap), _edge_mask(w.digraph, edge_set), nested)
 
 
-def _window_members(
-    w: FamilyWindow, restriction: Optional[tuple], cap: int
-) -> DibondClass:
-    if restriction is None:
-        return DibondClass.full(w.digraph, cap)
-    members = []
-    for names in restriction:
-        if not all(nm in w.name_to_edge for nm in names):
-            continue
-        ids = frozenset(w.name_to_edge[nm] for nm in names)
-        d = dicut_from_edge_set(w.digraph, ids)
-        if d is None or not d.is_dibond:
-            raise ValueError(
-                "restriction member does not realize as a dibond of the window"
-            )
-        members.append(d)
-    return DibondClass.from_members(w.digraph, members)
-
-
 def compactness_run(
     spec: FamilySpec,
     n_max: int,
-    restrict_to: Optional[Iterable] = None,
     cap: int = DEFAULT_CAP,
     choice_cap: int = 4096,
 ) -> CompactnessReport:
-    """Thread per-window dijoin choices through window restrictions.
+    """Thread per-window dijoin choices through the windows.
 
     At each window the canonical maximal nested disjoint dibond family
-    is computed for the class (optionally restricted to the given
-    symbolic members); a choice picks one edge from each family member
-    and must hit every class member. A choice thread survives to window
-    n when its restriction to the previous window's edges was itself a
-    surviving choice there. The report carries the canonical surviving
-    choice, or the first index where all threads died.
+    of the full class is computed; a choice picks one edge from each
+    family member and must meet every window dibond. A choice thread
+    survives to window n when its restriction to the previous window's
+    edges was itself a surviving choice there. The report carries the
+    canonical surviving choice, or the first index where all threads
+    died.
 
-    The choices are the picks of solver._picks that meet every class
-    member. choice_cap bounds the product of the family members' edge
-    counts; CapExceeded is raised before the search when it is exceeded.
+    A pick is a choice exactly when D/F is strongly connected
+    (_meets_every_dibond), so no member's edge set is built. Dijoins are
+    closed under supersets, so solver._picks keeps a partial pick only
+    while it plus the edges of the members not yet picked passes that
+    test: no completion of a pick that fails it is a dijoin. Each leaf is
+    then one D/F test, and the choices come in the order of the product.
+    choice_cap bounds the D/F tests of one window's search, raising
+    CapExceeded once it is passed; cap bounds the listing of the window's
+    class, which the family and member_count read.
     """
     if n_max < 1:
         raise ValueError("window index must be at least 1")
-    restriction = None
-    if restrict_to is not None:
-        restriction = tuple(frozenset(names) for names in restrict_to)
     rows = []
     threads: set = set()
     prev_names: Optional[frozenset] = None
     unstable_at: Optional[int] = None
     for n in range(1, n_max + 1):
         w = window(spec, n)
-        klass = _window_members(w, restriction, cap)
+        klass = DibondClass.full(w.digraph, cap)
         family = maximal_nested_disjoint_family(w.digraph, klass)
         slots = [bit_positions(b.edge_mask) for b in family]
-        if prod(map(len, slots)) > choice_cap:
-            raise CapExceeded(choice_cap, "enumerating dijoin choices")
-        member_sets = [m.edge_set for m in klass.members]
+        rest = [frozenset().union(*slots[k:]) for k in range(len(slots) + 1)]
+        tests = 0
+
+        def fits(picked: list, item: int) -> bool:
+            nonlocal tests
+            tests += 1
+            if tests > choice_cap:
+                raise CapExceeded(choice_cap, "enumerating dijoin choices")
+            return _meets_every_dibond(w.digraph, rest[len(picked) + 1].union(picked, (item,)))
+
         choices = [
-            frozenset(w.edge_provenance[e] for e in pick)
-            for pick in _picks(slots, _meets_all(slots, member_sets))
+            frozenset(w.edge_provenance[e] for e in pick) for pick in _picks(slots, fits)
         ]
         if prev_names is None:
             threads = set(choices)

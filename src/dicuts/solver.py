@@ -131,7 +131,8 @@ Every pick of one item per member (Koenig covers, nested selections,
 compactness choices) comes from one search, _picks. It fills the members
 in order, each from its items in order, keeps an item only while a test
 passed by the caller accepts it, and yields the picks in lexicographic
-order. _meets_all is the test for picks that must meet every target set.
+order. _meets_all is the test for Koenig covers, which meet every
+hyperedge; compactness choices meet every dibond, so theirs is D/F.
 """
 
 from __future__ import annotations
@@ -378,28 +379,35 @@ def _meets_every_dibond(digraph: Digraph, f: frozenset) -> bool:
     weakly connected, so only a negative answer checks D, refusing one
     that is not weakly connected, as enumeration does.
     """
+    _require_edge_ids(digraph, f, "edge set contains unknown edge ids")
     succ, pred = _arc_masks(digraph, f)
     full = (1 << digraph.n) - 1
     strong = all(_reach_within(step, full, full & 1, full) == full for step in (succ, pred))
     if not strong and not is_weakly_connected(digraph):
         raise PreconditionViolated("dibonds need a weakly connected digraph")
-    _require_edge_ids(digraph, f, "edge set contains unknown edge ids")
     return strong
 
 
 def _arc_masks(digraph: Digraph, f) -> tuple:
     """Per vertex bit, the successor and the predecessor vertex masks of
-    D plus the reverse of each edge of F, whose ids `f` holds."""
+    D plus the reverse of each edge of F, whose ids `f` holds. D's own
+    masks are built on first read into the slot Digraph.__init__ sets,
+    so each F costs a copy and its own edges."""
     bit = digraph.vertex_bit
-    succ = [0] * digraph.n
-    pred = [0] * digraph.n
-    for e, (t, h) in enumerate(digraph.edges):
+    if digraph._arcs is None:
+        succ = [0] * digraph.n
+        pred = [0] * digraph.n
+        for t, h in digraph.edges:
+            i, j = bit[t], bit[h]
+            succ[i] |= 1 << j
+            pred[j] |= 1 << i
+        digraph._arcs = (succ, pred)
+    succ, pred = map(list, digraph._arcs)
+    for e in f:
+        t, h = digraph.edges[e]
         i, j = bit[t], bit[h]
-        succ[i] |= 1 << j
-        pred[j] |= 1 << i
-        if e in f:
-            succ[j] |= 1 << i
-            pred[i] |= 1 << j
+        succ[j] |= 1 << i
+        pred[i] |= 1 << j
     return succ, pred
 
 

@@ -656,30 +656,31 @@ class TestGrowth:
 
 
 class TestCompactness:
-    def test_threading_restricted_star_members(self):
-        stars = [
-            {"a0->b0", "a0->b1"},
-            {"a1->b1", "a1->b2"},
-            {"a2->b2", "a2->b3"},
-        ]
-        report = compactness_run(get_family("zigzag_d1"), 4, restrict_to=stars)
-        assert [
-            (r.n, r.member_count, r.family_size, r.choice_count, r.thread_count)
-            for r in report.rows
-        ] == [
-            (1, 1, 1, 2, 2),
-            (2, 2, 2, 4, 2),
-            (3, 3, 3, 8, 2),
-            (4, 3, 3, 8, 2),
-        ]
-        assert report.consistent
-        assert report.unstable_at is None
-        assert sorted(report.stable_dijoin) == ["a0->b0", "a1->b2", "a2->b3"]
-
     def test_full_zigzag_class_stabilizes_on_the_diagonals(self):
         report = compactness_run(get_family("zigzag_d1"), 3)
         assert report.consistent
         assert sorted(report.stable_dijoin) == ["a0->b1", "a1->b2", "a2->b3"]
+
+    def test_zigzag_has_one_choice_per_window_past_the_product_cap(self):
+        # Past window 12 the product of the family's edge counts exceeds
+        # the default choice_cap of 4096, so only a search that prunes
+        # partial picks by the D/F test stays under it.
+        report = compactness_run(get_family("zigzag_d1"), 20)
+        assert [(r.choice_count, r.thread_count) for r in report.rows] == [(1, 1)] * 20
+        assert report.consistent and report.unstable_at is None
+        assert report.stable_dijoin == frozenset(f"a{i}->b{i + 1}" for i in range(20))
+
+    def test_no_member_edge_set_is_built(self, monkeypatch):
+        classes = []
+
+        def recording_family(digraph, klass):
+            classes.append(klass)
+            return solver.maximal_nested_disjoint_family(digraph, klass)
+
+        monkeypatch.setattr(families, "maximal_nested_disjoint_family", recording_family)
+        compactness_run(get_family("grid_d2"), 6)
+        assert len(classes) == 6
+        assert not [m for klass in classes for m in klass.members if "edge_set" in vars(m)]
 
     def test_ladder_needs_nothing(self):
         report = compactness_run(get_family("ladder"), 4)
