@@ -22,9 +22,11 @@ are shared, so no caller may change them. A dicut stores two int masks,
 shore_mask over the vertices of its in shore and edge_mask with bit e
 set for each edge e of the cut, and derives the in-shore set and the
 edge set from them on first read, so a search that reads only masks (equality, nestedness,
-the solvers) never builds a set. Every connectivity test is one search,
-_reach_within, over vertex masks and a table of neighbour masks that a
-digraph builds on its first search. Every cut check is _cut_masks, which
+the solvers) never builds a set. A digraph's own weak connectivity is
+one union-find pass over its edges' vertex bits (is_weakly_connected).
+Every other connectivity test is one search, _reach_within, over vertex
+masks and a table of neighbour masks, which a digraph builds on first
+read. Every cut check is _cut_masks, which
 ORs the digraph's end masks (per vertex, the edge masks of the edges
 whose tail, and of those whose head, is there, built on first read)
 over the smaller shore, so meet, join and the split of a dicut build no
@@ -247,15 +249,37 @@ def _components(nbrs: list, mask: int) -> list:
     return comps
 
 
+def _weak_component_count(digraph: Digraph) -> int:
+    """The number of weak components, by one union-find pass over the
+    edges' vertex bits, with path halving; the pass stops once one
+    component is left."""
+    parent = list(range(digraph.n))
+    count = digraph.n
+    bit = digraph.vertex_bit
+    for t, h in digraph.edges:
+        a, b = bit[t], bit[h]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            count -= 1
+            if count == 1:
+                break
+    return count
+
+
 def is_weakly_connected(digraph: Digraph) -> bool:
     """True iff the underlying undirected graph is connected.
 
     The empty digraph and a single vertex both count as connected. The
-    verdict is kept in the slot Digraph.__init__ sets, so a digraph is
-    searched once however many callers ask.
+    verdict comes from one union-find pass (_weak_component_count), which
+    builds no neighbour table, and is kept in the slot Digraph.__init__
+    sets, so a digraph is decided once however many callers ask.
     """
     if digraph._weak is None:
-        digraph._weak = len(_components(digraph.neighbour_masks, (1 << digraph.n) - 1)) <= 1
+        digraph._weak = _weak_component_count(digraph) <= 1
     return digraph._weak
 
 

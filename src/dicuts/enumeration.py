@@ -30,11 +30,11 @@ pass in completion order gives each component its descendant closure,
 and one in the reverse order its ancestor closure, each with the union
 of each mask over it. Every set of components is a mask, bit i for the
 i-th component, so every branch order is that of the component indices.
-Strong components are connected, so the component graph is weakly
-connected exactly when the digraph is, and the dibond walk checks that
-with one mask search.
-The search is core's _reach_within, the one every connectivity test
-runs, here on the table of component neighbours.
+The dibond walk refuses a digraph that is not weakly connected by
+core.is_weakly_connected, the verdict the digraph keeps, so a window
+that was checked when it was built is not searched again. The walk's
+own searches are core's _reach_within, here on the table of component
+neighbours.
 
 A set's reach, the weak component of its complement that holds its
 start, is found from its parent's: removing a closure from a connected
@@ -63,7 +63,15 @@ from dataclasses import dataclass
 from operator import or_
 from typing import Optional
 
-from .core import Digraph, Dicut, EdgeId, _neighbours, _reach_within, _require_edge_ids
+from .core import (
+    Digraph,
+    Dicut,
+    EdgeId,
+    _neighbours,
+    _reach_within,
+    _require_edge_ids,
+    is_weakly_connected,
+)
 from .errors import CapExceeded, PreconditionViolated
 
 DEFAULT_CAP = 1_000_000
@@ -203,7 +211,7 @@ def _walk_tables(digraph: Digraph, out: Optional[list] = None) -> Optional[tuple
     later call; tails and heads always come from the digraph's end masks.
     The cutting-plane rounds pass D plus the reversed F
     (solver._missed_dicuts), and the ascent's rounds the reversed D plus
-    its tight edges (solver._rooted_optimum).
+    its tight edges (solver._ascent).
     """
     if out is None:
         out, k, done_at = _own_components(digraph)
@@ -321,6 +329,8 @@ def enumerate_dicuts(digraph: Digraph, cap: int = DEFAULT_CAP) -> list:
 def _dibond_masks(digraph: Digraph, cap: int, edge: Optional[EdgeId] = None) -> list:
     """The dibond walk: each dibond as an (in shore vertex mask, edge mask)
     pair, in walk order; with `edge`, only the dibonds that contain it."""
+    if not is_weakly_connected(digraph):
+        raise PreconditionViolated("dibonds need a weakly connected digraph")
     tables = _walk_tables(digraph)
     if tables is None:
         return []
@@ -328,10 +338,6 @@ def _dibond_masks(digraph: Digraph, cap: int, edge: Optional[EdgeId] = None) -> 
     und = list(map(or_, succ, pred))
     k = len(und)
     full = (1 << k) - 1
-    # Strong components are connected, so the component graph is weakly
-    # connected exactly when the digraph is.
-    if _reach_within(und, full, 1, full) != full:
-        raise PreconditionViolated("dibonds need a weakly connected digraph")
     anc = _closures(pred, (und, verts, tails, heads), reversed(completed))
     all_vertices = (1 << digraph.n) - 1
     found: list = []

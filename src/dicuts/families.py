@@ -309,9 +309,10 @@ def window(spec: FamilySpec, n: int) -> FamilyWindow:
     drop out (a loop never takes part in a cut); every other edge keeps
     its symbolic name through edge_provenance. The generator builds a
     fresh raw window on every call, so its class_of becomes class_map
-    as it is, without a copy. The weak connectivity verdict is kept on
-    the digraph (core.is_weakly_connected), so the checks that refuse a
-    disconnected digraph do not search the window again.
+    as it is, without a copy. The weak connectivity verdict, one
+    union-find pass, is kept on the digraph (core.is_weakly_connected),
+    so the checks and the dibond walk, which refuse a disconnected
+    digraph, do not decide it again.
     """
     if n < 1:
         raise ValueError("window index must be at least 1")
@@ -407,11 +408,15 @@ def nested_extension_search(
     Combinatorial Optimization, ch. 55): the selection is |F| disjoint
     dicuts, at most τ of them by the min-max, and F is a dijoin, so
     τ <= |F|. solver._dijoin_selection decides that without listing a
-    dibond: it returns None when |F| differs from the dijoin size of
-    nested_optimal_pair, and otherwise that pair's nested family, whose
-    members F meets once each, keyed by the edge of F each holds. The
-    selection it returns is a valid one, not necessarily the one the
-    search below would pick.
+    dibond. Every window is rooted, so it runs the branching's dual
+    ascent: when the ascent raises |F| disjoint nested dibonds, F meets
+    each exactly once and is verified as the dijoin of that optimal
+    pair, with no expansion, and the raised family keyed by the edge of
+    F each member holds is the selection, the family nested_optimal_pair
+    returns. Fewer raised dibonds mean τ < |F|; the expansion of the same
+    ascent certifies that, and the answer is None. The selection
+    returned is a valid one, not necessarily the one the search below
+    would pick.
 
     Any other set gets solver._tight_picks over the window dibonds, with
     nested as the pair test: the one search for one dibond per edge of F

@@ -22,7 +22,8 @@ is a packing of rooted cuts (Fulkerson, "Packing rooted directed cuts in
 a weighted directed graph", Math. Programming 1974; Schrijver chs. 52
 and 55). A vertex r of that component reaches every vertex of D, so F
 is a dijoin exactly when r reaches every vertex in the reversed D plus
-F. _rooted_optimum runs a dual ascent on Z, which holds the reversed
+F. _rooted_optimum runs the two halves below, _ascent and then
+_expansion. The _ascent is a dual ascent on Z, which holds the reversed
 edges of D and the tight edges of D, none at first. Each round takes
 the strong components of Z and raises every source component S but r's,
 making tight every edge of D that enters S; a round that raises nothing
@@ -33,7 +34,7 @@ raised dicuts are pairwise edge-disjoint, and each tight edge enters
 exactly one raised set. Each raised dicut is a dibond: S is strongly
 connected in Z, and every vertex outside S reaches r in the reversed D
 by a path that never enters S, so both shores are connected. The
-expansion is Edmonds': a search from r in the final Z, with each
+_expansion is Edmonds': a search from r in the final Z, with each
 largest raised set contracted and entered once, recursing into each set
 from the vertex it was entered at. An edge of Z entering a raised set
 is a tight edge of D that enters no raised set inside it, so F, the
@@ -83,10 +84,15 @@ laminar.
 A dijoin F has a nested selection, one dibond through each of its edges
 meeting F only there, all disjoint and nested, exactly when |F| is the
 minimum dijoin size τ (Lucchesi and Younger 1978). _dijoin_selection
-decides that for the window checks by τ alone: it compares |F| with
-nested_optimal_pair's dijoin and, when they agree, keys that pair's
-members by the edge of F each holds. Each member is then met exactly
-once by the dijoin F, so it is a dibond.
+decides that for the window checks by τ alone, and on a rooted D, as
+every window is, from the ascent alone. When the ascent raises |F|
+dibonds, F meets each of them, disjoint as they are, exactly once, so
+(F, raised family) is itself a verified optimal pair and F is its
+dijoin; the raised family keyed by the edge of F each member holds is
+the selection, and the expansion never runs. Fewer raised dibonds mean
+τ < |F|, which the expansion of the same ascent certifies. Any other D
+compares |F| with nested_optimal_pair's dijoin and keys that pair's
+members the same way.
 
 Both searches work on int masks, and every tie-break and branch order is
 that of the lowest bit position. On the class path the masks are the
@@ -775,10 +781,12 @@ def _rooting(tables: Optional[tuple]) -> Optional[tuple]:
     return None
 
 
-def _rooted_optimum(digraph: Digraph, tables: Optional[tuple], root: int, flip: bool) -> tuple:
-    """(dijoin, family) of the full class of a rooted D, given its
-    enumeration._walk_tables and _rooting's answer: the ascent and the
-    expansion of the module docstring.
+def _ascent(digraph: Digraph, tables: Optional[tuple], root: int, flip: bool) -> tuple:
+    """(family, z) for a rooted D, given its enumeration._walk_tables and
+    _rooting's answer: the ascent of the module docstring. The family
+    holds the raised dicuts in raise order; z is the final Z, which
+    _expansion reads: the raised sets in the ascent's orientation, the
+    edge mask entering each, each edge's ends and Z's successor lists.
 
     With flip, the ascent runs on the reversed D, whose dicuts are D's
     with their shores swapped, so each raised shore is complemented.
@@ -787,20 +795,20 @@ def _rooted_optimum(digraph: Digraph, tables: Optional[tuple], root: int, flip: 
     the edge is tight. The first round reads D's own tables: Z before
     any edge is tight is the reversal of that orientation, with D's
     components, and a component's predecessors in Z are its successors
-    in D, or with flip its predecessors.
+    in D, or with flip its predecessors. Later rounds read Z's tables.
     """
-    if tables is None:
-        return frozenset(), []
     bit = digraph.vertex_bit
     ends = [(bit[h], bit[t]) if flip else (bit[t], bit[h]) for t, h in digraph.edges]
     out: list = [[] for _ in range(digraph.n)]
     for a, b in ends:
         out[b].append(a)
-    succ, pred, verts, tails, heads, _ = tables
-    above = pred if flip else succ  # per component, its predecessors in Z
     shores: list = []
     entering: list = []
-    while True:
+    while tables is not None:
+        succ, pred, verts, tails, heads, _ = tables
+        # Per component, its predecessors in Z; only the first round, with
+        # nothing raised yet, reads D's own tables.
+        above = succ if not shores and not flip else pred
         if flip:
             tails, heads = heads, tails
         raised = [
@@ -815,10 +823,19 @@ def _rooted_optimum(digraph: Digraph, tables: Optional[tuple], root: int, flip: 
                 a, b = ends[e]
                 out[a].append(b)
         tables = _walk_tables(digraph, out)
-        if tables is None:
-            break
-        _, above, verts, tails, heads, _ = tables
+    full = (1 << digraph.n) - 1
+    family = [
+        Dicut._known(digraph, full ^ shore if flip else shore, edges, True)
+        for shore, edges in zip(shores, entering)
+    ]
+    return family, (shores, entering, ends, out)
 
+
+def _expansion(digraph: Digraph, root: int, z: tuple) -> frozenset:
+    """The dijoin that Edmonds' expansion of the module docstring builds
+    from the root's vertex bit and the final Z of an _ascent: one edge
+    entering each raised set."""
+    shores, entering, ends, out = z
     # The laminar tree, in raise order, which puts every set after the
     # sets inside it: `inner` is the union of a set's children, the
     # largest earlier sets inside it, and `reach` the Z successors of all
@@ -845,9 +862,8 @@ def _rooted_optimum(digraph: Digraph, tables: Optional[tuple], root: int, flip: 
     # and the union of its children: its search steps from each vertex
     # reached, and takes each child whole, by one edge, the first time
     # the child is reached.
-    full = (1 << digraph.n) - 1
     f = 0
-    frames = [(full, root, reduce(or_, [shores[j] for j in tops.values()], 0))]
+    frames = [((1 << digraph.n) - 1, root, reduce(or_, [shores[j] for j in tops.values()], 0))]
     while frames:
         region, seen, inside = frames.pop()
         front, fresh = seen, []
@@ -868,11 +884,17 @@ def _rooted_optimum(digraph: Digraph, tables: Optional[tuple], root: int, flip: 
                 frames.append((shores[j], 1 << ends[e][1], inner[j]))
             front = step & ~inside
             seen |= step | reduce(or_, [shores[j] for j in fresh], 0)
-    family = [
-        Dicut._known(digraph, full ^ shore if flip else shore, edges, True)
-        for shore, edges in zip(shores, entering)
-    ]
-    return frozenset(bit_positions(f)), family
+    return frozenset(bit_positions(f))
+
+
+def _rooted_optimum(digraph: Digraph, tables: Optional[tuple], root: int, flip: bool) -> tuple:
+    """(dijoin, family) of the full class of a rooted D, given its
+    enumeration._walk_tables and _rooting's answer: the _ascent, then
+    the _expansion of its final Z."""
+    if tables is None:
+        return frozenset(), []
+    family, z = _ascent(digraph, tables, root, flip)
+    return _expansion(digraph, root, z), family
 
 
 def _implicit_optimum(klass: DibondClass) -> tuple:
@@ -1102,16 +1124,38 @@ def _dijoin_selection(digraph: Digraph, f: frozenset) -> Optional[dict]:
     {edge id: dibond}, or None when there is none; no dibond is listed.
 
     A selection is |F| disjoint dicuts, so it exists only when |F| is the
-    minimum dijoin size τ, and nested_optimal_pair gives τ. When |F| = τ,
-    F meets each of the pair's τ disjoint nested members, hence each
-    exactly once, and a dicut that a dijoin meets exactly once is a
-    dibond: were it a union of several, F would meet each of them. So
-    the family, keyed by the edge of F each member holds, is the
-    selection.
+    minimum dijoin size τ. When |F| = τ, F meets each of τ disjoint
+    nested members of an optimal pair, hence each exactly once, and a
+    dicut that a dijoin meets exactly once is a dibond: were it a union
+    of several, F would meet each of them. So that family, keyed by the
+    edge of F each member holds, is the selection.
+
+    A rooted D runs the _ascent only. When its raised dibonds number
+    |F|, (F, family) is verified as an optimal pair: by weak duality F
+    is then the certificate's own dijoin, so the expansion never runs.
+    When they are fewer, the _expansion of that same ascent gives a
+    dijoin of their number, τ < |F|; that pair is verified and None is
+    returned. More than |F| can only be a defect, which the verifier
+    refuses (VerificationFailed). Any other D compares |F| with
+    nested_optimal_pair's dijoin. Either way the family is the one
+    nested_optimal_pair returns.
     """
-    pair = nested_optimal_pair(digraph)
-    if len(pair.dijoin) != len(f):
-        return None
+    tables = _walk_tables(digraph)
+    rooting = _rooting(tables)
+    if rooting is None:
+        pair = nested_optimal_pair(digraph)
+        if len(pair.dijoin) != len(f):
+            return None
+    else:
+        family, z = _ascent(digraph, tables, *rooting)
+        if len(family) < len(f):
+            dijoin = _expansion(digraph, rooting[0], z)
+            verify_optimal_pair(
+                digraph, None, OptimalPair(dijoin=dijoin, family=tuple(family), nested=True)
+            )
+            return None
+        pair = OptimalPair(dijoin=f, family=tuple(family), nested=True)
+        verify_optimal_pair(digraph, None, pair)
     f_mask = _edge_mask(digraph, f)
     return {(m.edge_mask & f_mask).bit_length() - 1: m for m in pair.family}
 

@@ -14,6 +14,7 @@ from dicuts import (
     Digraph,
     FAMILIES,
     PreconditionViolated,
+    VerificationFailed,
     check_finitary_dijoin,
     compactness_run,
     condensation,
@@ -127,6 +128,26 @@ def _counting(monkeypatch, module, name: str) -> list:
     return calls
 
 
+def _edge_cases():
+    """Digraphs at the edges of the weak check: no vertex, one vertex,
+    isolated vertices beside edges, parallel and antiparallel pairs, and
+    2,000-vertex directed paths in both edge orders, whole and with the
+    middle edge dropped, whose unions build long chains."""
+    path = [(i, i + 1) for i in range(1999)]
+    cut = path[:999] + path[1000:]
+    return [
+        Digraph([], []),
+        Digraph(["v"], []),
+        Digraph(["u", "v"], []),
+        Digraph.from_edges([("a", "b")], isolated=["c"]),
+        Digraph.from_edges([("a", "b"), ("b", "c")], isolated=["a"]),
+        Digraph.from_edges([("a", "b"), ("a", "b")]),
+        Digraph.from_edges([("a", "b"), ("b", "a")]),
+        Digraph.from_edges([("a", "b"), ("a", "b"), ("c", "d"), ("d", "c")]),
+        Digraph.from_edges([("a", "b"), ("b", "a"), ("c", "b"), ("c", "b")], isolated=["d"]),
+    ] + [Digraph.from_edges(edges) for edges in (path, path[::-1], cut, cut[::-1])]
+
+
 class TestConnectivityAndComponentsAreKept:
     """A digraph's weak connectivity verdict and its own strong components
     are found once and kept on it."""
@@ -140,9 +161,10 @@ class TestConnectivityAndComponentsAreKept:
         ],
     )
     def test_one_component_search_per_finitary_check(self, monkeypatch, family, n, set_name):
-        searches = _counting(monkeypatch, core, "_components")
+        # The window's one component search is its weak union-find pass.
+        passes = _counting(monkeypatch, core, "_weak_component_count")
         check_finitary_dijoin(window(get_family(family), n), set_name)
-        assert len(searches) == 1
+        assert len(passes) == 1
 
     @pytest.mark.parametrize(
         "family, n, set_name",
@@ -154,13 +176,21 @@ class TestConnectivityAndComponentsAreKept:
         ],
     )
     def test_one_component_search_per_nested_check(self, monkeypatch, family, n, set_name):
-        searches = _counting(monkeypatch, core, "_components")
+        passes = _counting(monkeypatch, core, "_weak_component_count")
         nested_extension_search(window(get_family(family), n), set_name)
-        assert len(searches) == 1
+        assert len(passes) == 1
+
+    def test_the_dibond_walks_decide_no_window_again(self, monkeypatch):
+        # The walk refuses a disconnected digraph by the verdict window() kept.
+        passes = _counting(monkeypatch, core, "_weak_component_count")
+        assert dibond_growth(get_family("zigzag_d1"), "a0->b1", 40) == (2,) * 40
+        assert compactness_run(get_family("zigzag_d1"), 6).consistent
+        assert len(passes) == 46
 
     def test_connectivity_verdicts_and_refusals_are_unchanged(self):
         rng = random.Random(12)
         digraphs = list(disconnected_digraphs()) + [random_weak_digraph(rng) for _ in range(80)]
+        digraphs += _edge_cases()
         for d in digraphs:
             connected = weakly_connected_by_labels(d)
             # The refusal decides first on a fresh digraph, then reads the slot.
@@ -437,6 +467,28 @@ def _outcome(digraph, f, cuts=None):
     return "present" if got is not None else "absent"
 
 
+def _masks(selection):
+    """A selection's members, in order, as (edge id, shore mask, edge mask)."""
+    return [(e, m.shore_mask, m.edge_mask) for e, m in selection.items()]
+
+
+def _family_keyed_by(digraph, f):
+    """nested_optimal_pair's family keyed by the edge of f each member
+    holds, as _masks gives a selection."""
+    f_mask = sum(1 << e for e in f)
+    return [
+        ((m.edge_mask & f_mask).bit_length() - 1, m.shore_mask, m.edge_mask)
+        for m in nested_optimal_pair(digraph).family
+    ]
+
+
+def _raising(name):
+    def raise_(*args):
+        raise AssertionError(f"{name} ran")
+
+    return raise_
+
+
 class TestNestedSelectionOfADijoin:
     """solver._dijoin_selection, which nested_extension_search runs on every
     set that meets all window dibonds."""
@@ -463,6 +515,8 @@ class TestNestedSelectionOfADijoin:
                     sample = replace(w, named_edge_sets={"sample": f})
                     got = _agrees_with_the_recursion(sample, "sample")
                     verdicts.add((got is not None, len(f) == len(least)))
+                    if got is not None:
+                        assert _masks(got) == _family_keyed_by(d, f)
         assert verdicts == {(True, True), (False, False)}
 
     def test_random_minimal_dijoins_get_valid_selections(self):
@@ -563,6 +617,52 @@ class TestNestedSelectionOfADijoin:
         assert nested_extension_search(window(grid, 12), "vertical_drops") is not None
         for n in (11, 12):
             assert nested_extension_search(window(grid, n), "horizontal_steps") is None
+
+
+    PRESENT = [("zigzag_d1", "diagonals", n) for n in range(1, 61)] + [
+        ("grid_d2", "vertical_drops", n) for n in range(1, 31)
+    ]
+
+    def test_present_windows_are_certified_by_the_named_set(self, monkeypatch):
+        # With |F| raised dibonds, (F, family) is verified as the optimal
+        # pair, so neither the expansion nor the dibond walk runs; the
+        # selection is the family nested_optimal_pair returns.
+        monkeypatch.setattr(solver, "_expansion", _raising("the expansion"))
+        monkeypatch.setattr(enumeration, "_dibond_masks", _raising("the dibond walk"))
+        got = []
+        for family, set_name, n in self.PRESENT:
+            selection = nested_extension_search(window(get_family(family), n), set_name)
+            assert selection is not None and len(selection) == n, (family, n)
+            got.append(_masks(selection))
+        monkeypatch.undo()
+        for (family, set_name, n), masks in zip(self.PRESENT, got):
+            w = window(get_family(family), n)
+            assert masks == _family_keyed_by(w.digraph, w.named_edge_sets[set_name]), (family, n)
+
+    @pytest.mark.parametrize(
+        "family, set_name, n",
+        [("zigzag_d1", "verticals_and_first_spoke", 12), ("grid_d2", "horizontal_steps", 8)],
+    )
+    def test_an_absent_window_runs_one_ascent_and_one_expansion(
+        self, monkeypatch, family, set_name, n
+    ):
+        w = window(get_family(family), n)
+        ascents = _counting(monkeypatch, solver, "_ascent")
+        expansions = _counting(monkeypatch, solver, "_expansion")
+        assert nested_extension_search(w, set_name) is None
+        assert (len(ascents), len(expansions)) == (1, 1)
+
+    def test_more_raised_members_than_the_named_set_fail_verification(self, monkeypatch):
+        ascent = solver._ascent
+
+        def one_too_many(*args):
+            family, z = ascent(*args)
+            return family + family[:1], z
+
+        monkeypatch.setattr(solver, "_ascent", one_too_many)
+        w = window(get_family("zigzag_d1"), 4)
+        with pytest.raises(VerificationFailed):
+            nested_extension_search(w, "diagonals")
 
 
 class TestGridWindows:
