@@ -337,15 +337,16 @@ def _cmd_quotient(args) -> RunReport:
         raise ValueError("quotient requires --class-file with generating in-shores")
     cuts = _read_shores(digraph, args.class_file)
     qm = equivalence_classes(digraph, cuts)
+    classes = qm.classes()
     lines = [
         ("command", "quotient"),
         ("input_sha256", digest),
         ("generators", str(len(cuts))),
-        ("classes", str(len(qm.classes()))),
+        ("classes", str(len(classes))),
         ("quotient_vertices", str(qm.quotient.n)),
         ("quotient_edges", str(qm.quotient.m)),
     ]
-    for cid, members in sorted(qm.classes().items()):
+    for cid, members in sorted(classes.items()):
         lines.append(("class", f"{cid} <- {_shore_label(members)}"))
     if args.export:
         with open(args.export, "w", encoding="utf-8") as fh:

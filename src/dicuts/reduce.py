@@ -27,7 +27,7 @@ from .core import (
     dicut_from_edge_set,
 )
 from .errors import PreconditionViolated, VerificationFailed
-from .solver import DibondClass, OptimalPair, nested_optimal_pair, verify_optimal_pair
+from .solver import DibondClass, OptimalPair, _class_for, nested_optimal_pair, verify_optimal_pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,8 +258,7 @@ def split_solve_merge(digraph: Digraph, klass: DibondClass) -> Optional[OptimalP
     genuine duality gap, or no nested pair of the dijoin's size, both
     possible only when the class is not corner-closed.
     """
-    if klass.digraph != digraph:
-        raise PreconditionViolated("class belongs to a different digraph")
+    klass = _class_for(digraph, klass)
     dijoin: set = set()
     family: list = []
     for block in block_cut_tree(digraph).blocks:

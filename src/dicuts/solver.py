@@ -10,7 +10,7 @@ produced pair is re-checked by an independent verifier rather than trusted
 by construction.
 
 The full class is implicit: DibondClass.full lists its members only when
-they are first read. optimal_pair, nested_optimal_pair,
+they are first read. min_dijoin, optimal_pair, nested_optimal_pair,
 verify_optimal_pair and uncross never list it, and is_dijoin lists it
 only to name the member that a failing set misses. F meets every dibond
 of a weakly connected D exactly when D/F is strongly connected
@@ -22,7 +22,7 @@ is a packing of rooted cuts (Fulkerson, "Packing rooted directed cuts in
 a weighted directed graph", Math. Programming 1974; Schrijver chs. 52
 and 55). A vertex r of that component reaches every vertex of D, so F
 is a dijoin exactly when r reaches every vertex in the reversed D plus
-F. _rooted_optimum runs the two halves below, _ascent and then
+F. _implicit_optimum runs the two halves below, _ascent and then
 _expansion. The _ascent is a dual ascent on Z, which holds the reversed
 edges of D and the tight edges of D, none at first. Each round takes
 the strong components of Z and raises every source component S but r's,
@@ -238,10 +238,9 @@ class DibondClass:
     the solvers treat a gap there as a defect. A class is immutable.
 
     DibondClass.full is implicit: it lists its members on their first
-    read. optimal_pair, nested_optimal_pair, verify_optimal_pair and
-    uncross never read them, and is_dijoin reads them only for a set that
-    fails. So optimal_pair and min_dijoin may name different minimum
-    dijoins of one size.
+    read. min_dijoin, optimal_pair, nested_optimal_pair,
+    verify_optimal_pair and uncross never read them, and is_dijoin reads
+    them only for a set that fails.
     """
 
     digraph: Digraph
@@ -349,8 +348,7 @@ def is_dijoin(digraph: Digraph, edge_set: Iterable[int], klass: DibondClass) -> 
     internal error. families.check_finitary_dijoin is this test on a
     window's full class.
     """
-    if klass.digraph != digraph:
-        raise PreconditionViolated("class belongs to a different digraph")
+    klass = _class_for(digraph, klass)
     f = frozenset(edge_set)
     _require_edge_ids(digraph, f, "edge set contains unknown edge ids")
     if klass.implicit and _meets_every_dibond(digraph, f):
@@ -637,14 +635,17 @@ def _meets_all(slots: list, targets: Iterable[frozenset]):
 def min_dijoin(digraph: Digraph, klass: DibondClass) -> frozenset:
     """A minimum edge set meeting every class member.
 
-    Exact hitting set over the member edge masks, which the class holds
-    distinct and in class order, as the search needs; deterministic under
-    ascending edge id tie-breaking. The empty class has the empty dijoin.
-    The full class is listed for it, so on that class optimal_pair, which
-    does not list it, may name a different minimum dijoin of this size.
+    The implicit full class is solved as optimal_pair solves it, by the
+    branching or by cutting planes, so both name the same dijoin; its
+    cap bounds only the certificate's listed fallback. Any other class
+    gets the exact hitting set over the member edge masks, which the
+    class holds distinct and in class order, as the search needs;
+    deterministic under ascending edge id tie-breaking. The empty class
+    has the empty dijoin.
     """
-    if klass.digraph != digraph:
-        raise PreconditionViolated("class belongs to a different digraph")
+    klass = _class_for(digraph, klass)
+    if klass.implicit:
+        return _implicit_optimum(klass)[0]
     return frozenset(bit_positions(_min_hitting_mask([m.edge_mask for m in klass.members])))
 
 
@@ -887,27 +888,22 @@ def _expansion(digraph: Digraph, root: int, z: tuple) -> frozenset:
     return frozenset(bit_positions(f))
 
 
-def _rooted_optimum(digraph: Digraph, tables: Optional[tuple], root: int, flip: bool) -> tuple:
-    """(dijoin, family) of the full class of a rooted D, given its
-    enumeration._walk_tables and _rooting's answer: the _ascent, then
-    the _expansion of its final Z."""
+def _implicit_optimum(klass: DibondClass) -> tuple:
+    """(dijoin, family) of the implicit full class: the empty pair when D
+    has at most one strong component, the _ascent and the _expansion of
+    its final Z when D is rooted, else the loop, the certificate and the
+    fallback of the module docstring. D's strong components, found once
+    per digraph (enumeration._own_components), decide which, and serve
+    the first round of either."""
+    digraph = klass.digraph
+    tables = _walk_tables(digraph)
     if tables is None:
         return frozenset(), []
-    family, z = _ascent(digraph, tables, root, flip)
-    return _expansion(digraph, root, z), family
-
-
-def _implicit_optimum(klass: DibondClass) -> tuple:
-    """(dijoin, family) of the implicit full class: the branching when D
-    is rooted, else the loop, the certificate and the fallback of the
-    module docstring. D's strong components, found once per digraph
-    (enumeration._own_components), decide which, and serve the first
-    round of either."""
-    tables = _walk_tables(klass.digraph)
     rooting = _rooting(tables)
     if rooting is not None:
-        return _rooted_optimum(klass.digraph, tables, *rooting)
-    f, constraints = _cutting_planes(klass.digraph, tables)
+        family, z = _ascent(digraph, tables, *rooting)
+        return _expansion(digraph, rooting[0], z), family
+    f, constraints = _cutting_planes(digraph, tables)
     picks = _tight_picks(constraints, f)
     if picks is None:
         picks = _tight_picks(klass.members, f)
@@ -1018,11 +1014,11 @@ def optimal_pair(
     still checks them explicitly.
 
     No class means DibondClass.full(digraph), which is solved without
-    listing it, so its dijoin may differ from min_dijoin's on the listed
-    class; both are minimum. On a digraph with one source or one sink
-    strong component the full class is solved as an optimum branching,
-    whose family is a nested family of dibonds by construction; on any
-    other, by cutting planes (see the module docstring).
+    listing it, and its dijoin is min_dijoin's. On a digraph with one
+    source or one sink strong component the full class is solved as an
+    optimum branching, whose family is a nested family of dibonds by
+    construction; on any other, by cutting planes (see the module
+    docstring).
     """
     klass = _class_for(digraph, klass)
     if klass.implicit:

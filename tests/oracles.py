@@ -52,9 +52,11 @@ on a given raw window.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 from collections import deque
+from pathlib import Path
 
 from dicuts import (
     CapExceeded,
@@ -79,6 +81,12 @@ from dicuts import (
 from dicuts.core import _edge_mask, bit_positions
 from dicuts.enumeration import DEFAULT_CAP, Condensation, _build, _dibond_masks
 from dicuts.families import FamilyWindow, RawWindow
+
+# The bench corpus, loaded from its file, since bench/ is no package.
+_CORPUS_PATH = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+_spec = importlib.util.spec_from_file_location("bench_corpus", _CORPUS_PATH)
+bench_corpus = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_corpus)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from dicuts.enumeration import _successor_bits, _walk_tables
 from dicuts.solver import _min_hitting_mask
 
 from .oracles import (
+    bench_corpus,
     brute_dicuts,
     brute_max_packing,
     brute_min_dijoin,
@@ -292,6 +293,43 @@ class TestScale:
 
 
 
+class TestMinDijoinOnTheFullClass:
+    """min_dijoin solves the implicit full class as optimal_pair does,
+    so with the dibond walk patched to raise it still answers, names
+    optimal_pair's dijoin, and leaves the class unlisted."""
+
+    def check(self, d):
+        klass = DibondClass.full(d)
+        dijoin = min_dijoin(d, klass)
+        assert "members" not in vars(klass)
+        return dijoin
+
+    def test_inputs_past_the_listing_wall(self, no_walk):
+        d = random_dag(random.Random("probe:300:0"), 300, 300)
+        assert len(self.check(d)) == 95
+        assert len(self.check(window(get_family("zigzag_d1"), 240).digraph)) == 240
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_names_optimal_pair_s_dijoin_on_the_solve_corpus(self, no_walk, seed):
+        refused = []
+        for name, edges, isolated in bench_corpus.solve_corpus(seed):
+            d = Digraph.from_edges(edges, isolated=isolated)
+            try:
+                dijoin = self.check(d)
+            except PreconditionViolated:
+                refused.append(name)
+                continue
+            assert dijoin == optimal_pair(d).dijoin, name
+        assert refused == ["repro-isolated"]
+
+    def test_minimum_size_on_small_digraphs(self, no_walk):
+        rng = random.Random("implicit:min_dijoin")
+        draws = [random_weak_digraph(rng, max_n=6, max_extra=6) for _ in range(100)]
+        draws += unrooted_weak_digraphs(rng, 100, max_n=7, max_extra=6)
+        for d in draws:
+            assert len(self.check(d)) == len(brute_min_dijoin(d)), d.edges
+
+
 def reversed_digraph(d):
     """D with every edge turned round, edge ids kept."""
     return Digraph(d.vertices, [(h, t) for t, h in d.edges])
@@ -314,25 +352,27 @@ class TestRootedBranching:
 
     def test_agrees_with_brute_force_in_both_orientations(self, monkeypatch):
         calls = []
-        rooted_optimum = solver._rooted_optimum
+        ascent = solver._ascent
 
         def counted(*args):
             calls.append(args)
-            return rooted_optimum(*args)
+            return ascent(*args)
 
-        monkeypatch.setattr(solver, "_rooted_optimum", counted)
+        monkeypatch.setattr(solver, "_ascent", counted)
         rooted = unrooted = 0
         for d in self.small_inputs():
             for dd in (d, reversed_digraph(d)):
                 calls.clear()
                 pair = nested_optimal_pair(dd)
-                # Exactly the rooted inputs take the branching.
-                assert bool(calls) == (1 in end_component_counts(dd)), dd.edges
+                # Exactly the rooted inputs take the branching, by one
+                # ascent; one strong component has the empty pair at once.
+                is_rooted = 1 in end_component_counts(dd)
+                assert len(calls) == (is_rooted and len(kosaraju_scc(dd)) > 1), dd.edges
                 cuts = [c for c in brute_dicuts(dd) if c.edge_set]
                 tau = len(brute_min_dijoin(dd, cuts))
                 assert len(pair.dijoin) == len(pair.family) == tau == len(brute_max_packing(cuts))
                 check_pair(dd, pair)
-                if not calls:
+                if not is_rooted:
                     unrooted += 1
                     continue
                 rooted += 1

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import importlib.util
 import random
 from itertools import combinations, product
-from pathlib import Path
 
 import pytest
 
@@ -55,6 +53,7 @@ from dicuts.solver import (
 )
 
 from .oracles import (
+    bench_corpus,
     brute_dibonds,
     brute_dicuts,
     brute_max_packing,
@@ -70,11 +69,6 @@ from .oracles import (
     random_dag,
     random_weak_digraph,
 )
-
-_CORPUS_PATH = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
-_spec = importlib.util.spec_from_file_location("bench_corpus", _CORPUS_PATH)
-bench_corpus = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_corpus)
 
 
 def diamond():
@@ -280,18 +274,20 @@ class TestMaskKernels:
             )
 
     def test_min_dijoin_on_edge_id_bits_matches_the_set_hitting_set(self):
-        # min_dijoin hands the members' edge masks, bit e for edge e, to the
-        # search; exact_min_hitting_set maps the edges of the sets to bits
-        # 0, 1, ... in ascending order. Both maps are monotone, so the
-        # branch orders and tie-breaks, and hence the dijoins, must agree.
+        # On a listed class min_dijoin hands the members' edge masks, bit e
+        # for edge e, to the search; exact_min_hitting_set maps the edges of
+        # the sets to bits 0, 1, ... in ascending order. Both maps are
+        # monotone, so the branch orders and tie-breaks, and hence the
+        # dijoins, must agree. The implicit full class is not searched.
         refused = []
         for name, edges, isolated in bench_corpus.solve_corpus(1):
             d = Digraph.from_edges(edges, isolated=isolated)
             try:
-                klass = DibondClass.full(d)
+                full = DibondClass.full(d)
             except PreconditionViolated:
                 refused.append(name)
                 continue
+            klass = DibondClass._known(d, full.members, True)
             assert min_dijoin(d, klass) == exact_min_hitting_set(
                 [m.edge_set for m in klass.members]
             ), name
